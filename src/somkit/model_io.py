@@ -113,16 +113,36 @@ def _head_to_dict(head) -> dict | None:
     }
 
 
+def _field(d, key: str, kinds, where: str = "model file"):
+    """``d[key]``, which must exist and be an instance of ``kinds``."""
+    if key not in d:
+        raise ValueError(f"{where} has no {key!r}")
+    value = d[key]
+    if not isinstance(value, kinds):
+        raise ValueError(f"{where}: {key!r} has the wrong type {type(value).__name__}")
+    return value
+
+
+def _array(values: list, key: str, shape: tuple, dtype=float) -> np.ndarray:
+    """A list of numbers as an array of ``shape``."""
+    try:
+        return np.array(values, dtype=dtype).reshape(shape)
+    except (TypeError, ValueError):
+        raise ValueError(f"model file: {key!r} is not numbers that fill shape {shape}") from None
+
+
 def _head_from_dict(d: dict | None, shape: tuple[int, int]):
     if d is None:
         return None
-    if d["kind"] == "regression":
-        return RegressionHead(np.array(d["values"], dtype=float).reshape(shape))
-    if d["kind"] == "classification":
+    kind = _field(d, "kind", str, "head")
+    if kind == "regression":
+        return RegressionHead(_array(_field(d, "values", list, "head"), "values", shape))
+    if kind == "classification":
         return ClassificationHead(
-            np.array(d["codes"], dtype=int).reshape(shape), np.array(d["class_set"])
+            _array(_field(d, "codes", list, "head"), "codes", shape, int),
+            np.array(_field(d, "class_set", list, "head")),
         )
-    raise ValueError(f"unknown head kind {d['kind']!r} in model file")
+    raise ValueError(f"unknown head kind {kind!r} in model file")
 
 
 def save_model(model: SomModel, path) -> None:
@@ -146,24 +166,31 @@ def save_model(model: SomModel, path) -> None:
 
 
 def load_model(path) -> SomModel:
+    """Read a model file; a missing or malformed entry raises ValueError."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such model file: {path}")
     payload = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError("model file must hold a JSON object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    config = config_from_dict(payload["config"])
-    n = payload["feature_dim"]
-    weights = np.array(payload["weights"], dtype=float).reshape(
-        config.n_row, config.n_column, n
-    )
-    cov_inv = None if payload["cov_inv"] is None else np.array(payload["cov_inv"], dtype=float)
-    scaling = None
-    if payload["scaling"] is not None:
+    try:
+        config = config_from_dict(_field(payload, "config", dict))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"model file: malformed config: {exc!r}") from None
+    n = _field(payload, "feature_dim", int)
+    shape = (config.n_row, config.n_column)
+    weights = _array(_field(payload, "weights", list), "weights", (*shape, n))
+    cov_inv = _field(payload, "cov_inv", (list, type(None)))
+    if cov_inv is not None:
+        cov_inv = _array(cov_inv, "cov_inv", (n, n))
+    scaling = _field(payload, "scaling", (dict, type(None)))
+    if scaling is not None:
         scaling = MinMaxRecord(
-            np.array(payload["scaling"]["mins"], dtype=float),
-            np.array(payload["scaling"]["ranges"], dtype=float),
+            _array(_field(scaling, "mins", list, "scaling"), "mins", (n,)),
+            _array(_field(scaling, "ranges", list, "scaling"), "ranges", (n,)),
         )
-    head = _head_from_dict(payload["head"], (config.n_row, config.n_column))
+    head = _head_from_dict(_field(payload, "head", (dict, type(None))), shape)
     return SomModel(config, WeightGrid(weights), cov_inv, scaling, head)

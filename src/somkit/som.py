@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distances import (
+    _block_rows,
+    _bmu_block,
     check_metric,
-    distance_matrix,
-    distances_to_many,
     estimate_inverse_covariance,
-    feature_distance,
+    paired_distances,
 )
 from .schedules import (
     RADIUS_FLOOR,
@@ -142,8 +142,7 @@ def init_weights(config: SomConfig, X, rng: np.random.Generator) -> WeightGrid:
 def find_bmu(grid: WeightGrid, x, metric: str = "euclidean", cov_inv=None) -> tuple[int, int]:
     """Index of the node closest to ``x``; ties go to the smallest row-major index."""
     x = _check_vector(grid, x)
-    dists = distances_to_many(grid.flat, x, metric, cov_inv)
-    flat_idx = int(np.argmin(dists))
+    flat_idx = int(_bmu_block(grid.flat, x, metric, cov_inv))
     return (flat_idx // grid.n_column, flat_idx % grid.n_column)
 
 
@@ -275,13 +274,10 @@ def transform(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> n
         raise ValueError(
             f"data has shape {X.shape}, grid expects dimension {grid.feature_dim}"
         )
-    n_nodes = grid.n_row * grid.n_column
-    # Chunk so the (chunk, nodes, n) temporary stays around 32 MB.
-    chunk = max(1, int(4e6 // max(n_nodes * grid.feature_dim, 1)))
+    chunk = _block_rows(grid.n_row * grid.n_column, grid.feature_dim, metric)
     out = np.empty((X.shape[0], 2), dtype=int)
     for start in range(0, X.shape[0], chunk):
-        block = X[start : start + chunk]
-        flat_idx = np.argmin(distance_matrix(grid.flat, block, metric, cov_inv), axis=1)
+        flat_idx = _bmu_block(grid.flat, X[start : start + chunk], metric, cov_inv)
         out[start : start + chunk, 0] = flat_idx // grid.n_column
         out[start : start + chunk, 1] = flat_idx % grid.n_column
     return out
@@ -301,8 +297,5 @@ def quantization_error(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=N
     if X.shape[0] == 0:
         raise ValueError("quantization error needs at least one datapoint")
     bmus = transform(grid, X, metric, cov_inv)
-    dists = [
-        feature_distance(x, grid.weights[r, c], metric, cov_inv)
-        for x, (r, c) in zip(X, bmus)
-    ]
-    return float(np.mean(dists))
+    nodes = grid.weights[bmus[:, 0], bmus[:, 1]]
+    return float(np.mean(paired_distances(X, nodes, metric, cov_inv)))

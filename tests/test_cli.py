@@ -140,6 +140,38 @@ class TestTrain:
             assert config.n_row in (35, 40)
 
 
+# case -> (edit of a mahalanobis regression model's JSON, expected error text)
+MALFORMED_MODELS = {
+    "missing config": (lambda p: p.pop("config"), "no 'config'"),
+    "missing head": (lambda p: p.pop("head"), "no 'head'"),
+    "missing cov_inv": (lambda p: p.pop("cov_inv"), "no 'cov_inv'"),
+    "mistyped config entry": (lambda p: p["config"].update(n_row="four"), "malformed config"),
+    "mistyped weights": (lambda p: p.update(weights="0.5"), "'weights'"),
+    "weight count mismatch": (lambda p: p["weights"].pop(), "'weights'"),
+    "unknown head kind": (lambda p: p["head"].update(kind="ranking"), "unknown head kind"),
+    "cov_inv not positive definite": (
+        lambda p: p.update(cov_inv=(-np.array(p["cov_inv"])).tolist()), "positive definite"),
+}
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_predict_exits_2(self, tmp_path, reg_csv, capsys, case):
+        mutate, message = MALFORMED_MODELS[case]
+        model_path = tmp_path / "m.json"
+        assert main(["train", "--data", str(reg_csv), "--label-column", "target",
+                     "--head", "regression", "--metric", "mahalanobis",
+                     "--model", str(model_path), *FAST]) == 0
+        payload = json.loads(model_path.read_text())
+        mutate(payload)
+        model_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model_path), "--data", str(reg_csv),
+                   "--label-column", "target", "--output", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+
 class TestPredict:
     def test_row_count_and_kind(self, tmp_path, reg_csv, blob_csv):
         reg_model = tmp_path / "reg.json"

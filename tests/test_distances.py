@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from somkit import distances
 from somkit.distances import (
-    distance_matrix,
-    distances_to_many,
+    METRICS,
     estimate_inverse_covariance,
     feature_distance,
     grid_distance,
+    paired_distances,
 )
+from somkit.som import WeightGrid, find_bmu, transform
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 vector_pairs = st.integers(min_value=1, max_value=12).flatmap(
@@ -88,34 +90,118 @@ class TestFeatureDistance:
         assert feature_distance(a, a, "tanimoto") == 0.0
 
 
+def oracle_bmus(W, X, metric, cov_inv):
+    """Row-by-row argmin of feature_distance, lowest index on ties."""
+    out = []
+    for x in X:
+        d = [feature_distance(w, x, metric, cov_inv) for w in W]
+        out.append(int(np.argmin(d)))
+    return out
+
+
+def adversarial_cases(metric, rng):
+    """(name, W of shape (rows, cols, n), X) pairs built to trip a fast BMU search."""
+    if metric == "tanimoto":
+        def draw(*shape):
+            return rng.integers(0, 2, size=shape).astype(float)
+        W = draw(4, 5, 6)
+        X = draw(30, 6)
+        constant = W.copy()
+        constant[:, :, 2] = 1.0
+        X_constant = X.copy()
+        X_constant[:, 2] = 1.0
+        yield "random bits, many exact ties", W, X
+        yield "constant feature", constant, X_constant
+    else:
+        W = rng.normal(size=(4, 5, 3))
+        X = rng.normal(size=(30, 3))
+        lattice = np.stack(np.meshgrid(np.arange(4.0), np.arange(5.0), indexing="ij"), axis=-1)
+        midpoints = rng.integers(0, 4, size=(40, 2)) + 0.5
+        yield "random", W, X
+        yield "equidistant lattice midpoints", lattice, midpoints
+        yield "large offset, small spread", 1e6 + 1e-3 * W, 1e6 + 1e-3 * rng.normal(size=(30, 3))
+        constant = W.copy()
+        constant[:, :, 1] = 7.0
+        X_constant = rng.normal(size=(30, 3))
+        X_constant[:, 1] = 7.0
+        yield "constant feature", constant, X_constant
+    duplicated = W.copy()
+    duplicated[1::2] = duplicated[0]
+    duplicated[:, 3] = duplicated[:, 1]
+    yield "duplicated nodes", duplicated, X
+    yield "x equal to a node", duplicated, duplicated.reshape(-1, W.shape[2])[::3]
+    yield "1x1 grid", W[:1, :1], X
+    yield "empty X", W, X[:0]
+
+
+def metric_context(metric, W, X):
+    if metric != "mahalanobis":
+        return None
+    return estimate_inverse_covariance(np.vstack([W.reshape(-1, W.shape[2]), X]))
+
+
 class TestVectorizedPaths:
     def test_distances_to_many_matches_scalar(self):
+        """paired_distances equals feature_distance row by row, for distinct
+        row pairs and for one point against many."""
         rng = np.random.default_rng(11)
         points = rng.normal(size=(20, 5))
-        x = rng.normal(size=5)
+        others = rng.normal(size=(20, 5))
+        x = np.broadcast_to(rng.normal(size=5), points.shape)
         cov_inv = estimate_inverse_covariance(rng.normal(size=(40, 5)))
         for metric in ("euclidean", "manhattan", "mahalanobis"):
-            bulk = distances_to_many(points, x, metric, cov_inv)
-            scalar = [feature_distance(p, x, metric, cov_inv) for p in points]
-            np.testing.assert_allclose(bulk, scalar, rtol=0, atol=1e-12)
+            for b in (others, x):
+                bulk = paired_distances(points, b, metric, cov_inv)
+                scalar = [feature_distance(p, q, metric, cov_inv) for p, q in zip(points, b)]
+                if metric == "mahalanobis":
+                    np.testing.assert_allclose(bulk, scalar, rtol=1e-12, atol=1e-12)
+                else:
+                    np.testing.assert_array_equal(bulk, scalar)
 
     def test_distances_to_many_matches_scalar_tanimoto(self):
         rng = np.random.default_rng(12)
         points = rng.integers(0, 2, size=(20, 6)).astype(float)
-        x = rng.integers(0, 2, size=6).astype(float)
-        bulk = distances_to_many(points, x, "tanimoto")
-        scalar = [feature_distance(p, x, "tanimoto") for p in points]
-        np.testing.assert_array_equal(bulk, scalar)
+        others = rng.integers(0, 2, size=(20, 6)).astype(float)
+        x = np.broadcast_to(rng.integers(0, 2, size=6).astype(float), points.shape)
+        for b in (others, x):
+            bulk = paired_distances(points, b, "tanimoto")
+            scalar = [feature_distance(p, q, "tanimoto") for p, q in zip(points, b)]
+            np.testing.assert_array_equal(bulk, scalar)
 
-    def test_distance_matrix_matches_row_loops(self):
+    def test_distance_matrix_matches_row_loops(self, monkeypatch):
+        """Block and single-row BMU search equal the feature_distance argmin."""
         rng = np.random.default_rng(13)
-        points = rng.normal(size=(15, 4))
-        X = rng.normal(size=(9, 4))
-        cov_inv = estimate_inverse_covariance(rng.normal(size=(30, 4)))
-        for metric in ("euclidean", "manhattan", "mahalanobis"):
-            full = distance_matrix(points, X, metric, cov_inv)
-            rows = np.array([distances_to_many(points, x, metric, cov_inv) for x in X])
-            np.testing.assert_allclose(full, rows, rtol=0, atol=1e-12)
+        for metric in METRICS:
+            for name, w, X in adversarial_cases(metric, rng):
+                case = f"{metric}: {name}"
+                grid = WeightGrid(w)
+                cov_inv = metric_context(metric, w, X)
+                expected = oracle_bmus(grid.flat, X, metric, cov_inv)
+                singles = [find_bmu(grid, x, metric, cov_inv) for x in X]
+                assert [r * grid.n_column + c for r, c in singles] == expected, case
+                # one block, then N larger than one block: 3 rows per block, 1 for manhattan
+                for block_bytes in (distances.BLOCK_BYTES, 3 * len(grid.flat) * 8):
+                    monkeypatch.setattr(distances, "BLOCK_BYTES", block_bytes)
+                    got = transform(grid, X, metric, cov_inv)
+                    assert got.shape == (len(X), 2), case
+                    assert (got[:, 0] * grid.n_column + got[:, 1]).tolist() == expected, case
+                monkeypatch.undo()
+
+    def test_euclidean_block_search_is_exact_on_random_sizes(self):
+        rng = np.random.default_rng(14)
+        for n in (1, 7, 130, 300):
+            W = WeightGrid(rng.normal(size=(6, 7, n)).round(1))
+            X = np.vstack([W.flat[::5] + 1e-13, rng.normal(size=(10, n)).round(1)])
+            got = transform(W, X)
+            assert (got[:, 0] * 7 + got[:, 1]).tolist() == oracle_bmus(W.flat, X, "euclidean", None)
+
+    def test_mahalanobis_rejects_non_positive_definite(self):
+        grid = WeightGrid(np.zeros((2, 2, 2)))
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValueError, match="positive definite"):
+            find_bmu(grid, (1.0, 1.0), "mahalanobis", indefinite)
+        with pytest.raises(ValueError, match="positive definite"):
+            transform(grid, np.ones((3, 2)), "mahalanobis", indefinite)
 
 
 class TestCovarianceEstimate:

@@ -314,6 +314,22 @@ class TestFitUnsupervised:
                 wins += 1
         assert wins >= 9
 
+    def test_quantization_error_matches_row_loop(self):
+        rng = np.random.default_rng(6)
+        for metric in ("euclidean", "manhattan", "tanimoto", "mahalanobis"):
+            if metric == "tanimoto":
+                grid = WeightGrid(rng.integers(0, 2, size=(3, 4, 5)).astype(float))
+                X = rng.integers(0, 2, size=(40, 5)).astype(float)
+            else:
+                grid = WeightGrid(rng.normal(size=(3, 4, 5)))
+                X = rng.normal(size=(40, 5))
+            cov_inv = estimate_inverse_covariance(X) if metric == "mahalanobis" else None
+            loop = np.mean([
+                feature_distance(x, grid.weights[r, c], metric, cov_inv)
+                for x, (r, c) in zip(X, transform(grid, X, metric, cov_inv))
+            ])
+            assert quantization_error(grid, X, metric, cov_inv) == pytest.approx(loop, rel=1e-12)
+
     def test_seed_robustness_of_quantization_error(self):
         rng = np.random.default_rng(5)
         X = rng.uniform(size=(80, 2))
