@@ -145,6 +145,7 @@ MALFORMED_MODELS = {
     "missing config": (lambda p: p.pop("config"), "no 'config'"),
     "missing head": (lambda p: p.pop("head"), "no 'head'"),
     "missing cov_inv": (lambda p: p.pop("cov_inv"), "no 'cov_inv'"),
+    "missing config entry": (lambda p: p["config"].pop("n_row"), "malformed config"),
     "mistyped config entry": (lambda p: p["config"].update(n_row="four"), "malformed config"),
     "mistyped weights": (lambda p: p.update(weights="0.5"), "'weights'"),
     "weight count mismatch": (lambda p: p["weights"].pop(), "'weights'"),
