@@ -21,7 +21,6 @@ from .distances import (
     METRICS,
     estimate_inverse_covariance,
     feature_distance,
-    grid_distance,
 )
 from .metrics import (
     ConfusionMatrix,

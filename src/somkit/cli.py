@@ -13,7 +13,9 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .datasets import (
     DatasetError,
@@ -31,46 +33,60 @@ from .metrics import (
     overall_accuracy,
     r_squared,
 )
-from .model_io import SomModel, config_to_dict, load_model, save_model
-from .schedules import ScheduleSpec
+from .model_io import SomModel, load_model, save_model
 from .som import SomConfig, bmu_histogram, fit_unsupervised
 from .supervised import fit_classifier, fit_regressor
 from .seeding import PHASES, SEED_SCHEME, phase_rng
 
 HEAD_KINDS = ("none", "regression", "classification")
 
-_CONFIG_DEFAULTS = {
-    "n_row": 10,
-    "n_column": 10,
-    "n_iter_unsupervised": 1000,
-    "n_iter_supervised": 1000,
-    "metric": "euclidean",
-    "lr_schedule": "start-end",
-    "lr_start": 0.5,
-    "lr_end": 0.05,
-    "radius_schedule": "linear",
-    "radius_start": None,  # max(n_row, n_column) / 2 once the grid is known
-    "radius_end": 1.0,
-    "kernel": "gaussian",
-    "update_mode": "online",
-    "seed": 42,
-    "class_weighting": False,
-    "minmax_scale": False,
-}
 
-# Command parameters a RunConfig file may also carry; each command picks up
-# the ones its flags define.
-_RUN_KEYS = (
-    "data",
-    "label_column",
-    "head",
-    "model",
-    "output",
-    "out_dir",
-    "train_data",
-    "k",
-    "resolved_config",
-)
+def _schedule_keys(name: str) -> dict[str, str]:
+    """Flat configuration key -> ScheduleSpec field, for schedule field ``name``."""
+    prefix = name.removesuffix("_schedule")
+    return {name: "kind", f"{prefix}_start": "start", f"{prefix}_end": "end"}
+
+
+def _config_options() -> dict[str, dict]:
+    """argparse keywords of each configuration key, in SomConfig field order.
+
+    The keys are SomConfig's fields, with each schedule flattened to its kind
+    (``lr_schedule``), ``lr_start`` and ``lr_end``, plus the CLI's own
+    ``minmax_scale``. Every value is optional; SomConfig holds the defaults.
+    """
+    switch = {"action": argparse.BooleanOptionalAction, "default": None}
+    types = get_type_hints(SomConfig)
+    options = {}
+    for f in fields(SomConfig):
+        if "kinds" in f.metadata:
+            kind, start, end = _schedule_keys(f.name)
+            options.update({kind: {"choices": f.metadata["kinds"]},
+                            start: {"type": float}, end: {"type": float}})
+        elif types[f.name] is bool:
+            options[f.name] = switch
+        elif "choices" in f.metadata:
+            options[f.name] = {"choices": f.metadata["choices"]}
+        else:
+            options[f.name] = {"type": types[f.name]}
+    options["minmax_scale"] = switch
+    return options
+
+
+_CONFIG_OPTIONS = _config_options()
+
+# Command parameters a RunConfig file may also carry, with the type of their
+# flags; each command picks up the ones its flags define.
+_RUN_KEYS = {
+    "data": str,
+    "label_column": str,
+    "head": str,
+    "model": str,
+    "output": str,
+    "out_dir": str,
+    "train_data": str,
+    "k": int,
+    "resolved_config": str,
+}
 
 
 class UsageError(Exception):
@@ -86,22 +102,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with any of the configuration keys")
-    p.add_argument("--n-row", type=int)
-    p.add_argument("--n-column", type=int)
-    p.add_argument("--n-iter-unsupervised", type=int)
-    p.add_argument("--n-iter-supervised", type=int)
-    p.add_argument("--metric", choices=("euclidean", "manhattan", "tanimoto", "mahalanobis"))
-    p.add_argument("--lr-schedule", choices=("inverse", "linear", "power", "exponential", "start-end"))
-    p.add_argument("--lr-start", type=float)
-    p.add_argument("--lr-end", type=float)
-    p.add_argument("--radius-schedule", choices=("linear", "exponential", "start-end"))
-    p.add_argument("--radius-start", type=float)
-    p.add_argument("--radius-end", type=float)
-    p.add_argument("--kernel", choices=("gaussian", "mexican-hat"))
-    p.add_argument("--update-mode", choices=("online", "batch"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--class-weighting", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--minmax-scale", action=argparse.BooleanOptionalAction, default=None)
+    for key, options in _CONFIG_OPTIONS.items():
+        p.add_argument("--" + key.replace("_", "-"), **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,9 +164,15 @@ def _read_config_file(args: argparse.Namespace) -> dict:
         from_file = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: not valid JSON: {exc}")
-    unknown = set(from_file) - set(_CONFIG_DEFAULTS) - set(_RUN_KEYS)
+    if not isinstance(from_file, dict):
+        raise UsageError(f"{path}: must hold a JSON object")
+    unknown = set(from_file) - set(_CONFIG_OPTIONS) - set(_RUN_KEYS)
     if unknown:
         raise UsageError(f"{path}: unknown configuration keys: {sorted(unknown)}")
+    for key, value in from_file.items():
+        kind = _RUN_KEYS.get(key)
+        if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise UsageError(f"{path}: {key} must be of type {kind.__name__}, got {value!r}")
     return from_file
 
 
@@ -176,18 +184,17 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags, run parameters included."""
-    from_file = _read_config_file(args)
+    """The configuration values set by the config file or, winning, by flags.
 
-    merged = dict(_CONFIG_DEFAULTS)
-    for key in merged:
-        if key in from_file:
-            merged[key] = from_file[key]
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    if merged["radius_start"] is None:
-        merged["radius_start"] = max(merged["n_row"], merged["n_column"]) / 2.0
+    Run parameters the file supplies fill in omitted flags.
+    """
+    from_file = _read_config_file(args)
+    if "radius_start" in from_file and from_file["radius_start"] is None:
+        del from_file["radius_start"]  # asks for the default, which the grid size sets
+    merged = {key: from_file[key] for key in _CONFIG_OPTIONS if key in from_file}
+    for key in _CONFIG_OPTIONS:
+        if getattr(args, key, None) is not None:
+            merged[key] = getattr(args, key)
 
     # command parameters the file may supply when the flag was omitted
     for key in _RUN_KEYS:
@@ -196,36 +203,29 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _build_config(merged: dict) -> SomConfig:
-    return SomConfig(
-        n_row=merged["n_row"],
-        n_column=merged["n_column"],
-        n_iter_unsupervised=merged["n_iter_unsupervised"],
-        n_iter_supervised=merged["n_iter_supervised"],
-        metric=merged["metric"],
-        lr_schedule=ScheduleSpec(
-            merged["lr_schedule"],
-            merged["lr_start"],
-            merged["lr_end"],
-            merged["n_iter_unsupervised"],
-        ),
-        radius_schedule=ScheduleSpec(
-            merged["radius_schedule"],
-            merged["radius_start"],
-            merged["radius_end"],
-            merged["n_iter_unsupervised"],
-        ),
-        kernel=merged["kernel"],
-        update_mode=merged["update_mode"],
-        seed=merged["seed"],
-        class_weighting=merged["class_weighting"],
-    )
+def _validated_config(args: argparse.Namespace) -> tuple[bool, SomConfig]:
+    """The minmax_scale switch and the SomConfig of the merged values.
 
-
-def _validated_config(args: argparse.Namespace) -> tuple[dict, SomConfig]:
+    A value that is not of its key's type or not one of its choices is a
+    usage error; an absent one takes SomConfig's default.
+    """
+    values = _merge_config(args)
     try:
-        merged = _merge_config(args)
-        return merged, _build_config(merged)
+        scale = values.pop("minmax_scale", False)
+        if not isinstance(scale, bool):
+            raise ValueError(f"minmax_scale must be of type bool, got {scale!r}")
+        schedules = {
+            f.name: {attr: values.pop(key)
+                     for key, attr in _schedule_keys(f.name).items() if key in values}
+            for f in fields(SomConfig) if "kinds" in f.metadata
+        }
+        config = SomConfig(**values)
+        for name, parts in schedules.items():
+            try:
+                schedules[name] = replace(getattr(config, name), **parts)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        return scale, replace(config, **schedules)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -255,14 +255,11 @@ def _resolved_line(record: dict) -> str:
 
 
 def _load_for_model(path: str, label_column: str | None, head_kind: str) -> LabeledDataset:
-    if head_kind == "regression":
+    if head_kind != "none":
         if not label_column:
-            raise UsageError("a regression head needs --label-column")
-        return load_csv(path, label_column, "continuous")
-    if head_kind == "classification":
-        if not label_column:
-            raise UsageError("a classification head needs --label-column")
-        return load_csv(path, label_column, "categorical")
+            raise UsageError(f"a {head_kind} head needs --label-column")
+        return load_csv(path, label_column,
+                        "continuous" if head_kind == "regression" else "categorical")
     if label_column:
         # Column present in the file but unused; load it so it is not
         # mistaken for a feature.
@@ -315,14 +312,14 @@ def _emit_report(text: str, output: str | None) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    merged, config = _validated_config(args)
+    scale, config = _validated_config(args)
     if args.head is None:
         args.head = "none"
     if args.head not in HEAD_KINDS:
         raise UsageError(f"head must be one of {HEAD_KINDS}, got {args.head!r}")
     _require(args, "data", "model")
     data = _load_for_model(args.data, args.label_column, args.head)
-    model = _train_model(config, data, args.head, merged["minmax_scale"])
+    model = _train_model(config, data, args.head, scale)
     save_model(model, args.model)
     record = _resolved_record(
         "train",
@@ -331,8 +328,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             "label_column": args.label_column,
             "head": args.head,
             "model": args.model,
-            "minmax_scale": merged["minmax_scale"],
-            "som_config": config_to_dict(config),
+            "minmax_scale": scale,
+            "som_config": asdict(config),
         },
     )
     _write_resolved(record, _resolved_path(args.resolved_config, args.model))
@@ -340,7 +337,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    _merge_config(args)
+    _validated_config(args)
     _require(args, "model", "data", "output")
     model = load_model(args.model)
     data = _load_for_model(args.data, args.label_column, "none")
@@ -361,7 +358,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             "data": args.data,
             "label_column": args.label_column,
             "output": args.output,
-            "som_config": config_to_dict(model.config),
+            "som_config": asdict(model.config),
         },
     )
     _write_resolved(record, _resolved_path(args.resolved_config, args.output))
@@ -369,7 +366,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _merge_config(args)
+    _validated_config(args)
     _require(args, "model", "data", "label_column")
     model = load_model(args.model)
     if model.head_kind == "none":
@@ -388,7 +385,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "train_data": args.train_data,
             "label_column": args.label_column,
             "output": args.output,
-            "som_config": config_to_dict(model.config),
+            "som_config": asdict(model.config),
         },
     )
     _emit_report(report.render() + "\n" + _resolved_line(record), args.output)
@@ -396,23 +393,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
-    merged, config = _validated_config(args)
+    scale, config = _validated_config(args)
     _require(args, "data", "label_column", "head")
     if args.head not in ("regression", "classification"):
         raise UsageError(f"crossval head must be regression or classification, got {args.head!r}")
     if args.k is None:
         args.k = 5
-    try:
-        args.k = int(args.k)
-    except (TypeError, ValueError):
-        raise UsageError(f"k must be an integer, got {args.k!r}")
     if args.k < 2:
         raise UsageError(f"k must be >= 2, got {args.k}")
     data = _load_for_model(args.data, args.label_column, args.head)
     folds = k_fold(data, args.k, phase_rng(config.seed, "fold"))
     fold_reports = []
     for i, (train, test) in enumerate(folds):
-        model = _train_model(config, train, args.head, merged["minmax_scale"], fold=i)
+        model = _train_model(config, train, args.head, scale, fold=i)
         test_metrics = _evaluate_model(model, test, "test")
         train_metrics = _evaluate_model(model, train, "train")
         fold_report = EvaluationReport(
@@ -433,8 +426,8 @@ def cmd_crossval(args: argparse.Namespace) -> int:
             "head": args.head,
             "k": args.k,
             "output": args.output,
-            "minmax_scale": merged["minmax_scale"],
-            "som_config": config_to_dict(config),
+            "minmax_scale": scale,
+            "som_config": asdict(config),
         },
     )
     _emit_report(report.render() + "\n" + _resolved_line(record), args.output)
@@ -442,7 +435,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
 
 
 def cmd_export_maps(args: argparse.Namespace) -> int:
-    _merge_config(args)
+    _validated_config(args)
     _require(args, "model", "data", "out_dir")
     model = load_model(args.model)
     data = _load_for_model(args.data, args.label_column, "none")
@@ -481,7 +474,7 @@ def cmd_export_maps(args: argparse.Namespace) -> int:
             "data": args.data,
             "label_column": args.label_column,
             "out_dir": args.out_dir,
-            "som_config": config_to_dict(model.config),
+            "som_config": asdict(model.config),
         },
     )
     _write_resolved(record, _resolved_path(args.resolved_config, out_dir / "maps"))

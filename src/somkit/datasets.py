@@ -227,10 +227,6 @@ class MinMaxRecord:
         scaled[:, ok] = (X[:, ok] - self.mins[ok]) / self.ranges[ok]
         return scaled
 
-    def invert(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return X * self.ranges + self.mins
-
 
 def minmax_scale(data: LabeledDataset) -> tuple[LabeledDataset, MinMaxRecord]:
     """Map each feature to [0, 1] by its range; constant features map to 0."""

@@ -1,4 +1,4 @@
-"""Feature-space distance metrics and BMU search, plus grid-space distance.
+"""Feature-space distance metrics and BMU search.
 
 All metrics are selected by string name ("euclidean", "manhattan",
 "tanimoto", "mahalanobis"). Tanimoto is only defined on boolean
@@ -11,7 +11,8 @@ search, :func:`_bmu_block`, which scores a block of rows against all nodes:
 euclidean and mahalanobis (on Cholesky-whitened data) by one matrix product,
 then an exact re-rank of the nodes near each row's minimum; tanimoto by
 exact products of the 0/1 data; manhattan by broadcasting. A block's
-temporaries stay within ``BLOCK_BYTES``.
+temporaries stay within ``BLOCK_BYTES``. Distances between map nodes on
+their grid live in :mod:`somkit.som`, next to the neighbourhood kernel.
 """
 
 from __future__ import annotations
@@ -233,10 +234,3 @@ def estimate_inverse_covariance(X, ridge: float = DEFAULT_COV_RIDGE) -> np.ndarr
     cov = np.atleast_2d(np.cov(X, rowvar=False))
     cov = cov + ridge * np.eye(cov.shape[0])
     return np.linalg.inv(cov)
-
-
-def grid_distance(c: tuple[int, int], i: tuple[int, int]) -> float:
-    """Euclidean distance between two (row, column) grid positions."""
-    dr = float(c[0]) - float(i[0])
-    dc = float(c[1]) - float(i[1])
-    return float(np.sqrt(dr * dr + dc * dc))

@@ -10,14 +10,14 @@ min-max scaling record, and the head (kind tag "regression" or
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .datasets import MinMaxRecord
 from .schedules import ScheduleSpec
-from .som import SomConfig, WeightGrid, transform
+from .som import SomConfig, WeightGrid
 from .supervised import (
     ClassificationHead,
     RegressionHead,
@@ -49,9 +49,6 @@ class SomModel:
         X = np.asarray(X, dtype=float)
         return self.scaling.apply_to_matrix(X) if self.scaling is not None else X
 
-    def bmus(self, X) -> np.ndarray:
-        return transform(self.grid, self.prepare(X), self.config.metric, self.cov_inv)
-
     def predict(self, X) -> np.ndarray:
         if self.head is None:
             raise ValueError("model has no supervised head, nothing to predict")
@@ -61,44 +58,15 @@ class SomModel:
         return predict_classification(self.grid, self.head, X, self.config.metric, self.cov_inv)
 
 
-def schedule_to_dict(spec: ScheduleSpec) -> dict:
-    return {"kind": spec.kind, "start": spec.start, "end": spec.end, "t_max": spec.t_max}
-
-
-def schedule_from_dict(d: dict) -> ScheduleSpec:
-    return ScheduleSpec(d["kind"], d["start"], d.get("end", 0.0), d.get("t_max", 1))
-
-
-def config_to_dict(config: SomConfig) -> dict:
-    return {
-        "n_row": config.n_row,
-        "n_column": config.n_column,
-        "n_iter_unsupervised": config.n_iter_unsupervised,
-        "n_iter_supervised": config.n_iter_supervised,
-        "metric": config.metric,
-        "lr_schedule": schedule_to_dict(config.lr_schedule),
-        "radius_schedule": schedule_to_dict(config.radius_schedule),
-        "kernel": config.kernel,
-        "update_mode": config.update_mode,
-        "seed": config.seed,
-        "class_weighting": config.class_weighting,
-    }
-
-
-def config_from_dict(d: dict) -> SomConfig:
-    return SomConfig(
-        n_row=d["n_row"],
-        n_column=d["n_column"],
-        n_iter_unsupervised=d["n_iter_unsupervised"],
-        n_iter_supervised=d["n_iter_supervised"],
-        metric=d["metric"],
-        lr_schedule=schedule_from_dict(d["lr_schedule"]),
-        radius_schedule=schedule_from_dict(d["radius_schedule"]),
-        kernel=d["kernel"],
-        update_mode=d["update_mode"],
-        seed=d["seed"],
-        class_weighting=d["class_weighting"],
-    )
+def _from_dict(cls, d: dict):
+    """The dataclass ``cls`` from its ``asdict`` form; no entry may be missing."""
+    missing = [f.name for f in fields(cls) if f.name not in d]
+    if missing:
+        raise ValueError(f"no {missing}")
+    return cls(**{
+        f.name: _from_dict(ScheduleSpec, d[f.name]) if "kinds" in f.metadata else d[f.name]
+        for f in fields(cls)
+    })
 
 
 def _head_to_dict(head) -> dict | None:
@@ -150,7 +118,7 @@ def save_model(model: SomModel, path) -> None:
     grid = model.grid
     payload = {
         "format_version": FORMAT_VERSION,
-        "config": config_to_dict(model.config),
+        "config": asdict(model.config),
         "feature_dim": grid.feature_dim,
         "weights": grid.weights.ravel().tolist(),
         "cov_inv": None if model.cov_inv is None else np.asarray(model.cov_inv).tolist(),
@@ -176,10 +144,11 @@ def load_model(path) -> SomModel:
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
+    config = _field(payload, "config", dict)
     try:
-        config = config_from_dict(_field(payload, "config", dict))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"model file: malformed config: {exc!r}") from None
+        config = _from_dict(SomConfig, config)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model file: malformed config: {exc}") from None
     n = _field(payload, "feature_dim", int)
     shape = (config.n_row, config.n_column)
     weights = _array(_field(payload, "weights", list), "weights", (*shape, n))

@@ -10,20 +10,25 @@ every weight as a kernel-weighted mean over the whole dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .distances import (
+    METRICS,
     _block_rows,
     _bmu_block,
-    check_metric,
     estimate_inverse_covariance,
     paired_distances,
 )
 from .schedules import (
+    LEARNING_RATE_KINDS,
     RADIUS_FLOOR,
+    RADIUS_KINDS,
     ScheduleSpec,
+    check_fields,
     learning_rate,
     neighborhood_radius,
 )
@@ -34,39 +39,35 @@ UPDATE_MODES = ("online", "batch")
 
 @dataclass
 class SomConfig:
-    """All hyperparameters of a SOM run.
+    """All hyperparameters of a SOM run, and the one place of their defaults.
 
-    Schedule specs keep their own ``t_max``; the fit functions rebind it to
-    ``n_iter_unsupervised`` or ``n_iter_supervised`` as appropriate, so the
-    iteration counts here are authoritative.
+    A text field's metadata lists its ``choices``, a schedule field's the
+    ``kinds`` it accepts; the CLI derives its flags and config-file keys from
+    these fields. Schedule specs keep their own ``t_max``; the fit functions
+    rebind it to ``n_iter_unsupervised`` or ``n_iter_supervised`` as
+    appropriate, so the iteration counts here are authoritative.
     """
 
     n_row: int = 10
     n_column: int = 10
     n_iter_unsupervised: int = 1000
     n_iter_supervised: int = 1000
-    metric: str = "euclidean"
-    lr_schedule: ScheduleSpec | None = None
-    radius_schedule: ScheduleSpec | None = None
-    kernel: str = "gaussian"
-    update_mode: str = "online"
+    metric: str = field(default="euclidean", metadata={"choices": METRICS})
+    lr_schedule: ScheduleSpec | None = field(default=None, metadata={"kinds": LEARNING_RATE_KINDS})
+    radius_schedule: ScheduleSpec | None = field(default=None, metadata={"kinds": RADIUS_KINDS})
+    kernel: str = field(default="gaussian", metadata={"choices": KERNELS})
+    update_mode: str = field(default="online", metadata={"choices": UPDATE_MODES})
     seed: int = 42
     class_weighting: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_row < 1 or self.n_column < 1:
             raise ValueError("grid must have at least one node")
         if self.n_iter_unsupervised < 1:
             raise ValueError("n_iter_unsupervised must be >= 1")
         if self.n_iter_supervised < 0:
             raise ValueError("n_iter_supervised must be >= 0")
-        check_metric(self.metric)
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}, expected one of {KERNELS}")
-        if self.update_mode not in UPDATE_MODES:
-            raise ValueError(
-                f"unknown update mode {self.update_mode!r}, expected one of {UPDATE_MODES}"
-            )
         if self.lr_schedule is None:
             self.lr_schedule = ScheduleSpec(
                 "start-end", 0.5, 0.05, self.n_iter_unsupervised
@@ -78,6 +79,10 @@ class SomConfig:
                 1.0,
                 self.n_iter_unsupervised,
             )
+        for f in fields(self):
+            kinds = f.metadata.get("kinds")
+            if kinds and (kind := getattr(self, f.name).kind) not in kinds:
+                raise ValueError(f"{f.name} kind must be one of {kinds}, got {kind!r}")
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -115,9 +120,6 @@ class WeightGrid:
         """View of the weights as (n_row * n_column, feature_dim), row-major."""
         return self.weights.reshape(-1, self.feature_dim)
 
-    def copy(self) -> "WeightGrid":
-        return WeightGrid(self.weights.copy())
-
 
 def _check_vector(grid: WeightGrid, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -146,19 +148,27 @@ def find_bmu(grid: WeightGrid, x, metric: str = "euclidean", cov_inv=None) -> tu
     return (flat_idx // grid.n_column, flat_idx % grid.n_column)
 
 
-def _grid_coordinates(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = np.meshgrid(
-        np.arange(shape[0], dtype=float),
-        np.arange(shape[1], dtype=float),
-        indexing="ij",
-    )
-    return rows, cols
-
-
 def grid_distance_matrix(bmu: tuple[int, int], shape: tuple[int, int]) -> np.ndarray:
     """Euclidean grid distance from ``bmu`` to every node, shape ``shape``."""
-    rows, cols = _grid_coordinates(shape)
+    rows, cols = np.indices(shape, dtype=float)
     return np.sqrt((rows - bmu[0]) ** 2 + (cols - bmu[1]) ** 2)
+
+
+@lru_cache(maxsize=1)
+def _grid_distances(shape: tuple[int, int]) -> np.ndarray:
+    """Grid distance between every two nodes, shape (*shape, *shape), read-only.
+
+    Entry ``[r, c]`` equals ``grid_distance_matrix((r, c), shape)`` bit for
+    bit: both are the square root of a sum of squared whole-number offsets.
+    The table is a view of the distances of all (2 n_row - 1) x
+    (2 n_column - 1) offsets, so it takes O(nodes) memory, not O(nodes^2).
+    Grid distance is fixed for a grid, so the last shape's table is kept.
+    """
+    rows = np.arange(1 - shape[0], shape[0], dtype=float)[:, None]
+    cols = np.arange(1 - shape[1], shape[1], dtype=float)
+    # window [i, j] holds node - (n_row - 1 - i, n_column - 1 - j) for every
+    # node; reversing both window axes makes [r, c] hold node - (r, c)
+    return sliding_window_view(np.sqrt(rows**2 + cols**2), shape)[::-1, ::-1]
 
 
 def kernel_values(d: np.ndarray, sigma: float, kind: str) -> np.ndarray:
@@ -187,8 +197,9 @@ def kernel_matrix(
 
 def online_update(grid: WeightGrid, x, alpha: float, h: np.ndarray) -> WeightGrid:
     """Pull every node weight toward ``x`` by ``alpha * h``; updates in place."""
-    x = _check_vector(grid, x)
-    grid.weights += alpha * h[:, :, None] * (x - grid.weights)
+    delta = np.subtract(_check_vector(grid, x), grid.weights)
+    delta *= alpha * h[:, :, None]
+    grid.weights += delta
     return grid
 
 
@@ -207,15 +218,9 @@ def batch_update(
     """
     X = np.asarray(X, dtype=float)
     bmus = np.asarray(bmus)
-    n_nodes = grid.n_row * grid.n_column
-    flat_bmus = bmus[:, 0] * grid.n_column + bmus[:, 1]
-
-    # Pairwise grid distance between every node and every datapoint's BMU.
-    rows = np.arange(n_nodes) // grid.n_column
-    cols = np.arange(n_nodes) % grid.n_column
-    dr = rows[None, :] - rows[flat_bmus][:, None]
-    dc = cols[None, :] - cols[flat_bmus][:, None]
-    h = kernel_values(np.sqrt(dr.astype(float) ** 2 + dc.astype(float) ** 2), sigma, kind)
+    # grid distance between every datapoint's BMU and every node
+    d = _grid_distances((grid.n_row, grid.n_column))[bmus[:, 0], bmus[:, 1]]
+    h = kernel_values(d.reshape(len(X), -1), sigma, kind)
 
     mass = h.sum(axis=0)
     updated = h.T @ X
@@ -225,10 +230,23 @@ def batch_update(
     return grid
 
 
-def _metric_context(config: SomConfig, X: np.ndarray):
-    if config.metric == "mahalanobis":
-        return estimate_inverse_covariance(X)
-    return None
+def _neighbourhood(config: SomConfig, t_max: int):
+    """The update step every trainer shares, over ``max(t_max, 1)`` iterations.
+
+    Returns ``step(t, row, column)``: the learning rate alpha(t) and the
+    kernel h, shaped like the grid, around BMU (row, column) at radius
+    sigma(t).
+    """
+    t_max = max(t_max, 1)
+    lr_spec = replace(config.lr_schedule, t_max=t_max)
+    radius_spec = replace(config.radius_schedule, t_max=t_max)
+    distances, kind = _grid_distances(config.grid_shape), config.kernel
+
+    def step(t: int, row: int, column: int) -> tuple[float, np.ndarray]:
+        h = kernel_values(distances[row, column], neighborhood_radius(t, radius_spec), kind)
+        return learning_rate(t, lr_spec), h
+
+    return step
 
 
 def fit_unsupervised(
@@ -243,23 +261,19 @@ def fit_unsupervised(
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training needs a nonempty (N, n) data matrix")
-    if cov_inv is None:
-        cov_inv = _metric_context(config, X)
+    if cov_inv is None and config.metric == "mahalanobis":
+        cov_inv = estimate_inverse_covariance(X)
 
     grid = init_weights(config, X, rng)
     t_max = config.n_iter_unsupervised
-    lr_spec = replace(config.lr_schedule, t_max=t_max)
-    radius_spec = replace(config.radius_schedule, t_max=t_max)
-
     if config.update_mode == "online":
+        step = _neighbourhood(config, t_max)
         for t in range(t_max):
             x = X[rng.integers(X.shape[0])]
-            bmu = find_bmu(grid, x, config.metric, cov_inv)
-            alpha = learning_rate(t, lr_spec)
-            sigma = neighborhood_radius(t, radius_spec)
-            h = kernel_matrix(bmu, sigma, config.kernel, config.grid_shape)
-            online_update(grid, x, alpha, h)
+            row, column = find_bmu(grid, x, config.metric, cov_inv)
+            online_update(grid, x, *step(t, row, column))
     else:
+        radius_spec = replace(config.radius_schedule, t_max=t_max)
         for t in range(t_max):
             bmus = transform(grid, X, config.metric, cov_inv)
             sigma = neighborhood_radius(t, radius_spec)

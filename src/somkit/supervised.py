@@ -11,12 +11,11 @@ class weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import learning_rate, neighborhood_radius
-from .som import SomConfig, WeightGrid, kernel_matrix, transform
+from .som import SomConfig, WeightGrid, _neighbourhood, transform
 
 
 @dataclass
@@ -31,9 +30,6 @@ class RegressionHead:
             raise ValueError(f"head values must be 2-d, got shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("head values must be finite")
-
-    def copy(self) -> "RegressionHead":
-        return RegressionHead(self.values.copy())
 
 
 @dataclass
@@ -62,9 +58,6 @@ class ClassificationHead:
         """Node classes as labels, shape (n_row, n_column)."""
         return self.class_set[self.codes]
 
-    def copy(self) -> "ClassificationHead":
-        return ClassificationHead(self.codes.copy(), self.class_set.copy())
-
 
 def _check_labeled(unsup: WeightGrid, X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
@@ -78,14 +71,6 @@ def _check_labeled(unsup: WeightGrid, X, y) -> tuple[np.ndarray, np.ndarray]:
             f"data dimension {X.shape[1]} does not match grid dimension {unsup.feature_dim}"
         )
     return X, y
-
-
-def _supervised_schedules(config: SomConfig):
-    t_max = max(config.n_iter_supervised, 1)
-    return (
-        replace(config.lr_schedule, t_max=t_max),
-        replace(config.radius_schedule, t_max=t_max),
-    )
 
 
 def fit_regressor(
@@ -104,20 +89,16 @@ def fit_regressor(
             "regression head update needs a learning-rate start <= 1, "
             f"got {config.lr_schedule.start}"
         )
-    lr_spec, radius_spec = _supervised_schedules(config)
-
     values = rng.uniform(y.min(), y.max(), size=(unsup.n_row, unsup.n_column))
     head = RegressionHead(values)
 
     # The unsupervised grid is fully trained, so each datapoint's BMU is
     # fixed; compute them once.
     bmus = transform(unsup, X, config.metric, cov_inv)
-    shape = (unsup.n_row, unsup.n_column)
+    step = _neighbourhood(config, config.n_iter_supervised)
     for t in range(config.n_iter_supervised):
         j = rng.integers(X.shape[0])
-        alpha = learning_rate(t, lr_spec)
-        sigma = neighborhood_radius(t, radius_spec)
-        h = kernel_matrix(tuple(bmus[j]), sigma, config.kernel, shape)
+        alpha, h = step(t, *bmus[j])
         head.values += alpha * h * (y[j] - head.values)
     return head
 
@@ -148,9 +129,10 @@ def init_classifier(
     """Majority-vote initialization of the classification head.
 
     Each node takes the modal class of the datapoints mapped to it; per-node
-    ties are broken by a uniform draw among the tied classes, and nodes with
-    no mapped datapoints fall back to the global modal class. Precomputed
-    ``bmus`` may be passed to skip the BMU scan.
+    ties are broken by a uniform draw among the tied classes, one draw per
+    tied node in row-major order, and nodes with no mapped datapoints fall
+    back to the global modal class. Precomputed ``bmus`` may be passed to
+    skip the BMU scan.
     """
     X, y = _check_labeled(unsup, X, y)
     if rng is None:
@@ -163,20 +145,12 @@ def init_classifier(
         bmus = transform(unsup, X, metric, cov_inv)
     np.add.at(votes, (bmus[:, 0], bmus[:, 1], y_codes), 1)
 
-    global_counts = np.bincount(y_codes, minlength=n_classes)
-    global_mode = int(np.argmax(global_counts))
-
-    codes = np.empty((unsup.n_row, unsup.n_column), dtype=int)
-    for r in range(unsup.n_row):
-        for c in range(unsup.n_column):
-            node_votes = votes[r, c]
-            total = node_votes.sum()
-            if total == 0:
-                codes[r, c] = global_mode
-                continue
-            top = node_votes.max()
-            tied = np.flatnonzero(node_votes == top)
-            codes[r, c] = tied[0] if tied.size == 1 else rng.choice(tied)
+    global_mode = int(np.argmax(np.bincount(y_codes, minlength=n_classes)))
+    top = votes.max(axis=2)
+    tied = votes == top[:, :, None]
+    codes = np.where(top == 0, global_mode, votes.argmax(axis=2))
+    for r, c in zip(*np.nonzero((top > 0) & (tied.sum(axis=2) > 1))):
+        codes[r, c] = rng.choice(np.flatnonzero(tied[r, c]))
     return ClassificationHead(codes, class_set)
 
 
@@ -196,18 +170,12 @@ def class_weights(y, enabled: bool) -> dict:
     }
 
 
-def class_change_probability(
-    bmu: tuple[int, int], t: int, w_y: float, config: SomConfig
-) -> np.ndarray:
+def class_change_probability(w_y: float, alpha: float, h: np.ndarray) -> np.ndarray:
     """Per-node probability of adopting the current label.
 
     The raw product class-weight x learning-rate x kernel can leave [0, 1]
     (large class weights, or the mexican-hat negative lobe); it is clamped.
     """
-    lr_spec, radius_spec = _supervised_schedules(config)
-    alpha = learning_rate(t, lr_spec)
-    sigma = neighborhood_radius(t, radius_spec)
-    h = kernel_matrix(bmu, sigma, config.kernel, config.grid_shape)
     return np.clip(w_y * alpha * h, 0.0, 1.0)
 
 
@@ -235,10 +203,11 @@ def fit_classifier(
     weight_by_label = class_weights(y, config.class_weighting)
     code_weights = np.array([weight_by_label[cls] for cls in class_set.tolist()])
 
+    step = _neighbourhood(config, config.n_iter_supervised)
     for t in range(config.n_iter_supervised):
         j = rng.integers(X.shape[0])
         code = y_codes[j]
-        P = class_change_probability(tuple(bmus[j]), t, code_weights[code], config)
+        P = class_change_probability(code_weights[code], *step(t, *bmus[j]))
         apply_class_update(head, P, code, rng)
     return head
 

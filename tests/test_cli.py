@@ -100,6 +100,64 @@ class TestTrain:
                    "--config", str(cfg_file)])
         assert rc == 1
 
+    @pytest.mark.parametrize("values", [
+        {"n_row": "ten"}, {"n_row": 2.5}, {"lr_start": "0.5"}, {"seed": "7"}, {"seed": None},
+        {"minmax_scale": "yes"}, {"class_weighting": 1}, {"lr_end": None},
+        {"metric": "cosine"}, {"radius_schedule": "inverse"},
+    ])
+    def test_mistyped_config_file_value_is_usage_error(self, tmp_path, reg_csv, capsys,
+                                                        values):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(values))
+        model_path = tmp_path / "m.json"
+        rc = main(["train", "--data", str(reg_csv), "--model", str(model_path),
+                   "--config", str(cfg_file), "--n-iter-unsupervised", "50"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("somkit: error: ")
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "export-maps"])
+    def test_commands_reading_a_model_check_config_file_values(self, tmp_path, reg_csv,
+                                                               command):
+        model_path = tmp_path / "m.json"
+        assert main(["train", "--data", str(reg_csv), "--label-column", "target",
+                     "--head", "regression", "--model", str(model_path), *FAST]) == 0
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"seed": None, "model": str(model_path),
+                                        "data": str(reg_csv), "label_column": "target",
+                                        "output": str(tmp_path / "out"),
+                                        "out_dir": str(tmp_path / "maps")}))
+        assert main([command, "--config", str(cfg_file)]) == 1
+        cfg_file.write_text(json.dumps({**json.loads(cfg_file.read_text()), "seed": 3}))
+        assert main([command, "--config", str(cfg_file)]) == 0
+
+    @pytest.mark.parametrize("values", [{"data": 5}, {"model": 7}, {"k": 2.9}, {"k": "3"},
+                                        {"head": ["regression"]}, {"label_column": None}])
+    def test_mistyped_config_file_run_value_is_usage_error(self, tmp_path, reg_csv, capsys,
+                                                            values):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"data": str(reg_csv), "label_column": "target",
+                                        "head": "regression", **values}))
+        rc = main(["crossval", "--config", str(cfg_file), *FAST])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("somkit: error: ")
+
+    def test_config_file_must_hold_an_object(self, tmp_path, reg_csv):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text("[3]")
+        rc = main(["train", "--data", str(reg_csv), "--model", str(tmp_path / "m.json"),
+                   "--config", str(cfg_file)])
+        assert rc == 1
+
+    def test_null_radius_start_takes_the_derived_default(self, tmp_path, reg_csv):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"radius_start": None, "radius_end": 0.5}))
+        model_path = tmp_path / "m.json"
+        rc = main(["train", "--data", str(reg_csv), "--model", str(model_path),
+                   "--config", str(cfg_file), *FAST])
+        assert rc == 0
+        assert load_model(model_path).config.radius_schedule.start == 2.5  # 5x5 grid
+
     def test_full_run_config_file_supplies_paths(self, tmp_path, reg_csv):
         model_path = tmp_path / "m.json"
         cfg_file = tmp_path / "run.json"
@@ -126,7 +184,7 @@ class TestTrain:
 
     def test_paper_scale_configs_accepted(self, tmp_path, reg_csv):
         # validation only; the run itself uses the small iteration counts
-        from somkit.cli import build_parser, _merge_config, _build_config
+        from somkit.cli import build_parser, _validated_config
 
         parser = build_parser()
         for flags in (
@@ -136,7 +194,7 @@ class TestTrain:
              "--n-iter-unsupervised", "5000", "--n-iter-supervised", "20000"],
         ):
             args = parser.parse_args(["train", "--data", "d.csv", "--model", "m.json", *flags])
-            config = _build_config(_merge_config(args))
+            _, config = _validated_config(args)
             assert config.n_row in (35, 40)
 
 

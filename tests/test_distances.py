@@ -7,7 +7,6 @@ from somkit.distances import (
     METRICS,
     estimate_inverse_covariance,
     feature_distance,
-    grid_distance,
     paired_distances,
 )
 from somkit.som import WeightGrid, find_bmu, transform
@@ -220,13 +219,3 @@ class TestCovarianceEstimate:
         with pytest.raises(ValueError):
             estimate_inverse_covariance(np.ones((1, 3)))
 
-
-class TestGridDistance:
-    def test_same_node(self):
-        assert grid_distance((0, 0), (0, 0)) == 0.0
-
-    def test_3_4_5(self):
-        assert grid_distance((0, 0), (3, 4)) == 5.0
-
-    def test_same_row(self):
-        assert grid_distance((2, 2), (2, 5)) == 3.0

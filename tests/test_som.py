@@ -1,17 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from somkit.distances import estimate_inverse_covariance, feature_distance
-from somkit.schedules import ScheduleSpec
+from somkit.schedules import ScheduleSpec, learning_rate, neighborhood_radius
 from somkit.som import (
     SomConfig,
     WeightGrid,
+    _grid_distances,
+    _neighbourhood,
     batch_update,
     bmu_histogram,
     find_bmu,
     fit_unsupervised,
+    grid_distance_matrix,
     init_weights,
     kernel_matrix,
     online_update,
@@ -58,6 +62,26 @@ class TestConfig:
             SomConfig(metric="cosine")
         with pytest.raises(ValueError):
             SomConfig(kernel="bubble")
+
+    @pytest.mark.parametrize("values", [
+        {"n_row": "ten"}, {"n_row": 2.5}, {"n_row": True}, {"seed": None}, {"seed": "7"},
+        {"metric": 3}, {"class_weighting": "yes"}, {"class_weighting": 1},
+        {"lr_schedule": "linear"},
+        {"radius_schedule": ScheduleSpec("inverse", 2.0)},
+    ])
+    def test_rejects_mistyped_values(self, values):
+        with pytest.raises(ValueError):
+            SomConfig(**values)
+
+    def test_schedule_rejects_mistyped_values(self):
+        for args in (("linear", "0.5"), ("linear", True), ("linear", 0.5, None),
+                     ("linear", 0.5, 0.0, 2.0), (1, 0.5)):
+            with pytest.raises(ValueError):
+                ScheduleSpec(*args)
+
+    def test_numbers_of_any_kind_accepted(self):
+        cfg = SomConfig(n_row=np.int64(3), lr_schedule=ScheduleSpec("linear", 1, np.float64(0.5)))
+        assert cfg.n_row == 3 and cfg.lr_schedule.start == 1
         with pytest.raises(ValueError):
             SomConfig(update_mode="minibatch")
 
@@ -182,7 +206,47 @@ class TestKernelMatrix:
             kernel_matrix((0, 0), 1e-9, "gaussian", (3, 3))
 
 
+class TestNeighbourhoodStep:
+    @pytest.mark.parametrize("shape", [(20, 20), (40, 20), (1, 7), (3, 5)])
+    def test_distance_table_equals_grid_distance_matrix(self, shape):
+        table = _grid_distances(shape)
+        assert table.shape == (*shape, *shape)
+        assert not table.flags.writeable
+        for bmu in np.ndindex(shape):
+            assert table[bmu].tobytes() == grid_distance_matrix(bmu, shape).tobytes()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mexican-hat"])
+    def test_step_equals_schedules_and_kernel_matrix(self, kind):
+        lr, radius = ScheduleSpec("power", 0.7), ScheduleSpec("exponential", 2.5)
+        cfg = SomConfig(n_row=6, n_column=4, kernel=kind, lr_schedule=lr, radius_schedule=radius)
+        step = _neighbourhood(cfg, 30)
+        lr, radius = replace(lr, t_max=30), replace(radius, t_max=30)
+        for t, bmu in [(0, (0, 0)), (7, (3, 1)), (29, (5, 3)), (30, (1, 1))]:
+            alpha, h = step(t, *bmu)
+            expected = kernel_matrix(bmu, neighborhood_radius(t, radius), kind, (6, 4))
+            assert alpha == learning_rate(t, lr)
+            assert h.tobytes() == expected.tobytes() and h.shape == (6, 4)
+
+    def test_zero_iterations_still_define_schedules(self):
+        alpha, h = _neighbourhood(SomConfig(n_iter_supervised=0), 0)(0, 0, 0)
+        assert alpha == 0.5 and h.shape == (10, 10)
+
+
 class TestOnlineUpdate:
+    def test_bitwise_equal_to_one_line_expression(self):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            weights = rng.normal(size=(40, 20, 204)) * 50
+            x = rng.normal(size=204) * 50
+            alpha = float(rng.uniform(0.01, 1.0))
+            h = kernel_matrix((int(rng.integers(40)), int(rng.integers(20))),
+                              float(rng.uniform(0.5, 20)), "mexican-hat", (40, 20))
+            expected = weights.copy()
+            expected += alpha * h[:, :, None] * (x - expected)
+            grid = WeightGrid(weights)
+            online_update(grid, x, alpha, h)
+            assert grid.weights.tobytes() == expected.tobytes()
+
     def test_zero_alpha_leaves_grid(self):
         rng = np.random.default_rng(1)
         grid = WeightGrid(rng.normal(size=(3, 3, 2)))

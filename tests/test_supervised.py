@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from somkit.schedules import ScheduleSpec
-from somkit.som import SomConfig, WeightGrid, fit_unsupervised, transform
+from somkit.som import SomConfig, WeightGrid, _neighbourhood, fit_unsupervised, transform
 from somkit.supervised import (
     apply_class_update,
     class_change_probability,
@@ -145,6 +145,42 @@ class TestInitClassifier:
         with pytest.raises(ValueError):
             init_classifier(grid, np.empty((0, 2)), np.empty(0))
 
+    @staticmethod
+    def per_node_loop(votes, global_mode, rng):
+        """The per-node reference: argmax, a draw among ties, global mode when empty."""
+        codes = np.empty(votes.shape[:2], dtype=int)
+        for r in range(votes.shape[0]):
+            for c in range(votes.shape[1]):
+                node_votes = votes[r, c]
+                if node_votes.sum() == 0:
+                    codes[r, c] = global_mode
+                    continue
+                tied = np.flatnonzero(node_votes == node_votes.max())
+                codes[r, c] = tied[0] if tied.size == 1 else rng.choice(tied)
+        return codes
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_node_loop_with_many_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        shape, n_classes, n = (7, 6), 4, 90  # about two votes a node: many ties
+        bmus = np.column_stack([rng.integers(shape[0], size=n), rng.integers(shape[1], size=n)])
+        y = rng.integers(n_classes, size=n)
+        y[:n_classes] = np.arange(n_classes)  # every class present: codes equal y
+        votes = np.zeros((*shape, n_classes), dtype=int)
+        np.add.at(votes, (bmus[:, 0], bmus[:, 1], y), 1)
+        global_mode = int(np.argmax(np.bincount(y, minlength=n_classes)))
+        loop_rng, draws = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+        expected = self.per_node_loop(votes, global_mode, loop_rng)
+
+        grid = WeightGrid(np.zeros((*shape, 1)))
+        head = init_classifier(grid, np.zeros((n, 1)), y, rng=draws, bmus=bmus)
+        np.testing.assert_array_equal(head.codes, expected)
+        # the same draws were taken, so both streams continue alike
+        assert draws.random() == loop_rng.random()
+        tied_nodes = ((votes == votes.max(axis=2, keepdims=True)).sum(axis=2) > 1) & (
+            votes.max(axis=2) > 0)
+        assert tied_nodes.sum() >= 5
+
 
 class TestClassWeights:
     def test_balanced_two_classes(self):
@@ -185,19 +221,25 @@ class TestClassChangeProbability:
             radius_schedule=ScheduleSpec("linear", 1.5, t_max=10),
         )
 
+    @staticmethod
+    def probability(cfg, bmu, t, w_y):
+        """P as fit_classifier computes it at iteration ``t``."""
+        step = _neighbourhood(cfg, cfg.n_iter_supervised)
+        return class_change_probability(w_y, *step(t, *bmu))
+
     def test_zero_alpha_gives_zero_grid(self):
         cfg = self.make_config()
-        P = class_change_probability((1, 1), 10, 1.0, cfg)  # linear lr hits 0 at t_max
+        P = self.probability(cfg, (1, 1), 10, 1.0)  # linear lr hits 0 at t_max
         np.testing.assert_array_equal(P, np.zeros((3, 3)))
 
     def test_product_at_bmu(self):
         cfg = self.make_config(lr_start=0.5)
-        P = class_change_probability((1, 1), 0, 1.0, cfg)
+        P = self.probability(cfg, (1, 1), 0, 1.0)
         assert P[1, 1] == 0.5
 
     def test_clamped_to_one(self):
         cfg = self.make_config(lr_start=0.5)
-        P = class_change_probability((1, 1), 0, 4.0, cfg)
+        P = self.probability(cfg, (1, 1), 0, 4.0)
         assert P[1, 1] == 1.0
         assert P.max() <= 1.0 and P.min() >= 0.0
 
@@ -211,7 +253,7 @@ class TestClassChangeProbability:
             lr_schedule=ScheduleSpec("linear", 1.0, t_max=10),
             radius_schedule=ScheduleSpec("linear", 2.0, t_max=10),
         )
-        P = class_change_probability((0, 0), 0, 1.0, cfg)
+        P = self.probability(cfg, (0, 0), 0, 1.0)
         assert P.min() == 0.0
 
 
