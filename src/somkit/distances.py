@@ -24,8 +24,10 @@ METRICS = ("euclidean", "manhattan", "tanimoto", "mahalanobis")
 DEFAULT_COV_RIDGE = 1e-8
 
 # Largest float64 temporary of one BMU search block. Larger blocks are no
-# faster, and the heap they leave raises the peak RSS of the batch update
-# after each search (6000 rows, 800 nodes: 262 MB at 2 MB, 269 MB at 8 MB).
+# faster, and a block's temporaries add to the peak RSS: at 1/2/4/8 MB the
+# benchmark's desk run peaked at 39.3/40.3/42.6/43.6 MB and its palette run
+# (6000 rows, 800 nodes) at 45.8/47.0/49.2/49.0 MB. 1 MB saves another MB,
+# but one run per size cannot show that it costs no time.
 BLOCK_BYTES = 2 * 2**20
 
 _EPS = float(np.finfo(float).eps)
@@ -38,8 +40,13 @@ def check_metric(metric: str) -> str:
 
 
 def _as_boolean(v: np.ndarray, name: str) -> np.ndarray:
-    if not np.all((v == 0) | (v == 1)):
-        raise ValueError(f"tanimoto requires boolean (0/1) vectors, got {name}={v!r}")
+    bad = (v != 0) & (v != 1)
+    if bad.any():
+        first = np.unravel_index(bad.argmax(), v.shape)
+        where = f"{name} row index {first[0]}" if v.ndim == 2 else name
+        raise ValueError(
+            f"tanimoto requires boolean (0/1) vectors, but {where} holds {float(v[first])!r}"
+        )
     return v.astype(bool)
 
 
@@ -152,8 +159,8 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, metric: str, cov_inv=None):
     if metric == "manhattan":
         return np.abs(W - X[..., None, :]).sum(axis=-1).argmin(axis=-1)
     if metric == "tanimoto":
-        _as_boolean(W, "W")
-        _as_boolean(X, "X")
+        _as_boolean(W, "weights")
+        _as_boolean(X, "data")
         # Counts from products of 0/1 floats are exact integers, so these
         # distances equal feature_distance's: c_TT + c_FF + mismatches is
         # n + |x| + |w| - 2 c_TT, and the mismatches 2 (|x| + |w| - 2 c_TT).

@@ -5,7 +5,10 @@ vector in feature space. Training repeatedly picks a datapoint, finds its
 best matching unit (BMU), and pulls all node weights toward the datapoint,
 scaled by the learning rate and a neighborhood kernel centered on the BMU.
 Online mode updates after every sampled datapoint; batch mode recomputes
-every weight as a kernel-weighted mean over the whole dataset.
+every weight as a kernel-weighted mean over the whole dataset. Batch mode
+is Kohonen's batch map: it sums and counts the datapoints per BMU node, then
+weights those per-node sums and counts by the nodes x nodes kernel, so its
+cost does not grow with the number of datapoints beyond one pass over them.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .distances import (
     METRICS,
+    _as_boolean,
     _block_rows,
     _bmu_block,
     estimate_inverse_covariance,
@@ -154,6 +158,26 @@ def grid_distance_matrix(bmu: tuple[int, int], shape: tuple[int, int]) -> np.nda
     return np.sqrt((rows - bmu[0]) ** 2 + (cols - bmu[1]) ** 2)
 
 
+def _offset_distances(shape: tuple[int, int]) -> np.ndarray:
+    """Grid distance of every node offset, shape (2 n_row - 1, 2 n_column - 1).
+
+    Entry [i, j] is the length of offset (i - n_row + 1, j - n_column + 1).
+    """
+    rows = np.arange(1 - shape[0], shape[0], dtype=float)[:, None]
+    cols = np.arange(1 - shape[1], shape[1], dtype=float)
+    return np.sqrt(rows**2 + cols**2)
+
+
+def _node_pairs(offset_table: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Read-only (*shape, *shape) view of a table indexed by node offset.
+
+    Entry [r, c, i, j] is the offset table's entry for (i - r, j - c).
+    """
+    # window [i, j] holds node - (n_row - 1 - i, n_column - 1 - j) for every
+    # node; reversing both window axes makes [r, c] hold node - (r, c)
+    return sliding_window_view(offset_table, shape)[::-1, ::-1]
+
+
 @lru_cache(maxsize=1)
 def _grid_distances(shape: tuple[int, int]) -> np.ndarray:
     """Grid distance between every two nodes, shape (*shape, *shape), read-only.
@@ -164,11 +188,7 @@ def _grid_distances(shape: tuple[int, int]) -> np.ndarray:
     (2 n_column - 1) offsets, so it takes O(nodes) memory, not O(nodes^2).
     Grid distance is fixed for a grid, so the last shape's table is kept.
     """
-    rows = np.arange(1 - shape[0], shape[0], dtype=float)[:, None]
-    cols = np.arange(1 - shape[1], shape[1], dtype=float)
-    # window [i, j] holds node - (n_row - 1 - i, n_column - 1 - j) for every
-    # node; reversing both window axes makes [r, c] hold node - (r, c)
-    return sliding_window_view(np.sqrt(rows**2 + cols**2), shape)[::-1, ::-1]
+    return _node_pairs(_offset_distances(shape), shape)
 
 
 def kernel_values(d: np.ndarray, sigma: float, kind: str) -> np.ndarray:
@@ -213,17 +233,28 @@ def batch_update(
     """Replace each weight by the kernel-weighted mean of the whole dataset.
 
     ``bmus`` holds each datapoint's current BMU as (row, column) pairs.
+    This is Kohonen's batch map: the datapoints are summed and counted per
+    BMU node, then node j's new weight is sum_b K[b, j] S_b / sum_b K[b, j] c_b
+    over the (nodes, nodes) kernel K, the per-node sums S and the counts c.
+    That equals sum_i h(i, j) x_i / sum_i h(i, j) over datapoints i, in
+    O(N n + nodes^2 n) time and O(nodes^2 + nodes n) memory, whatever N is.
     Nodes whose total kernel mass is not positive keep their previous
     weights. Updates in place.
     """
     X = np.asarray(X, dtype=float)
-    bmus = np.asarray(bmus)
-    # grid distance between every datapoint's BMU and every node
-    d = _grid_distances((grid.n_row, grid.n_column))[bmus[:, 0], bmus[:, 1]]
-    h = kernel_values(d.reshape(len(X), -1), sigma, kind)
+    shape = (grid.n_row, grid.n_column)
+    nodes = grid.n_row * grid.n_column
+    bmu_nodes = np.ravel_multi_index(tuple(np.asarray(bmus).T), shape)
+    count = np.bincount(bmu_nodes, minlength=nodes)
+    sums = np.zeros((nodes, grid.feature_dim))
+    np.add.at(sums, bmu_nodes, X)
+    # the kernel works elementwise, so evaluating it on the offset
+    # distances and then windowing gives the same bits as on the full table
+    offset_kernel = kernel_values(_offset_distances(shape), sigma, kind)
+    K = _node_pairs(offset_kernel, shape).reshape(nodes, nodes)
 
-    mass = h.sum(axis=0)
-    updated = h.T @ X
+    mass = count @ K
+    updated = K.T @ sums
     flat = grid.flat
     ok = mass > 0
     flat[ok] = updated[ok] / mass[ok, None]
@@ -261,6 +292,11 @@ def fit_unsupervised(
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training needs a nonempty (N, n) data matrix")
+    if config.metric == "tanimoto":
+        # initial and updated weights are not 0/1, which tanimoto needs
+        raise ValueError(
+            "tanimoto maps cannot be trained; tanimoto can only predict with 0/1 weights"
+        )
     if cov_inv is None and config.metric == "mahalanobis":
         cov_inv = estimate_inverse_covariance(X)
 
@@ -288,6 +324,8 @@ def transform(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> n
         raise ValueError(
             f"data has shape {X.shape}, grid expects dimension {grid.feature_dim}"
         )
+    if metric == "tanimoto":
+        _as_boolean(X, "data")  # all rows at once, so an error names a row of X
     chunk = _block_rows(grid.n_row * grid.n_column, grid.feature_dim, metric)
     out = np.empty((X.shape[0], 2), dtype=int)
     for start in range(0, X.shape[0], chunk):

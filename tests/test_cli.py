@@ -231,6 +231,67 @@ class TestMalformedModel:
         assert message in capsys.readouterr().err
 
 
+def _write_binary_csv(path, X):
+    lines = [",".join(f"f{i}" for i in range(X.shape[1])) + ",label"]
+    lines += [",".join(map(repr, row)) + f",c{int(row[0])}" for row in X.tolist()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestTanimoto:
+    """Tanimoto maps only predict: training makes weights outside {0, 1}."""
+
+    @pytest.fixture
+    def binary_csv(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        _write_binary_csv(path, np.random.default_rng(3).integers(0, 2, (50, 8)).astype(float))
+        return path
+
+    def _model(self, tmp_path, binary_csv, round_weights):
+        model_path = tmp_path / "m.json"
+        assert main(["train", "--data", str(binary_csv), "--label-column", "label",
+                     "--head", "classification", "--model", str(model_path), *FAST]) == 0
+        payload = json.loads(model_path.read_text())
+        if round_weights:
+            payload["weights"] = [float(w >= 0.5) for w in payload["weights"]]
+        payload["config"]["metric"] = "tanimoto"
+        model_path.write_text(json.dumps(payload))
+        return model_path
+
+    def _predict(self, model_path, data, tmp_path):
+        return main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--label-column", "label", "--output", str(tmp_path / "p.csv")])
+
+    def test_train_is_rejected_before_initialising(self, tmp_path, binary_csv, capsys):
+        rc = main(["train", "--data", str(binary_csv), "--label-column", "label",
+                   "--head", "classification", "--metric", "tanimoto",
+                   "--n-row", "20", "--n-column", "20", "--model", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "tanimoto maps cannot be trained" in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_predict_names_the_first_non_boolean_data_row(self, tmp_path, binary_csv, capsys):
+        model_path = self._model(tmp_path, binary_csv, round_weights=True)
+        X = np.random.default_rng(4).integers(0, 2, (2000, 8)).astype(float)
+        X[1500, 3], X[1700, 0] = 0.25, 7.0
+        data = tmp_path / "fractional.csv"
+        _write_binary_csv(data, X)
+        assert self._predict(model_path, binary_csv, tmp_path) == 0
+        capsys.readouterr()
+        assert self._predict(model_path, data, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "data row index 1500 holds 0.25" in err
+
+    def test_predict_names_the_first_non_boolean_weight_row(self, tmp_path, binary_csv,
+                                                            capsys):
+        model_path = self._model(tmp_path, binary_csv, round_weights=False)
+        capsys.readouterr()
+        assert self._predict(model_path, binary_csv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "weights row index 0 holds" in err
+        assert "array(" not in err
+
+
 class TestPredict:
     def test_row_count_and_kind(self, tmp_path, reg_csv, blob_csv):
         reg_model = tmp_path / "reg.json"

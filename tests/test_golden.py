@@ -146,7 +146,7 @@ GOLDEN = {
         "1edf898dfa1db0cba1b5f31d6ffd915e412c6451aba95af8f64cb9809c53cb26",
         "5f3b579ec8ca98b473cd98bdb78efb6cfc8d5118b65982add2475da64a07823e"),
     "euclidean-batch-classification": (
-        "acc933c4dceaceade3e64c285c42fe8deb674b1fbbf0389332a0dab6dee954d0",
+        "743a9b9f2c704b7b6ae580f2fac448b85fbd44eb33b4419dfc725604bc6730e6",
         "dbc5e7c199eeb567476c6716e9553fa2d61215b851daee52f3e8383a10d51ca6",
         "6aaad86d149c2f22f17f1773c6d7bdc3717e777a7c4a080b4e438aa96b1adf9b"),
     "euclidean-online-regression": (
@@ -170,7 +170,7 @@ GOLDEN = {
         "5bdbb4ad1079aba2283a46d7277c65a6f0cbd573afa701a5cbca7b989abe5016",
         "5777e7b5f166bf8b4f80ec907dd97c87083a6f7ae4317d34b017be285aa5ae10"),
     "mahalanobis-batch-classification": (
-        "260dae685b2a01ab35b29d806869e5ece59b19ae44d531b6789987a8aed66ff3",
+        "d04af2c1d121100e34bafff02b9cc2cdac709e4b759fd6884d7ee3abb823654c",
         "680ae60e959d9ba4108d009de81427dee1bb2c391c1c46c47f24c3d7e6def0a9",
         "14c22690dc0bbf3dfe3ebeee1ee076b2da5677417ced55414cb7c685e75f5543"),
     "mahalanobis-online-regression": (
@@ -178,7 +178,7 @@ GOLDEN = {
         "88b05ee30259c3be9f4d42faadcf1d5a6c4cfa7c8b0784efa0feb5cab9447098",
         "84675fa0e8f3fdfd51a39fc45ad2bc5ab1f5df9ee87021ff61a5e63afcd054c3"),
     "manhattan-batch-regression": (
-        "924af900c0e6ed747da10af58134e2c2bddba8e1c910db15f2893b8783b853b3",
+        "d6c3f82d21e7604c2031286d192259a4fb4fd49c10c03d1d3fb8da15d1974917",
         "b41a6491c96e4c3633d79dc3008a80e9da9d35ae9fac2a922fa368df91f8ff7d",
         "100b3b664adc5955ceb6b9aae8db532145574ca7f5d7bf530b172eaf539f16d3"),
     "manhattan-online-classification": (
@@ -186,7 +186,7 @@ GOLDEN = {
         "83ae379837f26034f3013f8b349c532f06665da5460721f374fc03d379cfdc2e",
         "8333ac0fd435b618a27ae5a02c242fd5984621a866de8f810ee57ec1224df06a"),
     "mexican-hat-batch-classification": (
-        "532760a2df9da1f81746c300cdd8e03c0c18af72cf85bf1b8761aa1464c505d1",
+        "d3b0951781129c81370beccf58b2b4a3e3e35e1ca5180300cce6c624c572879d",
         "0f3fac6f5b6f5730369c36f5e0d2d7533dbe88e4c6a9d1fda50590576ba25d65",
         "2dc1a548c579996783988df57c70fad7fe175a85696476089f1b21764dc0ff7b"),
     "mexican-hat-online-regression": (

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from somkit.distances import estimate_inverse_covariance, feature_distance
+from somkit.distances import _block_rows, estimate_inverse_covariance, feature_distance
 from somkit.schedules import ScheduleSpec, learning_rate, neighborhood_radius
 from somkit.som import (
     SomConfig,
@@ -18,6 +19,7 @@ from somkit.som import (
     grid_distance_matrix,
     init_weights,
     kernel_matrix,
+    kernel_values,
     online_update,
     quantization_error,
     transform,
@@ -314,6 +316,113 @@ class TestBatchUpdate:
         np.testing.assert_allclose(grid.weights, once, atol=1e-12)
 
 
+def dense_batch_update(weights, X, bmus, sigma, kind):
+    """The batch update through the (N, nodes) kernel matrix: the oracle.
+
+    Returns the new weights, each node's kernel mass and rounding bounds on
+    the weights and on the mass within which any order of the sums agrees.
+    """
+    shape, n = weights.shape[:2], weights.shape[2]
+    nodes = shape[0] * shape[1]
+    d = _grid_distances(shape)[bmus[:, 0], bmus[:, 1]]
+    h = kernel_values(d.reshape(len(X), -1), sigma, kind)
+    mass = h.sum(axis=0)
+    new = weights.reshape(nodes, n).copy()
+    ok = mass > 0
+    new[ok] = (h.T @ X)[ok] / mass[ok, None]
+
+    # Either formula sums at most N + nodes products for a numerator or a
+    # mass (the batch map N into per-node sums and then nodes through the
+    # kernel), so each errs by at most gamma = (N + nodes) eps times the sum
+    # of the absolute products, plus an underflow of up to half the smallest
+    # subnormal per product. For W = U / m that gives
+    # (err U + |W| err m) / |m|, and the two formulas differ by twice it
+    # plus a rounded division each. The mexican-hat mass cancels, so its
+    # sum_i |h| exceeds |m|: a blanket relative tolerance does not hold.
+    # Where every h of a node is 0, both masses are exactly 0.
+    terms = len(X) + nodes
+    tiny = terms * np.finfo(float).smallest_subnormal
+    eps = np.finfo(float).eps
+    abs_h = np.abs(h)
+    mass_err = terms * eps * abs_h.sum(axis=0) + tiny * abs_h.any(axis=0)
+    numerator_err = terms * eps * (abs_h.T @ np.abs(X)) + tiny
+    with np.errstate(divide="ignore"):
+        tol = 2 * (numerator_err + np.abs(new) * mass_err[:, None]) / np.abs(mass)[:, None]
+    tol += 2 * eps * np.abs(new)
+    return new.reshape(weights.shape), mass, tol.reshape(weights.shape), 2 * mass_err
+
+
+BATCH_CASES = {
+    # shape, N, n, number of nodes that win data
+    "4x5": ((4, 5), 300, 3, 20),
+    "nodes-without-data": ((6, 7), 200, 4, 5),
+    "one-datapoint": ((5, 3), 1, 2, 1),
+    "1x1-grid": ((1, 1), 50, 3, 1),
+    "40x20-n204": ((40, 20), 400, 204, 300),
+}
+
+
+class TestBatchMapEquivalence:
+    @pytest.mark.parametrize("kind", ["gaussian", "mexican-hat"])
+    @pytest.mark.parametrize("sigma", [0.5, 1.3, 3.0, 10.0])
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_matches_dense_formula(self, case, sigma, kind):
+        shape, N, n, winners = BATCH_CASES[case]
+        rng = np.random.default_rng([N, n, winners])
+        weights = rng.normal(size=(*shape, n))
+        X = 5.0 + rng.normal(size=(N, n)) * rng.uniform(0.1, 10.0, size=n)
+        nodes = rng.permutation(shape[0] * shape[1])[:winners]
+        bmus = np.column_stack(np.unravel_index(rng.choice(nodes, size=N), shape))
+        expected, mass, tol, mass_tol = dense_batch_update(weights, X, bmus, sigma, kind)
+
+        grid = WeightGrid(weights.copy())
+        assert batch_update(grid, X, bmus, sigma, kind) is grid
+        # Where the mass is within its rounding bound of 0 the two formulas
+        # may take different branches; elsewhere they must agree.
+        decided = (np.abs(mass) > mass_tol) | (mass_tol == 0)
+        kept = (decided & (mass <= 0)).reshape(shape)
+        moved = (decided & (mass > 0)).reshape(shape)
+        assert grid.weights[kept].tobytes() == weights[kept].tobytes()
+        assert np.all(np.abs(grid.weights[moved] - expected[moved]) <= tol[moved])
+        assert decided.all()
+
+    def test_nonpositive_mass_keeps_weight_bit_for_bit(self):
+        # every datapoint sits at node (0, 0) of a 1x5 grid; at sigma 1 the
+        # mexican hat is 0 at grid distance 1 and negative beyond
+        rng = np.random.default_rng(12)
+        weights = rng.normal(size=(1, 5, 3))
+        X = rng.normal(size=(30, 3))
+        bmus = np.zeros((30, 2), dtype=int)
+        _, mass, _, _ = dense_batch_update(weights, X, bmus, 1.0, "mexican-hat")
+        assert mass[1] == 0 and np.all(mass[2:] < 0)
+
+        grid = WeightGrid(weights.copy())
+        batch_update(grid, X, bmus, 1.0, "mexican-hat")
+        assert grid.weights[0, 1:].tobytes() == weights[0, 1:].tobytes()
+        np.testing.assert_allclose(grid.weights[0, 0], X.mean(axis=0), rtol=1e-13)
+
+    def test_memory_does_not_grow_with_the_dataset(self):
+        # aim: bounded memory as N grows. Only the flat BMU index array
+        # (one index per datapoint) may grow with N; the kernel is
+        # (nodes, nodes), the per-node sums (nodes, n).
+        rng = np.random.default_rng(13)
+        grid = WeightGrid(rng.normal(size=(40, 20, 3)))
+        peaks = {}
+        for N in (2000, 20000):
+            X = rng.normal(size=(N, 3))
+            bmus = transform(grid, X)
+            batch_update(grid, X, bmus, 3.0)  # warm caches and lazy imports
+            tracemalloc.start()
+            try:
+                batch_update(grid, X, bmus, 3.0)
+                peaks[N] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        index_bytes = np.dtype(np.intp).itemsize
+        # the flat index array and the count pass over it
+        assert peaks[20000] - peaks[2000] <= 2 * (20000 - 2000) * index_bytes
+
+
 class TestFitUnsupervised:
     def test_deterministic(self):
         X = np.random.default_rng(7).normal(size=(50, 3))
@@ -404,6 +513,14 @@ class TestFitUnsupervised:
         ]
         assert max(qes) <= 2 * min(qes)
 
+    def test_tanimoto_is_rejected_before_initialising(self):
+        X = np.random.default_rng(3).integers(0, 2, size=(50, 8)).astype(float)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="tanimoto maps cannot be trained"):
+            fit_unsupervised(X, small_config(metric="tanimoto"), rng)
+        assert rng.bit_generator.state == state
+
     def test_mahalanobis_training_returns_cov_inv(self):
         X = np.random.default_rng(2).normal(size=(40, 3))
         cfg = small_config(metric="mahalanobis", n_iter_unsupervised=20)
@@ -444,6 +561,15 @@ class TestTransformAndHistogram:
         X = np.tile([0.4, 0.2], (12, 1))
         counts = bmu_histogram(grid, X)
         assert counts.max() == 12 and (counts > 0).sum() == 1
+
+    def test_tanimoto_error_names_the_row_of_the_whole_data(self):
+        rng = np.random.default_rng(35)
+        grid = WeightGrid(rng.integers(0, 2, size=(40, 20, 6)).astype(float))
+        X = rng.integers(0, 2, size=(1000, 6)).astype(float)
+        X[700, 2] = 0.5
+        assert _block_rows(800, 6, "tanimoto") < 700
+        with pytest.raises(ValueError, match=r"data row index 700 holds 0\.5$"):
+            transform(grid, X, "tanimoto")
 
     def test_pigeonhole_many_nodes(self):
         rng = np.random.default_rng(34)
