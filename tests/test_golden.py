@@ -6,15 +6,19 @@ resolved-config sidecar (its path entries left out) with hashes recorded
 before the code they cover was refactored. Together the cases cover the
 four metrics, both update modes, both supervised heads, both kernels, class
 weighting and every learning-rate and radius schedule kind, some of them
-set through a ``--config`` file. Two ``crossval --k 3`` reports (without
-their path-bearing ``resolved_config`` line) and predictions from model
-files of format version 1 kept under ``tests/data`` are pinned the same
-way. The inputs are generated here from numpy alone, so a change to
-``somkit``'s synthetic data helpers cannot change them.
+set through a ``--config`` file. Pinned the same way are two
+``crossval --k 3`` reports, the ``predict`` sidecar, an ``evaluate`` report
+with a train section, ``export-maps`` for each head kind, predictions from
+model files of format version 1 kept under ``tests/data``, and the
+``--help`` text of ``somkit`` and of each command at 80 columns. Records
+are hashed without their path entries, which differ between runs. The
+inputs are generated here from numpy alone, so a change to ``somkit``'s
+synthetic data helpers cannot change them.
 
 The hashes pin the arithmetic of this numpy build and its BLAS: batch mode
 and the mahalanobis covariance go through matrix products whose rounding
-another BLAS may legitimately change. A refactor that is meant to keep
+another BLAS may legitimately change. The ``--help`` hashes pin this
+Python's argparse layout. A refactor that is meant to keep
 outputs identical must keep every hash; one that changes numerics on
 purpose records the new hashes together with the reason.
 """
@@ -219,6 +223,49 @@ GOLDEN_CROSSVAL = {
         "37b01b8518d98274635c5ee73f87aaf26c8f2b12aa70cffb35d69392ff9877df",
 }
 
+# head -> sha256 of the record on that report's resolved_config line, without
+# its path entries
+GOLDEN_CROSSVAL_RECORD = {
+    "classification":
+        "72676b6c532cc20481b46207120f1c52051832b5368cef5c49eaa01f43f6f22b",
+    "regression":
+        "03354961820f1d030e528718dea603592ff05d2b288c4f31c5b098567ca08c7e",
+}
+
+# case -> {output -> sha256}; each record is hashed without its path entries
+GOLDEN_COMMANDS = {
+    "evaluate-train-data-classification": {
+        "report": "db47706e1c9088fde245da4e19165777f2c8636191c500709b4d3b783b14a6dc",
+        "record": "697c518d6cd5b416bb6ce4859edc21678d408dca8424480f233c9cf34a1366a2"},
+    "export-maps-classification": {
+        "bmu_histogram.csv": "5c5d9ddf8edc6a9acb7296c748686900512c363e1d1bff29db6c3004164c0802",
+        "output_map.csv": "8fefdf7b89edb6317ceb5853316524c009913c06ee6c2a8deb120771b26eed4d",
+        "maps.resolved.json":
+            "daf9b3405d22874fcc15fc1e079cd8ffe1296e68d2f9c19268e41bf48a15e7ce"},
+    "export-maps-none": {
+        "bmu_histogram.csv": "5c5d9ddf8edc6a9acb7296c748686900512c363e1d1bff29db6c3004164c0802",
+        "maps.resolved.json":
+            "daf9b3405d22874fcc15fc1e079cd8ffe1296e68d2f9c19268e41bf48a15e7ce"},
+    "export-maps-regression": {
+        "bmu_histogram.csv": "421a5990d5f5fe73fc28f86da721829c2761006e64a21d1ab44aa1254eae6f65",
+        "output_map.csv": "782a5f97babd42905a2ac17b18ed097377feeeab837986bd421458e95d73edd6",
+        "maps.resolved.json":
+            "daf9b3405d22874fcc15fc1e079cd8ffe1296e68d2f9c19268e41bf48a15e7ce"},
+    "predict-regression": {
+        "pred.resolved.json":
+            "59bc2836ffe3980b6f73a789c86f31c3ebfad07ceddae0d238d3986481a3feb4"},
+}
+
+# command line before --help -> sha256 of the help text at COLUMNS=80
+GOLDEN_HELP = {
+    "somkit": "b466d71dd1eaf10fee1a3c0dc081ef8ad36bd63435c8ac3e82cb67e5f6668ab5",
+    "crossval": "016e00653be294bcabf2f8985d4bffda722bca5f4928e81b41c74158a5c1e6f2",
+    "evaluate": "a6f4207b43a24ce2cdb7cdba0a543841a5534cb2bb07dff5b68e41b98067d45f",
+    "export-maps": "b766d14488cea5c118383401c1883038a0ffbdcd121f5e1525bddc3bd61d3fa0",
+    "predict": "64d528973523f21ce9d84733f46082c73be3e23ecdfefa17f23201d9386dcb59",
+    "train": "5112627295af4612d76242a35cf288694fbad414bf699f936407424ba0dc5e40",
+}
+
 # fixture under tests/data -> sha256 of the predictions CSV for _regression_data
 # (regression) or _blob_data (classification)
 GOLDEN_V1_MODELS = {
@@ -253,6 +300,13 @@ def _config_flags(tmp_path, values):
     return ["--config", str(path)]
 
 
+def _record_sha256(record, *paths):
+    """Hash of a resolved-config record without its entries ``paths``, which must exist."""
+    for key in paths:
+        del record[key]
+    return _sha256(json.dumps(record, sort_keys=True).encode())
+
+
 def _run_case(tmp_path, name):
     make_data, head, flags, config, post = CASES[name]
     data = _data_csv(tmp_path, make_data)
@@ -261,13 +315,12 @@ def _run_case(tmp_path, name):
                  "--model", str(model), *COMMON, *flags,
                  *_config_flags(tmp_path, config)]) == 0
     sidecar = json.loads((tmp_path / "model.resolved.json").read_text(encoding="utf-8"))
-    del sidecar["data"], sidecar["model"]
     if post is not None:
         post(model)
     assert main(["predict", "--model", str(model), "--data", str(data),
                  "--label-column", "label", "--output", str(pred)]) == 0
     return (_sha256(model.read_bytes()), _sha256(pred.read_bytes()),
-            _sha256(json.dumps(sidecar, sort_keys=True).encode()))
+            _record_sha256(sidecar, "data", "model"))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -287,6 +340,52 @@ def test_golden_crossval_report(tmp_path, head):
     lines = report.read_text(encoding="utf-8").splitlines(keepends=True)
     assert lines[-1].startswith("resolved_config: ")
     assert _sha256("".join(lines[:-1]).encode()) == GOLDEN_CROSSVAL[head]
+    record = json.loads(lines[-1].removeprefix("resolved_config: "))
+    assert _record_sha256(record, "data", "output") == GOLDEN_CROSSVAL_RECORD[head]
+
+
+def _command_outputs(tmp_path, case):
+    """Train a model for ``case`` and run its command; hash what the command wrote."""
+    command, head = case.rsplit("-", 1)
+    data = _data_csv(tmp_path, _regression_data if head == "regression" else _blob_data)
+    model = tmp_path / "model.json"
+    head_flags = [] if head == "none" else ["--head", head]
+    assert main(["train", "--data", str(data), "--label-column", "label", *head_flags,
+                 "--model", str(model), *COMMON]) == 0
+    paths = ["--model", str(model), "--data", str(data), "--label-column", "label"]
+    if command == "predict":
+        assert main(["predict", *paths, "--output", str(tmp_path / "pred.csv")]) == 0
+        record = json.loads((tmp_path / "pred.resolved.json").read_text(encoding="utf-8"))
+        return {"pred.resolved.json": _record_sha256(record, "model", "data", "output")}
+    if command == "evaluate-train-data":
+        report = tmp_path / "report.txt"
+        assert main(["evaluate", *paths, "--train-data", str(data),
+                     "--output", str(report)]) == 0
+        lines = report.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[-1].startswith("resolved_config: ")
+        record = json.loads(lines[-1].removeprefix("resolved_config: "))
+        return {"report": _sha256("".join(lines[:-1]).encode()),
+                "record": _record_sha256(record, "model", "data", "train_data", "output")}
+    out_dir = tmp_path / "maps"
+    assert main(["export-maps", *paths, "--out-dir", str(out_dir)]) == 0
+    record = json.loads((out_dir / "maps.resolved.json").read_text(encoding="utf-8"))
+    hashes = {"maps.resolved.json": _record_sha256(record, "model", "data", "out_dir")}
+    for name in ("bmu_histogram.csv", "output_map.csv"):
+        if (out_dir / name).exists():
+            hashes[name] = _sha256((out_dir / name).read_bytes())
+    return hashes
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_COMMANDS))
+def test_golden_command_outputs(tmp_path, case):
+    assert _command_outputs(tmp_path, case) == GOLDEN_COMMANDS[case]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_HELP))
+def test_golden_help(monkeypatch, capsys, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([*([] if name == "somkit" else [name]), "--help"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == GOLDEN_HELP[name]
 
 
 @pytest.mark.parametrize("fixture", sorted(GOLDEN_V1_MODELS))
