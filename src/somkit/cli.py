@@ -15,7 +15,9 @@ import json
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import Callable, NamedTuple, get_type_hints
+
+import numpy as np
 
 from .datasets import (
     DatasetError,
@@ -74,20 +76,6 @@ def _config_options() -> dict[str, dict]:
 
 _CONFIG_OPTIONS = _config_options()
 
-# Command parameters a RunConfig file may also carry, with the type of their
-# flags; each command picks up the ones its flags define.
-_RUN_KEYS = {
-    "data": str,
-    "label_column": str,
-    "head": str,
-    "model": str,
-    "output": str,
-    "out_dir": str,
-    "train_data": str,
-    "k": int,
-    "resolved_config": str,
-}
-
 
 class UsageError(Exception):
     """Bad flags or configuration values; exits with code 1."""
@@ -100,56 +88,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with any of the configuration keys")
-    for key, options in _CONFIG_OPTIONS.items():
-        p.add_argument("--" + key.replace("_", "-"), **options)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="somkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train a map and optional supervised head")
-    p.add_argument("--data", help="training CSV with header row")
-    p.add_argument("--label-column")
-    p.add_argument("--head", choices=HEAD_KINDS)
-    p.add_argument("--model", help="output model file (JSON)")
-    p.add_argument("--resolved-config", help="where to write the resolved-config record")
-    _add_config_flags(p)
-
-    p = sub.add_parser("predict", help="predict with a trained model")
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--label-column", help="column to exclude from the features, if present")
-    p.add_argument("--output", help="predictions CSV")
-    p.add_argument("--resolved-config")
-    p.add_argument("--config", help="JSON file with any of the configuration keys")
-
-    p = sub.add_parser("evaluate", help="score a trained model on labeled data")
-    p.add_argument("--model")
-    p.add_argument("--data", help="labeled test CSV")
-    p.add_argument("--label-column")
-    p.add_argument("--train-data", help="optional labeled training CSV for train metrics")
-    p.add_argument("--output", help="report file; stdout when omitted")
-    p.add_argument("--config", help="JSON file with any of the configuration keys")
-
-    p = sub.add_parser("crossval", help="k-fold cross-validation")
-    p.add_argument("--data")
-    p.add_argument("--label-column")
-    p.add_argument("--head", choices=("regression", "classification"))
-    p.add_argument("--k", type=int)
-    p.add_argument("--output", help="report file; stdout when omitted")
-    _add_config_flags(p)
-
-    p = sub.add_parser("export-maps", help="export BMU histogram and node output map")
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--label-column", help="column to exclude from the features, if present")
-    p.add_argument("--out-dir")
-    p.add_argument("--resolved-config")
-    p.add_argument("--config", help="JSON file with any of the configuration keys")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        options = {**command.params,
+                   "config": {"help": "JSON file with any of the configuration keys"}}
+        if name in _TRAINING_COMMANDS:
+            options.update(_CONFIG_OPTIONS)
+        for key, keywords in options.items():
+            p.add_argument("--" + key.replace("_", "-"), **keywords)
     return parser
 
 
@@ -162,7 +111,7 @@ def _read_config_file(args: argparse.Namespace) -> dict:
         raise UsageError(f"no such config file: {path}")
     try:
         from_file = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"{path}: not valid JSON: {exc}")
     if not isinstance(from_file, dict):
         raise UsageError(f"{path}: must hold a JSON object")
@@ -186,7 +135,8 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 def _merge_config(args: argparse.Namespace) -> dict:
     """The configuration values set by the config file or, winning, by flags.
 
-    Run parameters the file supplies fill in omitted flags.
+    Command parameters the file supplies fill in omitted flags; a value with
+    choices must be one of the command's.
     """
     from_file = _read_config_file(args)
     if "radius_start" in from_file and from_file["radius_start"] is None:
@@ -196,10 +146,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if getattr(args, key, None) is not None:
             merged[key] = getattr(args, key)
 
-    # command parameters the file may supply when the flag was omitted
-    for key in _RUN_KEYS:
-        if hasattr(args, key) and getattr(args, key) is None and key in from_file:
-            setattr(args, key, from_file[key])
+    for key, options in _COMMANDS[args.command].params.items():
+        if getattr(args, key) is None and key in from_file:
+            value, choices = from_file[key], options.get("choices")
+            if choices and value not in choices:
+                raise UsageError(f"{args.config}: {key} must be one of {choices}, got {value!r}")
+            setattr(args, key, value)
     return merged
 
 
@@ -230,13 +182,15 @@ def _validated_config(args: argparse.Namespace) -> tuple[bool, SomConfig]:
         raise UsageError(str(exc)) from exc
 
 
-def _resolved_record(command: str, extra: dict) -> dict:
-    record = {
-        "command": command,
-        "seed_scheme": SEED_SCHEME,
-        "seed_phases": PHASES,
-    }
-    record.update(extra)
+def _resolved_record(args: argparse.Namespace, config: SomConfig,
+                     scale: bool | None = None) -> dict:
+    """The command's parameters, the seed scheme and ``config``; ``scale`` if it trains."""
+    params = _COMMANDS[args.command].params
+    record = {key: getattr(args, key) for key in params if key != "resolved_config"}
+    if scale is not None:
+        record["minmax_scale"] = scale
+    record.update(command=args.command, seed_scheme=SEED_SCHEME, seed_phases=PHASES,
+                  som_config=asdict(config))
     return record
 
 
@@ -304,6 +258,22 @@ def _evaluate_model(model: SomModel, data: LabeledDataset, section: str) -> Eval
     )
 
 
+def _write_csv(path: Path, header: list[str], values: np.ndarray) -> None:
+    """One row per entry of ``values``, led by its row and column if ``values`` is 2-d.
+
+    ``tolist`` gives Python numbers and strings, which ``csv`` writes exactly
+    (a float by its ``repr``).
+    """
+    if values.ndim == 2:
+        rows = [[r, c, v] for r, line in enumerate(values.tolist()) for c, v in enumerate(line)]
+    else:
+        rows = [[v] for v in values.tolist()]
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _emit_report(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text + "\n", encoding="utf-8")
@@ -315,24 +285,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     scale, config = _validated_config(args)
     if args.head is None:
         args.head = "none"
-    if args.head not in HEAD_KINDS:
-        raise UsageError(f"head must be one of {HEAD_KINDS}, got {args.head!r}")
     _require(args, "data", "model")
     data = _load_for_model(args.data, args.label_column, args.head)
     model = _train_model(config, data, args.head, scale)
     save_model(model, args.model)
-    record = _resolved_record(
-        "train",
-        {
-            "data": args.data,
-            "label_column": args.label_column,
-            "head": args.head,
-            "model": args.model,
-            "minmax_scale": scale,
-            "som_config": asdict(config),
-        },
-    )
-    _write_resolved(record, _resolved_path(args.resolved_config, args.model))
+    _write_resolved(_resolved_record(args, config, scale),
+                    _resolved_path(args.resolved_config, args.model))
     return 0
 
 
@@ -341,27 +299,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _require(args, "model", "data", "output")
     model = load_model(args.model)
     data = _load_for_model(args.data, args.label_column, "none")
-    predictions = model.predict(data.X)
-    out = Path(args.output)
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["prediction"])
-        for value in predictions:
-            if model.head_kind == "regression":
-                writer.writerow([repr(float(value))])
-            else:
-                writer.writerow([value])
-    record = _resolved_record(
-        "predict",
-        {
-            "model": args.model,
-            "data": args.data,
-            "label_column": args.label_column,
-            "output": args.output,
-            "som_config": asdict(model.config),
-        },
-    )
-    _write_resolved(record, _resolved_path(args.resolved_config, args.output))
+    _write_csv(Path(args.output), ["prediction"], model.predict(data.X))
+    _write_resolved(_resolved_record(args, model.config),
+                    _resolved_path(args.resolved_config, args.output))
     return 0
 
 
@@ -377,17 +317,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.train_data:
         train = _load_for_model(args.train_data, args.label_column, model.head_kind)
         report.folds.append(_evaluate_model(model, train, "train"))
-    record = _resolved_record(
-        "evaluate",
-        {
-            "model": args.model,
-            "data": args.data,
-            "train_data": args.train_data,
-            "label_column": args.label_column,
-            "output": args.output,
-            "som_config": asdict(model.config),
-        },
-    )
+    record = _resolved_record(args, model.config)
     _emit_report(report.render() + "\n" + _resolved_line(record), args.output)
     return 0
 
@@ -395,8 +325,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_crossval(args: argparse.Namespace) -> int:
     scale, config = _validated_config(args)
     _require(args, "data", "label_column", "head")
-    if args.head not in ("regression", "classification"):
-        raise UsageError(f"crossval head must be regression or classification, got {args.head!r}")
     if args.k is None:
         args.k = 5
     if args.k < 2:
@@ -418,18 +346,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         )
         fold_reports.append(fold_report)
     report = mean_report(f"crossval mean over {args.k} folds: {args.head}", fold_reports)
-    record = _resolved_record(
-        "crossval",
-        {
-            "data": args.data,
-            "label_column": args.label_column,
-            "head": args.head,
-            "k": args.k,
-            "output": args.output,
-            "minmax_scale": scale,
-            "som_config": asdict(config),
-        },
-    )
+    record = _resolved_record(args, config, scale)
     _emit_report(report.render() + "\n" + _resolved_line(record), args.output)
     return 0
 
@@ -445,49 +362,75 @@ def cmd_export_maps(args: argparse.Namespace) -> int:
     counts = bmu_histogram(
         model.grid, model.prepare(data.X), model.config.metric, model.cov_inv
     )
-    with (out_dir / "bmu_histogram.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "column", "count"])
-        for r in range(counts.shape[0]):
-            for c in range(counts.shape[1]):
-                writer.writerow([r, c, int(counts[r, c])])
-
-    if model.head_kind != "none":
-        if model.head_kind == "regression":
-            values = model.head.values
-        else:
-            values = model.head.classes
-        with (out_dir / "output_map.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "column", "value"])
-            for r in range(values.shape[0]):
-                for c in range(values.shape[1]):
-                    v = values[r, c]
-                    writer.writerow([r, c, repr(float(v)) if model.head_kind == "regression" else v])
-    else:
+    _write_csv(out_dir / "bmu_histogram.csv", ["row", "column", "count"], counts)
+    if model.head_kind == "none":
         print("model has no supervised head; skipped output_map.csv", file=sys.stderr)
-
-    record = _resolved_record(
-        "export-maps",
-        {
-            "model": args.model,
-            "data": args.data,
-            "label_column": args.label_column,
-            "out_dir": args.out_dir,
-            "som_config": asdict(model.config),
-        },
-    )
-    _write_resolved(record, _resolved_path(args.resolved_config, out_dir / "maps"))
+    else:
+        values = model.head.values if model.head_kind == "regression" else model.head.classes
+        _write_csv(out_dir / "output_map.csv", ["row", "column", "value"], values)
+    _write_resolved(_resolved_record(args, model.config),
+                    _resolved_path(args.resolved_config, out_dir / "maps"))
     return 0
 
 
+class _Command(NamedTuple):
+    """A command: its handler, its help line and its own flags.
+
+    ``params`` maps each flag's key to its argparse keywords, in flag order.
+    The keys are also the run keys a config file may set for the command, of
+    the flag's type and one of its choices, and the entries of its
+    resolved-config record.
+    """
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    params: dict[str, dict]
+
+
+_LABEL_HELP = "column to exclude from the features, if present"
+_REPORT_HELP = "report file; stdout when omitted"
 _COMMANDS = {
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "evaluate": cmd_evaluate,
-    "crossval": cmd_crossval,
-    "export-maps": cmd_export_maps,
+    "train": _Command(cmd_train, "train a map and optional supervised head", {
+        "data": {"help": "training CSV with header row"},
+        "label_column": {},
+        "head": {"choices": HEAD_KINDS},
+        "model": {"help": "output model file (JSON)"},
+        "resolved_config": {"help": "where to write the resolved-config record"},
+    }),
+    "predict": _Command(cmd_predict, "predict with a trained model", {
+        "model": {},
+        "data": {},
+        "label_column": {"help": _LABEL_HELP},
+        "output": {"help": "predictions CSV"},
+        "resolved_config": {},
+    }),
+    "evaluate": _Command(cmd_evaluate, "score a trained model on labeled data", {
+        "model": {},
+        "data": {"help": "labeled test CSV"},
+        "label_column": {},
+        "train_data": {"help": "optional labeled training CSV for train metrics"},
+        "output": {"help": _REPORT_HELP},
+    }),
+    "crossval": _Command(cmd_crossval, "k-fold cross-validation", {
+        "data": {},
+        "label_column": {},
+        "head": {"choices": ("regression", "classification")},
+        "k": {"type": int},
+        "output": {"help": _REPORT_HELP},
+    }),
+    "export-maps": _Command(cmd_export_maps, "export BMU histogram and node output map", {
+        "model": {},
+        "data": {},
+        "label_column": {"help": _LABEL_HELP},
+        "out_dir": {},
+        "resolved_config": {},
+    }),
 }
+# the commands that train a map and so take the configuration flags
+_TRAINING_COMMANDS = ("train", "crossval")
+# the type of each run key a config file may carry
+_RUN_KEYS = {key: options.get("type", str)
+             for command in _COMMANDS.values() for key, options in command.params.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -497,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except UsageError as exc:
         print(f"somkit: error: {exc}", file=sys.stderr)
         return 1

@@ -82,17 +82,19 @@ def _head_to_dict(head) -> dict | None:
 
 
 def _field(d, key: str, kinds, where: str = "model file"):
-    """``d[key]``, which must exist and be an instance of ``kinds``."""
+    """``d[key]``, which must exist and be an instance of ``kinds`` other than a bool."""
     if key not in d:
         raise ValueError(f"{where} has no {key!r}")
     value = d[key]
-    if not isinstance(value, kinds):
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValueError(f"{where}: {key!r} has the wrong type {type(value).__name__}")
     return value
 
 
 def _array(values: list, key: str, shape: tuple, dtype=float) -> np.ndarray:
-    """A list of numbers as an array of ``shape``."""
+    """A list of numbers as an array of ``shape``; for an int ``dtype``, JSON integers."""
+    if dtype is int and not all(type(v) is int for v in values):
+        raise ValueError(f"model file: {key!r} must hold integers")
     try:
         return np.array(values, dtype=dtype).reshape(shape)
     except (TypeError, ValueError):

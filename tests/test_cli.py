@@ -104,6 +104,7 @@ class TestTrain:
         {"n_row": "ten"}, {"n_row": 2.5}, {"lr_start": "0.5"}, {"seed": "7"}, {"seed": None},
         {"minmax_scale": "yes"}, {"class_weighting": 1}, {"lr_end": None},
         {"metric": "cosine"}, {"radius_schedule": "inverse"},
+        {"head": "bogus", "label_column": "target"},
     ])
     def test_mistyped_config_file_value_is_usage_error(self, tmp_path, reg_csv, capsys,
                                                         values):
@@ -113,7 +114,10 @@ class TestTrain:
         rc = main(["train", "--data", str(reg_csv), "--model", str(model_path),
                    "--config", str(cfg_file), "--n-iter-unsupervised", "50"])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("somkit: error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("somkit: error: ")
+        if "head" in values:
+            assert "head" in err
         assert not model_path.exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate", "export-maps"])
@@ -132,7 +136,8 @@ class TestTrain:
         assert main([command, "--config", str(cfg_file)]) == 0
 
     @pytest.mark.parametrize("values", [{"data": 5}, {"model": 7}, {"k": 2.9}, {"k": "3"},
-                                        {"head": ["regression"]}, {"label_column": None}])
+                                        {"head": ["regression"]}, {"label_column": None},
+                                        {"head": "none"}])
     def test_mistyped_config_file_run_value_is_usage_error(self, tmp_path, reg_csv, capsys,
                                                             values):
         cfg_file = tmp_path / "run.json"
@@ -140,7 +145,9 @@ class TestTrain:
                                         "head": "regression", **values}))
         rc = main(["crossval", "--config", str(cfg_file), *FAST])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("somkit: error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("somkit: error: ")
+        assert all(key in err for key in values)
 
     def test_config_file_must_hold_an_object(self, tmp_path, reg_csv):
         cfg_file = tmp_path / "run.json"
@@ -148,6 +155,15 @@ class TestTrain:
         rc = main(["train", "--data", str(reg_csv), "--model", str(tmp_path / "m.json"),
                    "--config", str(cfg_file)])
         assert rc == 1
+
+    def test_config_file_that_is_not_utf8_is_usage_error(self, tmp_path, reg_csv, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_bytes('{"label_column": "t\u00e9"}'.encode("latin-1"))
+        rc = main(["train", "--data", str(reg_csv), "--model", str(tmp_path / "m.json"),
+                   "--config", str(cfg_file)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"somkit: error: {cfg_file}: ") and err.count("\n") == 1
 
     def test_null_radius_start_takes_the_derived_default(self, tmp_path, reg_csv):
         cfg_file = tmp_path / "run.json"
@@ -213,22 +229,48 @@ MALFORMED_MODELS = {
 }
 
 
+# case -> (edit of a classification model's JSON, expected error text); the
+# model has one feature, so a feature_dim of true would fit its weights
+MALFORMED_CLASSIFICATION_MODELS = {
+    "fractional class code": (lambda p: p["head"]["codes"].__setitem__(0, 1.5), "'codes'"),
+    "boolean class code": (lambda p: p["head"]["codes"].__setitem__(0, True), "'codes'"),
+    "boolean feature_dim": (lambda p: p.update(feature_dim=True), "'feature_dim'"),
+}
+
+
 class TestMalformedModel:
-    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
-    def test_predict_exits_2(self, tmp_path, reg_csv, capsys, case):
-        mutate, message = MALFORMED_MODELS[case]
+    def _predict_edited(self, tmp_path, capsys, data, train_flags, mutate):
+        """Exit code and stderr of predict with a trained model edited by ``mutate``."""
         model_path = tmp_path / "m.json"
-        assert main(["train", "--data", str(reg_csv), "--label-column", "target",
-                     "--head", "regression", "--metric", "mahalanobis",
+        assert main(["train", "--data", str(data), "--label-column", "target", *train_flags,
                      "--model", str(model_path), *FAST]) == 0
         payload = json.loads(model_path.read_text())
         mutate(payload)
         model_path.write_text(json.dumps(payload))
         capsys.readouterr()
-        rc = main(["predict", "--model", str(model_path), "--data", str(reg_csv),
+        rc = main(["predict", "--model", str(model_path), "--data", str(data),
                    "--label-column", "target", "--output", str(tmp_path / "p.csv")])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_predict_exits_2(self, tmp_path, reg_csv, capsys, case):
+        mutate, message = MALFORMED_MODELS[case]
+        rc, err = self._predict_edited(tmp_path, capsys, reg_csv,
+                                       ["--head", "regression", "--metric", "mahalanobis"],
+                                       mutate)
         assert rc == 2
-        assert message in capsys.readouterr().err
+        assert message in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CLASSIFICATION_MODELS))
+    def test_predict_with_classification_model_exits_2(self, tmp_path, capsys, case):
+        mutate, message = MALFORMED_CLASSIFICATION_MODELS[case]
+        data = tmp_path / "one_feature.csv"
+        data.write_text("f0,target\n" + "".join(f"{x},c{x % 3}\n" for x in range(30)))
+        flags = ["--head", "classification"]
+        assert self._predict_edited(tmp_path, capsys, data, flags, lambda p: None)[0] == 0
+        rc, err = self._predict_edited(tmp_path, capsys, data, flags, mutate)
+        assert rc == 2
+        assert message in err
 
 
 def _write_binary_csv(path, X):
