@@ -36,6 +36,7 @@ from .metrics import (
     r_squared,
 )
 from .model_io import SomModel, load_model, save_model
+from .schedules import has_type
 from .som import SomConfig, bmu_histogram, fit_unsupervised
 from .supervised import fit_classifier, fit_regressor
 from .seeding import PHASES, SEED_SCHEME, phase_rng
@@ -115,12 +116,14 @@ def _read_config_file(args: argparse.Namespace) -> dict:
         raise UsageError(f"{path}: not valid JSON: {exc}")
     if not isinstance(from_file, dict):
         raise UsageError(f"{path}: must hold a JSON object")
-    unknown = set(from_file) - set(_CONFIG_OPTIONS) - set(_RUN_KEYS)
+    unknown = set(from_file) - set(_CONFIG_OPTIONS) - set(_KEY_TYPES)
     if unknown:
         raise UsageError(f"{path}: unknown configuration keys: {sorted(unknown)}")
+    if "radius_start" in from_file and from_file["radius_start"] is None:
+        del from_file["radius_start"]  # asks for the default, which the grid size sets
     for key, value in from_file.items():
-        kind = _RUN_KEYS.get(key)
-        if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+        kind = _KEY_TYPES.get(key)
+        if kind and not has_type(value, kind):
             raise UsageError(f"{path}: {key} must be of type {kind.__name__}, got {value!r}")
     return from_file
 
@@ -139,8 +142,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
     choices must be one of the command's.
     """
     from_file = _read_config_file(args)
-    if "radius_start" in from_file and from_file["radius_start"] is None:
-        del from_file["radius_start"]  # asks for the default, which the grid size sets
     merged = {key: from_file[key] for key in _CONFIG_OPTIONS if key in from_file}
     for key in _CONFIG_OPTIONS:
         if getattr(args, key, None) is not None:
@@ -428,9 +429,12 @@ _COMMANDS = {
 }
 # the commands that train a map and so take the configuration flags
 _TRAINING_COMMANDS = ("train", "crossval")
-# the type of each run key a config file may carry
-_RUN_KEYS = {key: options.get("type", str)
-             for command in _COMMANDS.values() for key, options in command.params.items()}
+# the type of each config-file key that has one: the run keys and the
+# configuration keys whose flags take a number
+_KEY_TYPES = {key: options["type"] for key, options in _CONFIG_OPTIONS.items()
+              if "type" in options}
+_KEY_TYPES.update({key: options.get("type", str)
+                   for command in _COMMANDS.values() for key, options in command.params.items()})
 
 
 def main(argv: list[str] | None = None) -> int:

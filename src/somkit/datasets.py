@@ -3,13 +3,21 @@
 CSV is the single ingestion format: UTF-8, mandatory header row, '.'
 decimal separator. Rows with unparseable or non-finite feature values are
 rejected with the offending row and column named, never silently skipped.
+
+:func:`load_csv` reads a file column-wise with numpy's C text reader
+(``np.loadtxt``) where it can: this fast path stands only where its checks
+show that the row-by-row ``csv`` loop would return the same arrays. The
+loop is authoritative. It reads every other file, malformed ones included,
+and words every error.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -92,50 +100,118 @@ def load_csv(path, label_column: str | None = None, label_kind: str = "none") ->
         else:
             label_idx = None
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
+        columns = None
+        if reader.line_num == 1:  # numpy's reader skips one line as the header
+            columns = _read_columns(path, len(header), label_idx, label_kind)
+        X, y = columns or _read_rows(path, reader, header, label_idx, label_kind)
+    return LabeledDataset(X, y, feature_names, label_kind)
 
-        rows: list[list[float]] = []
-        labels: list = []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
+
+def _line_and_comma_counts(path: Path) -> tuple[int, int]:
+    """Lines and commas in the file at ``path``.
+
+    A line ends at "\\n", "\\r" or "\\r\\n", where csv and numpy's reader
+    both end one; a last line without an end counts too.
+    """
+    lines = commas = 0
+    last = b"\n"  # the byte before the current block
+    with path.open("rb") as fh:
+        for block in iter(partial(fh.read, 1 << 20), b""):
+            data = np.frombuffer(block, np.uint8)
+            cr = data == 13
+            lines += np.count_nonzero(data == 10) + np.count_nonzero(cr)
+            if last == b"\r" and block[:1] == b"\n":
+                lines -= 1
+            if cr.any():
+                lines -= np.count_nonzero(cr[:-1] & (data[1:] == 10))
+            commas += np.count_nonzero(data == 44)
+            last = block[-1:]
+    return int(lines) + (last not in (b"\n", b"\r")), int(commas)
+
+
+def _read_columns(path: Path, n_fields: int, label_idx: int | None, label_kind: str):
+    """(X, y) read column-wise by numpy's C reader, or None for the row loop.
+
+    The reader skips blank lines, ignores fields beyond ``usecols`` and
+    accepts non-finite numbers, so its result stands only when it has one
+    row per line after the header, the file has ``n_fields - 1`` commas on
+    every line (a short row makes the reader raise, so no line has more, and
+    no quoted cell holds one), and every number is finite. Any other file,
+    and any failure of the reader, is left to :func:`_read_rows`, which
+    words every error.
+    """
+    lines, commas = _line_and_comma_counts(path)
+    features = [i for i in range(n_fields) if i != label_idx]
+    if lines < 2 or not features or commas != lines * (n_fields - 1):
+        return None
+    options = dict(delimiter=",", skiprows=1, comments=None, quotechar='"', encoding="utf-8")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # blank lines or no data; the counts decide
+            X = np.loadtxt(path, usecols=features, ndmin=2, **options)
+            if X.shape[0] != lines - 1 or not np.isfinite(X).all():
+                return None
+            if label_idx is None:
+                return X, None
+            y = np.loadtxt(path, usecols=label_idx, ndmin=1, **options,
+                           dtype=float if label_kind == "continuous" else str)
+    except Exception:  # whatever the reader cannot parse, the row loop decides and words
+        return None
+    if y.shape != X.shape[:1] or y.dtype == float and not np.isfinite(y).all():
+        return None
+    return X, y
+
+
+def _read_rows(path: Path, reader, header: list[str], label_idx: int | None, label_kind: str):
+    """(X, y) from the data rows of ``reader``, one cell at a time.
+
+    This is the authoritative reader: it raises a :class:`DatasetError`
+    naming the row and column of the first malformed cell.
+    """
+    label_column = None if label_idx is None else header[label_idx]
+    rows: list[list[float]] = []
+    labels: list = []
+    for row_no, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise DatasetError(
+                f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}"
+            )
+        feats = []
+        for i, cell in enumerate(row):
+            if i == label_idx:
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
                 raise DatasetError(
-                    f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}"
+                    f"{path}: row {row_no}, column {header[i]!r}: "
+                    f"cannot parse {cell!r} as a number"
                 )
-            feats = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
+            if not math.isfinite(value):
+                raise DatasetError(
+                    f"{path}: row {row_no}, column {header[i]!r}: "
+                    f"non-finite value {cell!r}"
+                )
+            feats.append(value)
+        rows.append(feats)
+        if label_idx is not None:
+            cell = row[label_idx]
+            if label_kind == "continuous":
                 try:
-                    value = float(cell)
+                    label = float(cell)
                 except ValueError:
                     raise DatasetError(
-                        f"{path}: row {row_no}, column {header[i]!r}: "
+                        f"{path}: row {row_no}, column {label_column!r}: "
                         f"cannot parse {cell!r} as a number"
                     )
-                if not math.isfinite(value):
+                if not math.isfinite(label):
                     raise DatasetError(
-                        f"{path}: row {row_no}, column {header[i]!r}: "
+                        f"{path}: row {row_no}, column {label_column!r}: "
                         f"non-finite value {cell!r}"
                     )
-                feats.append(value)
-            rows.append(feats)
-            if label_idx is not None:
-                cell = row[label_idx]
-                if label_kind == "continuous":
-                    try:
-                        label = float(cell)
-                    except ValueError:
-                        raise DatasetError(
-                            f"{path}: row {row_no}, column {label_column!r}: "
-                            f"cannot parse {cell!r} as a number"
-                        )
-                    if not math.isfinite(label):
-                        raise DatasetError(
-                            f"{path}: row {row_no}, column {label_column!r}: "
-                            f"non-finite value {cell!r}"
-                        )
-                    labels.append(label)
-                else:
-                    labels.append(cell)
+                labels.append(label)
+            else:
+                labels.append(cell)
 
     if not rows:
         raise DatasetError(f"{path}: no data rows")
@@ -145,7 +221,7 @@ def load_csv(path, label_column: str | None = None, label_kind: str = "none") ->
         y = np.array(labels, dtype=float)
     elif label_kind == "categorical":
         y = np.array(labels)
-    return LabeledDataset(X, y, feature_names, label_kind)
+    return X, y
 
 
 def save_csv(data: LabeledDataset, path, label_column: str = "label") -> None:

@@ -92,9 +92,18 @@ def _field(d, key: str, kinds, where: str = "model file"):
 
 
 def _array(values: list, key: str, shape: tuple, dtype=float) -> np.ndarray:
-    """A list of numbers as an array of ``shape``; for an int ``dtype``, JSON integers."""
-    if dtype is int and not all(type(v) is int for v in values):
+    """JSON numbers, flat or in rows, as an array of ``shape``.
+
+    A float array takes JSON integers and floats, an int ``dtype`` integers
+    only; a string or a bool is an error in either.
+    """
+    types = set(map(type, values))
+    if list in types:  # a matrix comes as a list of rows
+        types = types - {list} | {type(v) for row in values if type(row) is list for v in row}
+    if dtype is int and not types <= {int}:
         raise ValueError(f"model file: {key!r} must hold integers")
+    if not types <= {int, float}:
+        raise ValueError(f"model file: {key!r} must hold numbers")
     try:
         return np.array(values, dtype=dtype).reshape(shape)
     except (TypeError, ValueError):

@@ -26,18 +26,22 @@ RADIUS_FLOOR = 1e-6
 _field_types = cache(get_type_hints)
 
 
+def has_type(value, expected: type) -> bool:
+    """Whether ``value`` is an ``expected``; an int counts as a float, a bool as neither."""
+    kind = {float: numbers.Real, int: numbers.Integral}.get(expected, expected)
+    return isinstance(value, bool) is (expected is bool) and isinstance(value, kind)
+
+
 def check_fields(obj) -> None:
     """Raise ValueError unless each field of the dataclass ``obj`` is valid.
 
-    A valid value has the field's annotated type, where an int counts as a
-    float and a bool counts as neither, and is one of the ``choices`` that
-    the field's metadata lists, if any.
+    A valid value has the field's annotated type (see :func:`has_type`) and
+    is one of the ``choices`` that the field's metadata lists, if any.
     """
     types = _field_types(type(obj))
     for f in fields(obj):
         value, expected = getattr(obj, f.name), types[f.name]
-        kind = {float: numbers.Real, int: numbers.Integral}.get(expected, expected)
-        if isinstance(value, bool) is not (expected is bool) or not isinstance(value, kind):
+        if not has_type(value, expected):
             raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         choices = f.metadata.get("choices")
         if choices is not None and value not in choices:

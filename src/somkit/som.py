@@ -246,8 +246,10 @@ def batch_update(
     nodes = grid.n_row * grid.n_column
     bmu_nodes = np.ravel_multi_index(tuple(np.asarray(bmus).T), shape)
     count = np.bincount(bmu_nodes, minlength=nodes)
-    sums = np.zeros((nodes, grid.feature_dim))
-    np.add.at(sums, bmu_nodes, X)
+    # bincount adds in row order, as np.add.at does, so the sums are the same bits
+    sums = np.stack(
+        [np.bincount(bmu_nodes, weights=column, minlength=nodes) for column in X.T], axis=1
+    )
     # the kernel works elementwise, so evaluating it on the offset
     # distances and then windowing gives the same bits as on the full table
     offset_kernel = kernel_values(_offset_distances(shape), sigma, kind)
@@ -337,10 +339,10 @@ def transform(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> n
 
 def bmu_histogram(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> np.ndarray:
     """Per-node count of datapoints whose BMU is that node."""
-    counts = np.zeros((grid.n_row, grid.n_column), dtype=int)
+    shape = (grid.n_row, grid.n_column)
     bmus = transform(grid, X, metric, cov_inv)
-    np.add.at(counts, (bmus[:, 0], bmus[:, 1]), 1)
-    return counts
+    flat = np.ravel_multi_index(tuple(bmus.T), shape)
+    return np.bincount(flat, minlength=grid.n_row * grid.n_column).reshape(shape)
 
 
 def quantization_error(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> float:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,8 +120,9 @@ class TestTrain:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("somkit: error: ")
-        if "head" in values:
-            assert "head" in err
+        assert next(iter(values)) in err  # the mistyped key comes first
+        if "lr_start" in values:
+            assert err == f"somkit: error: {cfg_file}: lr_start must be of type float, got '0.5'\n"
         assert not model_path.exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate", "export-maps"])
@@ -226,6 +231,16 @@ MALFORMED_MODELS = {
     "unknown head kind": (lambda p: p["head"].update(kind="ranking"), "unknown head kind"),
     "cov_inv not positive definite": (
         lambda p: p.update(cov_inv=(-np.array(p["cov_inv"])).tolist()), "positive definite"),
+    "string weight": (lambda p: p["weights"].__setitem__(0, repr(p["weights"][0])), "'weights'"),
+    "boolean weight": (lambda p: p["weights"].__setitem__(0, True), "'weights'"),
+    "string in cov_inv": (
+        lambda p: p["cov_inv"][0].__setitem__(0, repr(p["cov_inv"][0][0])), "'cov_inv'"),
+    "boolean scaling min": (lambda p: p["scaling"]["mins"].__setitem__(0, True), "'mins'"),
+    "string scaling range": (
+        lambda p: p["scaling"]["ranges"].__setitem__(0, repr(p["scaling"]["ranges"][0])),
+        "'ranges'"),
+    "string head value": (
+        lambda p: p["head"]["values"].__setitem__(0, repr(p["head"]["values"][0])), "'values'"),
 }
 
 
@@ -256,7 +271,8 @@ class TestMalformedModel:
     def test_predict_exits_2(self, tmp_path, reg_csv, capsys, case):
         mutate, message = MALFORMED_MODELS[case]
         rc, err = self._predict_edited(tmp_path, capsys, reg_csv,
-                                       ["--head", "regression", "--metric", "mahalanobis"],
+                                       ["--head", "regression", "--metric", "mahalanobis",
+                                        "--minmax-scale"],
                                        mutate)
         assert rc == 2
         assert message in err
@@ -358,6 +374,32 @@ class TestPredict:
         rows = read_rows(out2)
         assert len(rows) - 1 == 90
         assert set(r[0] for r in rows[1:]) <= {"0", "1", "2"}
+
+    @pytest.mark.parametrize("text, label, row", [
+        ("f0\n\n", [], 1),  # numpy's reader warns that it found no data
+        ("f0\n1\n\n2\n", [], 2),
+        ("f0,target\n1,c1\n\n2,c2\n", ["--label-column", "target"], 2),
+    ])
+    def test_blank_line_gives_one_line_on_stderr(self, tmp_path, text, label, row):
+        train = tmp_path / "train.csv"
+        train.write_text("f0,target\n" + "".join(f"{x},c{x % 3}\n" for x in range(30)))
+        model_path = tmp_path / "m.json"
+        assert main(["train", "--data", str(train), "--label-column", "target",
+                     "--head", "classification", "--model", str(model_path), *FAST]) == 0
+        data = tmp_path / "blank.csv"
+        data.write_text(text)
+        # a process of its own, so that a warning would reach its stderr
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "somkit.cli", "predict", "--model", str(model_path),
+             "--data", str(data), *label, "--output", str(tmp_path / "p.csv")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        fields = text.count(",", 0, text.index("\n")) + 1
+        assert proc.stderr == (
+            f"somkit: data error: {data}: row {row} has 0 fields, expected {fields}\n")
 
     def test_predict_without_head_fails(self, tmp_path, reg_csv):
         model_path = tmp_path / "m.json"

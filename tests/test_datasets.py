@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from somkit import datasets
 from somkit.datasets import (
     DatasetError,
     LabeledDataset,
@@ -80,6 +84,175 @@ class TestLoadCsv:
         back = load_csv(p, "y", "continuous")
         np.testing.assert_array_equal(back.X, data.X)
         np.testing.assert_array_equal(back.y, data.y)
+
+
+_read_columns = datasets._read_columns
+
+
+def _load(path, label_column=None, label_kind="none", fast=True):
+    """load_csv's dataset or DatasetError text, and whether the fast path's result stood.
+
+    With ``fast=False`` the fast path declines every file, so the row loop
+    reads it.
+    """
+    stood = []
+
+    def read_columns(*args):
+        columns = _read_columns(*args) if fast else None
+        stood.append(columns is not None)
+        return columns
+
+    with mock.patch.object(datasets, "_read_columns", read_columns):
+        try:
+            outcome = load_csv(path, label_column, label_kind)
+        except DatasetError as exc:
+            outcome = str(exc)
+    return outcome, any(stood)
+
+
+def _assert_same(got, expected):
+    """Equal DatasetError texts, or bit-equal X and y of equal dtypes and shapes."""
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    assert got.feature_names == expected.feature_names
+    for a, b in [(got.X, expected.X), (got.y, expected.y)]:
+        if b is None:
+            assert a is None
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+# case -> (file text, label column, label kind, whether the fast path's result stands)
+INGEST_CASES = {
+    "plain": ("a,b\n1,2\n3,4\n", None, "none", True),
+    "no final line end": ("a,b\n1,2\n3,4", None, "none", True),
+    "one row one column": ("a\n-0.0\n", None, "none", True),
+    "quoted cells": ('a,b,y\n"1.5",2,"x"\n3,"4",y\n', "y", "categorical", True),
+    "doubled quotes": ('a,y\n1,"say ""hi"""\n2,a"b\n', "y", "categorical", True),
+    "text after a closing quote": ('a,y\n1,"ab"cd\n', "y", "categorical", True),
+    "quoted comma in a label": ('a,y\n1,"x,z"\n2,w\n', "y", "categorical", False),
+    "quoted comma in a number": ('a,b\n"1,5",2\n', None, "none", False),
+    "quoted comma in the header": ('"a,b",c\n1,2\n', None, "none", False),
+    "header spanning lines": ('"a\nb",c\n1,2\n', None, "none", False),
+    "header with an open quote": ('"a\n1\n2\n', None, "none", False),
+    "quoted line end in a label": ('a,y\n1,"x\ny"\n2,w\n', "y", "categorical", False),
+    "crlf": ("a,b,y\r\n1,2,p\r\n3,4,q\r\n", "y", "categorical", True),
+    "lone cr": ("a,b,y\r1,2,p\r3,4,q\r", "y", "categorical", True),
+    "lone cr hiding a blank line": ("a,b\n1,2\r3,4\n\n", None, "none", False),
+    "padded whitespace": ("a,b,y\n 1 ,\t2 , x \n3, 4\t,y\n", "y", "categorical", True),
+    "padded continuous label": ("a,y\n1, 2.5 \n", "y", "continuous", True),
+    "nan feature": ("a,b\n1,2\nnan,2\n", None, "none", False),
+    "inf feature": ("a,b\n1,-inf\n", None, "none", False),
+    "overflowing feature": ("a,b\n1e500,2\n", None, "none", False),
+    "nan continuous label": ("a,y\n1,2\n3,NaN\n", "y", "continuous", False),
+    "overflowing continuous label": ("a,y\n1,1e500\n", "y", "continuous", False),
+    "nan categorical label": ("a,y\n1,nan\n", "y", "categorical", True),
+    "underscore digits": ("a,b\n1_0,2\n", None, "none", False),
+    "hex number": ("a,b\n0x10,2\n", None, "none", False),
+    "empty cell": ("a,b\n,2\n", None, "none", False),
+    "blank line": ("a,b\n1,2\n\n3,4\n", None, "none", False),
+    "trailing blank line": ("a,b,y\n1,2,p\n3,4,q\n\n", "y", "categorical", False),
+    "only a blank line": ("a,b,y\n\n", "y", "categorical", False),
+    "whitespace line": ("a,b\n1,2\n  \n", None, "none", False),
+    "short row": ("a,b,c\n1,2,3\n4,5\n", None, "none", False),
+    "extra field": ("a,b\n1,2\n3,4,5\n", None, "none", False),
+    "extra field and short row": ("a,b\n1,2,3\n4\n", None, "none", False),
+    "extra field beyond the label": ("a,y,b\n1,p,2\n3,q,4,5\n", "y", "categorical", False),
+    "header only": ("a,b\n", None, "none", False),
+    "header only without line end": ("a,b", None, "none", False),
+    "label first": ("y,a,b\np,1,2\nqq,3,4\n", "y", "categorical", True),
+    "label in the middle": ("a,y,b\n1,0.5,2\n3,-1e-300,4\n", "y", "continuous", True),
+    "label last": ("a,b,y\n1,2,7\n3,4,8.25\n", "y", "continuous", True),
+    "label widths": ("a,y\n1,x\n2,yyyy\n3,\n4,é日\n", "y", "categorical", True),
+    "only a label": ("y\np\nq\n", "y", "categorical", False),
+    "unused label column": ("a,y\n1,p\n", "y", "categorical", True),
+}
+
+
+class TestColumnarIngest:
+    """The fast path agrees bit for bit with the row loop, or leaves the file to it."""
+
+    @pytest.mark.parametrize("case", INGEST_CASES)
+    def test_matches_row_loop(self, tmp_path, case):
+        text, label_column, label_kind, fast = INGEST_CASES[case]
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got, stood = _load(path, label_column, label_kind)
+        expected, _ = _load(path, label_column, label_kind, fast=False)
+        _assert_same(got, expected)
+        assert stood == fast
+
+    @pytest.mark.parametrize("offset", [2**20 - 1, 2**20])
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+    def test_line_end_at_a_block_edge(self, tmp_path, line_end, offset):
+        # the counts read the file in blocks of 2**20 bytes; one line end
+        # starts at ``offset``, so a "\r\n" there straddles two blocks
+        rows, size = [], len("a,b" + line_end)
+        while offset - size > 100:
+            rows.append("1," + "2" * 58)
+            size += 60 + len(line_end)
+        rows += ["1," + "2" * (offset - size - 2), "3,4", "5,6"]
+        path = tmp_path / "d.csv"
+        path.write_bytes((line_end.join(["a,b", *rows]) + line_end).encode())
+        assert path.read_bytes()[offset:offset + len(line_end)] == line_end.encode()
+        got, stood = _load(path)
+        expected, _ = _load(path, fast=False)
+        _assert_same(got, expected)
+        assert stood and got.n_samples == len(rows)
+
+    def test_blank_line_error_is_the_row_loops(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,y\n1,2,p\n\n3,4,q\n")
+        with pytest.raises(DatasetError) as err:
+            load_csv(path, "y", "categorical")
+        assert str(err.value) == f"{path}: row 2 has 0 fields, expected 3"
+
+
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers().map(str)
+_CELLS = st.one_of(
+    _NUMBERS,
+    st.sampled_from([
+        "nan", "inf", "-Infinity", "1e500", "1_0", "0x10", " 1 ", "\t2", "", "abc", "+.5",
+        '"1.5"', '"a,b"', '"x""y"', 'a"b', '"ab"c', "1e-320", "-0", "é", "\x00", "#3",
+    ]),
+    st.text(alphabet=' ,"\r\n\t0123456789.eE+-_xa', max_size=6),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """File text, label column and label kind of small CSV files.
+
+    Half of them are well-formed numbers only, on which the fast path's
+    result stands; the other half mix in odd cells, ragged and blank rows.
+    """
+    n_fields = draw(st.integers(1, 4))
+    header = [f"c{i}" for i in range(n_fields)]
+    if draw(st.booleans()):
+        rows = st.lists(_NUMBERS, min_size=n_fields, max_size=n_fields)
+    else:
+        widths = st.sampled_from([n_fields] * 4 + [max(n_fields - 1, 1), n_fields + 1])
+        rows = widths.flatmap(lambda k: st.lists(_CELLS, min_size=k, max_size=k))
+        rows = rows | st.just([])
+    body = draw(st.lists(rows, max_size=5))
+    line_end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    tail = draw(st.sampled_from([line_end, "", line_end * 2]))
+    text = line_end.join(",".join(row) for row in [header, *body]) + tail
+    label = draw(st.sampled_from([None, *header]))
+    kind = "none" if label is None else draw(st.sampled_from(["continuous", "categorical"]))
+    return text, label, kind
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_files())
+def test_fast_path_matches_row_loop_on_generated_files(tmp_path_factory, file):
+    text, label_column, label_kind = file
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, _ = _load(path, label_column, label_kind)
+    expected, _ = _load(path, label_column, label_kind, fast=False)
+    _assert_same(got, expected)
 
 
 class TestSplit:

@@ -12,6 +12,8 @@ from somkit.som import (
     WeightGrid,
     _grid_distances,
     _neighbourhood,
+    _node_pairs,
+    _offset_distances,
     batch_update,
     bmu_histogram,
     find_bmu,
@@ -421,6 +423,56 @@ class TestBatchMapEquivalence:
         index_bytes = np.dtype(np.intp).itemsize
         # the flat index array and the count pass over it
         assert peaks[20000] - peaks[2000] <= 2 * (20000 - 2000) * index_bytes
+
+
+def add_at_batch_update(weights, X, bmus, sigma, kind):
+    """The batch update with per-node sums by np.add.at: the oracle of the bincount sums."""
+    shape, n = weights.shape[:2], weights.shape[2]
+    nodes = shape[0] * shape[1]
+    bmu_nodes = np.ravel_multi_index(tuple(bmus.T), shape)
+    count = np.zeros(nodes, dtype=int)
+    np.add.at(count, bmu_nodes, 1)
+    sums = np.zeros((nodes, n))
+    np.add.at(sums, bmu_nodes, X)
+    K = _node_pairs(kernel_values(_offset_distances(shape), sigma, kind), shape)
+    K = K.reshape(nodes, nodes)
+    mass = count @ K
+    updated = K.T @ sums
+    new = weights.reshape(nodes, n).copy()
+    ok = mass > 0
+    new[ok] = updated[ok] / mass[ok, None]
+    return new.reshape(weights.shape)
+
+
+class TestPerNodeSums:
+    """Per-node sums and counts by bincount equal np.add.at's, bit for bit."""
+
+    @pytest.mark.parametrize("shape, N, n", [((4, 5), 300, 3), ((6, 7), 1, 2),
+                                             ((40, 20), 2000, 204)])
+    @pytest.mark.parametrize("kind", ["gaussian", "mexican-hat"])
+    def test_batch_update_matches_add_at(self, shape, N, n, kind):
+        rng = np.random.default_rng([N, n])
+        weights = rng.normal(size=(*shape, n))
+        X = rng.normal(size=(N, n)) * rng.uniform(0.1, 1e3, size=n)
+        nodes = shape[0] * shape[1]
+        # the last node wins no datapoint
+        bmus = np.column_stack(np.unravel_index(rng.integers(0, nodes - 1, size=N), shape))
+        expected = add_at_batch_update(weights, X, bmus, 1.5, kind)
+        grid = WeightGrid(weights.copy())
+        batch_update(grid, X, bmus, 1.5, kind)
+        assert grid.weights.tobytes() == expected.tobytes()
+
+    def test_histogram_matches_add_at(self):
+        rng = np.random.default_rng(36)
+        grid = WeightGrid(rng.normal(size=(6, 7, 3)))
+        X = rng.normal(size=(30, 3))  # fewer rows than nodes, so some node gets none
+        bmus = transform(grid, X)
+        expected = np.zeros((6, 7), dtype=int)
+        np.add.at(expected, (bmus[:, 0], bmus[:, 1]), 1)
+        assert (expected == 0).any()
+        counts = bmu_histogram(grid, X)
+        assert counts.dtype == expected.dtype
+        np.testing.assert_array_equal(counts, expected)
 
 
 class TestFitUnsupervised:
