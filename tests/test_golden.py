@@ -6,7 +6,10 @@ resolved-config sidecar (its path entries left out) with hashes recorded
 before the code they cover was refactored. Together the cases cover the
 four metrics, both update modes, both supervised heads, both kernels, class
 weighting and every learning-rate and radius schedule kind, some of them
-set through a ``--config`` file. Pinned the same way are two
+set through a ``--config`` file. Three cases pin paths of the sampled
+training loop: an online fit whose BMU search re-ranks tied nodes, a
+mexican-hat class-weighted head whose raw flip probability leaves [0, 1] on
+both sides, and heads trained for zero iterations. Pinned the same way are two
 ``crossval --k 3`` reports, the ``predict`` sidecar, an ``evaluate`` report
 with a train section, ``export-maps`` for each head kind, predictions from
 model files of format version 1 kept under ``tests/data``, and the
@@ -25,12 +28,19 @@ purpose records the new hashes together with the reason.
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import somkit.cli
+import somkit.distances
+from somkit import seeding
 from somkit.cli import main
+from somkit.schedules import learning_rate, neighborhood_radius
+from somkit.som import SomConfig, kernel_values
+from somkit.supervised import class_weights
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -59,6 +69,14 @@ def _imbalanced_blob_data(rng):
     labels = rng.choice(3, size=200, p=[0.7, 0.2, 0.1])
     X = centers[labels] + rng.normal(size=(200, 2))
     return X, [f"c{k}" for k in labels.tolist()]
+
+
+def _two_point_data(rng):
+    """200 copies of two points: online training collapses nodes onto each
+    point, so their BMU scores tie and the search re-ranks them exactly."""
+    points = rng.uniform(0.0, 1.0, size=(2, 2))
+    X = points[rng.integers(2, size=200)]
+    return X, [repr(v) for v in X.sum(axis=1).tolist()]
 
 
 def _binary_data(rng):
@@ -131,6 +149,15 @@ CASES = {
         _blob_data, "classification",
         ["--radius-schedule", "start-end", "--radius-start", "4.5", "--radius-end", "0.5"],
         None, None),
+    "ties-online-regression": (
+        _two_point_data, "regression", ["--lr-start", "1.0"], None, None),
+    "mexican-hat-class-weighting-classification": (
+        _imbalanced_blob_data, "classification", ["--kernel", "mexican-hat", "--class-weighting"],
+        None, None),
+    "no-supervised-iterations-regression": (
+        _regression_data, "regression", ["--n-iter-supervised", "0"], None, None),
+    "no-supervised-iterations-classification": (
+        _blob_data, "classification", ["--n-iter-supervised", "0"], None, None),
     "radius-start-end-config-regression": (
         _regression_data, "regression", [],
         {"radius_schedule": "start-end", "radius_end": 0.25, "minmax_scale": True,
@@ -193,10 +220,22 @@ GOLDEN = {
         "d3b0951781129c81370beccf58b2b4a3e3e35e1ca5180300cce6c624c572879d",
         "0f3fac6f5b6f5730369c36f5e0d2d7533dbe88e4c6a9d1fda50590576ba25d65",
         "2dc1a548c579996783988df57c70fad7fe175a85696476089f1b21764dc0ff7b"),
+    "mexican-hat-class-weighting-classification": (
+        "29008a8c79683bba2f4dfc90cd9c784291a43a357a78f30939f30f10605a1355",
+        "a84a7a10ce2368c60f92add648bde4adf252ab7ad664434364ba08af5f2256ec",
+        "9bc625673df19415a04253ed2399a824fb3d90a64fc8e21619486f3b1cb349e8"),
     "mexican-hat-online-regression": (
         "5c65f88bd9f7358ba2a1931b04d9ce335489143b7640bb9d04109462f0b6cbb3",
         "a2b1425c0ffd175f7a6ba5e2aadce47ced53443875949731f4291f65f02a6bf8",
         "acf2ac80c74e9c031cd04259c98e20b8fccce605ac6ae174f93f00107eef501a"),
+    "no-supervised-iterations-classification": (
+        "673e1516f6f8d1944d86b5cd5987a170977772ff9b4324305ccae07fcaf38f11",
+        "3e470ae34811e446aacf6ecc422a81deff42aa8e0f7c96aeb78c363b005e6c11",
+        "b56e09917cc3bcb8bd27235e5778113f9fe0556fa73ebb9ba1aa9e3eb883ab51"),
+    "no-supervised-iterations-regression": (
+        "90395d0510a4bd05a05c3978fff6f7d429b68a7ce15f7a02ecaccc305832e217",
+        "6fe2a87a2b70d0586989273abf796798963168bf7565edcde1bb0a00dedc8d83",
+        "884e9a79c6b04957adb8ac0b7d392bbae217f3a57385ab84bfab0fe348a74418"),
     "radius-exponential-regression": (
         "6e5034fcc39f25df904d87cc4806e4190688a82e374831860c90344f9e31eab1",
         "e36da04abe9bd5501162f4fea528f83f6567911b0d12bbc797f29cbef5ebff4d",
@@ -213,6 +252,10 @@ GOLDEN = {
         "4b8860ba9cbfe4f6e985533c915242f1a7b7f86044bc4b56b93499495361bc41",
         "dc5cc6af8994f2a697689e6b4a388565f05cc5a0a48dd5dcd0dc7f810658edb9",
         "80fbb787057a4d3303a98181ea4472448c82d1836a19ef75de2b6405b00b3218"),
+    "ties-online-regression": (
+        "cf9013e11a3fd4b7cff914ee42e5f013f45b8f694d67c86aba5548fe3f3c2831",
+        "ad4c478c5de78edf728398a15f88cfed7a55f42e75a8dc02f537b507bf04e4f9",
+        "82063f13a1b9e14dc8ab7bd9191bafc77d546a6031f086e2813895385b83f351"),
 }
 
 # head -> sha256 of a ``crossval --k 3`` report without its resolved_config line
@@ -326,6 +369,73 @@ def _run_case(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_hashes(tmp_path, name):
     assert _run_case(tmp_path, name) == GOLDEN[name]
+
+
+def test_tie_case_reranks_during_the_online_fit(tmp_path, monkeypatch):
+    """The ties case pins outputs that went through the BMU search's exact re-rank."""
+    fitting, reranks = [], []
+    fit, paired = somkit.cli.fit_unsupervised, somkit.distances.paired_distances
+
+    def counted_fit(*args, **kwargs):
+        fitting.append(True)
+        try:
+            return fit(*args, **kwargs)
+        finally:
+            fitting.pop()
+
+    def counted_paired(*args, **kwargs):
+        reranks.extend(fitting)
+        return paired(*args, **kwargs)
+
+    monkeypatch.setattr(somkit.cli, "fit_unsupervised", counted_fit)
+    monkeypatch.setattr(somkit.distances, "paired_distances", counted_paired)
+    assert _run_case(tmp_path, "ties-online-regression") == GOLDEN["ties-online-regression"]
+    assert reranks
+
+
+class _DrawRecorder:
+    """A generator that records what ``integers`` returned."""
+
+    def __init__(self, rng):
+        self._rng, self.draws = rng, []
+
+    def integers(self, *args, **kwargs):
+        self.draws.append(self._rng.integers(*args, **kwargs))
+        return self.draws[-1]
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_class_weighting_case_takes_flip_probabilities_past_0_and_1(tmp_path, monkeypatch):
+    """In the mexican-hat class-weighting case the raw flip probability
+    class-weight x learning-rate x kernel leaves [0, 1] on both sides."""
+    recorders = []
+
+    def recording_rng(seed, phase, *extra):
+        rng = seeding.phase_rng(seed, phase, *extra)
+        if phase == "supervised":
+            recorders.append(_DrawRecorder(rng))
+            return recorders[-1]
+        return rng
+
+    monkeypatch.setattr(somkit.cli, "phase_rng", recording_rng)
+    name = "mexican-hat-class-weighting-classification"
+    assert _run_case(tmp_path, name) == GOLDEN[name]
+    (recorder,) = recorders
+    _, labels = _imbalanced_blob_data(np.random.default_rng(20190327))
+    weights = class_weights(labels, enabled=True)
+    config = SomConfig(n_row=8, n_column=8, n_iter_unsupervised=300, n_iter_supervised=300)
+    lr = replace(config.lr_schedule, t_max=300)
+    radius = replace(config.radius_schedule, t_max=300)
+    assert len(recorder.draws) == 300
+    # the kernel is 1 at the BMU
+    at_bmu = [weights[labels[j]] * learning_rate(t, lr) for t, j in enumerate(recorder.draws)]
+    assert max(at_bmu) > 1
+    # every node of an 8x8 grid has another at offset (4 or -4, 4 or -4)
+    far = [kernel_values(np.hypot(4, 4), neighborhood_radius(t, radius), "mexican-hat")
+           for t in range(300)]
+    assert min(far) < 0 and min(at_bmu) > 0
 
 
 @pytest.mark.parametrize("head", sorted(GOLDEN_CROSSVAL))
