@@ -50,7 +50,6 @@ from .som import (
     find_bmu,
     fit_unsupervised,
     init_weights,
-    kernel_matrix,
     online_update,
     quantization_error,
     transform,
@@ -58,8 +57,6 @@ from .som import (
 from .supervised import (
     ClassificationHead,
     RegressionHead,
-    apply_class_update,
-    class_change_probability,
     class_weights,
     fit_classifier,
     fit_regressor,

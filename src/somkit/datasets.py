@@ -93,6 +93,8 @@ def load_csv(path, label_column: str | None = None, label_kind: str = "none") ->
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"{path}: file is empty, expected a header row")
+        except csv.Error as err:  # a cell over csv.field_size_limit()
+            raise DatasetError(f"{path}: header row: {err}") from None
         if label_column is not None:
             if label_column not in header:
                 raise DatasetError(f"{path}: no column named {label_column!r} in header")
@@ -162,6 +164,17 @@ def _read_columns(path: Path, n_fields: int, label_idx: int | None, label_kind: 
     return X, y
 
 
+def _numbered_rows(path: Path, reader):
+    """The rows of ``reader`` numbered from 1, with a ``csv.Error`` (a cell
+    over ``csv.field_size_limit()``) raised as a DatasetError naming the row."""
+    row_no = 0
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            yield row_no, row
+    except csv.Error as err:
+        raise DatasetError(f"{path}: row {row_no + 1}: {err}") from None
+
+
 def _read_rows(path: Path, reader, header: list[str], label_idx: int | None, label_kind: str):
     """(X, y) from the data rows of ``reader``, one cell at a time.
 
@@ -171,7 +184,7 @@ def _read_rows(path: Path, reader, header: list[str], label_idx: int | None, lab
     label_column = None if label_idx is None else header[label_idx]
     rows: list[list[float]] = []
     labels: list = []
-    for row_no, row in enumerate(reader, start=1):
+    for row_no, row in _numbered_rows(path, reader):
         if len(row) != len(header):
             raise DatasetError(
                 f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}"

@@ -134,8 +134,17 @@ def _block_rows(n_nodes: int, n_features: int, metric: str) -> int:
     return max(1, BLOCK_BYTES // per_row)
 
 
-def _whitening(cov_inv, n: int) -> tuple[np.ndarray, float]:
-    """Cholesky factor L of ``cov_inv`` (cov_inv = L L^T) and sum |cov_inv_ij|."""
+def _search(metric: str, cov_inv, n: int) -> tuple:
+    """The setup of a BMU search over ``n`` features, which :func:`_bmu_block` takes.
+
+    Checks ``metric`` and returns (metric, cov_inv, L, kappa): for
+    mahalanobis the Cholesky factor L of ``cov_inv`` (cov_inv = L L^T) and
+    kappa = sum |cov_inv_ij|, else None and 1. Training prepares this once
+    per fit and :func:`somkit.som.transform` once per call.
+    """
+    check_metric(metric)
+    if metric != "mahalanobis":
+        return metric, cov_inv, None, 1.0
     v_inv = _check_cov_inv(cov_inv, n)
     try:
         # x^T V x only sees the symmetric part of V
@@ -144,18 +153,19 @@ def _whitening(cov_inv, n: int) -> tuple[np.ndarray, float]:
         raise ValueError(
             "mahalanobis needs a symmetric positive definite inverse covariance"
         ) from None
-    return L, float(np.abs(v_inv).sum())
+    return metric, cov_inv, L, float(np.abs(v_inv).sum())
 
 
-def _bmu_block(W: np.ndarray, X: np.ndarray, metric: str, cov_inv=None):
+def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
     """Flat index of the nearest row of ``W`` (nodes, n) to ``X``.
 
     ``X`` is one row (n,), giving one index, or a block (rows, n), giving
     one index per row; callers bound the rows by :func:`_block_rows`. The
-    result is what :func:`feature_distance` gives row by row, ties going to
-    the lowest index.
+    result is what :func:`feature_distance` gives row by row under the
+    metric of ``search`` (from :func:`_search`), ties going to the lowest
+    index.
     """
-    check_metric(metric)
+    metric, cov_inv, L, kappa = search
     if metric == "manhattan":
         return np.abs(W - X[..., None, :]).sum(axis=-1).argmin(axis=-1)
     if metric == "tanimoto":
@@ -173,10 +183,9 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, metric: str, cov_inv=None):
     n = X.shape[-1]
     w_norms = np.einsum("ij,ij->i", W, W)
     w_bound = w_norms.max()
-    kappa, X_w, W_w = 1.0, X, W
+    X_w, W_w = X, W
     if metric == "mahalanobis":
         # (x - w) V (x - w)^T = |x L - w L|^2: the euclidean search on whitened rows
-        L, kappa = _whitening(cov_inv, n)
         X_w, W_w = X @ L, W @ L
         w_norms = np.einsum("ij,ij->i", W_w, W_w)
     # |x_w - w_w|^2 - |x_w|^2; the row constant |x_w|^2 does not move the

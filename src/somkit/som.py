@@ -14,7 +14,6 @@ cost does not grow with the number of datapoints beyond one pass over them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,6 +23,7 @@ from .distances import (
     _as_boolean,
     _block_rows,
     _bmu_block,
+    _search,
     estimate_inverse_covariance,
     paired_distances,
 )
@@ -148,14 +148,8 @@ def init_weights(config: SomConfig, X, rng: np.random.Generator) -> WeightGrid:
 def find_bmu(grid: WeightGrid, x, metric: str = "euclidean", cov_inv=None) -> tuple[int, int]:
     """Index of the node closest to ``x``; ties go to the smallest row-major index."""
     x = _check_vector(grid, x)
-    flat_idx = int(_bmu_block(grid.flat, x, metric, cov_inv))
-    return (flat_idx // grid.n_column, flat_idx % grid.n_column)
-
-
-def grid_distance_matrix(bmu: tuple[int, int], shape: tuple[int, int]) -> np.ndarray:
-    """Euclidean grid distance from ``bmu`` to every node, shape ``shape``."""
-    rows, cols = np.indices(shape, dtype=float)
-    return np.sqrt((rows - bmu[0]) ** 2 + (cols - bmu[1]) ** 2)
+    flat_idx = int(_bmu_block(grid.flat, x, _search(metric, cov_inv, grid.feature_dim)))
+    return divmod(flat_idx, grid.n_column)
 
 
 def _offset_distances(shape: tuple[int, int]) -> np.ndarray:
@@ -178,17 +172,14 @@ def _node_pairs(offset_table: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return sliding_window_view(offset_table, shape)[::-1, ::-1]
 
 
-@lru_cache(maxsize=1)
-def _grid_distances(shape: tuple[int, int]) -> np.ndarray:
-    """Grid distance between every two nodes, shape (*shape, *shape), read-only.
+def _neg_squared_distances(shape: tuple[int, int]) -> np.ndarray:
+    """-d^2 for the grid distance d between every two nodes, shape (*shape, *shape).
 
-    Entry ``[r, c]`` equals ``grid_distance_matrix((r, c), shape)`` bit for
-    bit: both are the square root of a sum of squared whole-number offsets.
-    The table is a view of the distances of all (2 n_row - 1) x
-    (2 n_column - 1) offsets, so it takes O(nodes) memory, not O(nodes^2).
-    Grid distance is fixed for a grid, so the last shape's table is kept.
+    A read-only view of a table over the (2 n_row - 1) x (2 n_column - 1)
+    node offsets, so it takes O(nodes) memory. It squares the distance, as
+    :func:`kernel_values` does, not the offsets: sqrt(2) ** 2 is not 2.
     """
-    return _node_pairs(_offset_distances(shape), shape)
+    return _node_pairs(-(_offset_distances(shape) ** 2), shape)
 
 
 def kernel_values(d: np.ndarray, sigma: float, kind: str) -> np.ndarray:
@@ -197,30 +188,37 @@ def kernel_values(d: np.ndarray, sigma: float, kind: str) -> np.ndarray:
     "gaussian" is exp(-d^2 / (2 sigma^2)); "mexican-hat" multiplies that by
     (1 - d^2 / sigma^2) and goes negative beyond d = sigma.
     """
-    if kind not in KERNELS:
-        raise ValueError(f"unknown kernel {kind!r}, expected one of {KERNELS}")
+    _check_kernel(kind)
     if sigma < RADIUS_FLOOR:
         raise ValueError(f"sigma must be >= {RADIUS_FLOOR}, got {sigma}")
-    d2 = np.asarray(d, dtype=float) ** 2
-    gauss = np.exp(-d2 / (2.0 * sigma * sigma))
-    if kind == "gaussian":
+    return _kernel(-(np.asarray(d, dtype=float) ** 2), sigma, kind == "mexican-hat")
+
+
+def _check_kernel(kind: str) -> None:
+    if kind not in KERNELS:
+        raise ValueError(f"unknown kernel {kind!r}, expected one of {KERNELS}")
+
+
+def _kernel(neg_d2: np.ndarray, sigma: float, mexican_hat: bool) -> np.ndarray:
+    """:func:`kernel_values` from -d^2 and a checked sigma."""
+    # negation is exact, so these are the bits of exp(-d^2 / (2 sigma^2)) and
+    # (1 - d^2 / sigma^2) exp(...)
+    gauss = np.exp(neg_d2 / (2.0 * sigma * sigma))
+    if not mexican_hat:
         return gauss
-    return (1.0 - d2 / (sigma * sigma)) * gauss
-
-
-def kernel_matrix(
-    bmu: tuple[int, int], sigma: float, kind: str, shape: tuple[int, int]
-) -> np.ndarray:
-    """Kernel weight between the BMU and every node on a grid of ``shape``."""
-    return kernel_values(grid_distance_matrix(bmu, shape), sigma, kind)
+    return (1.0 + neg_d2 / (sigma * sigma)) * gauss
 
 
 def online_update(grid: WeightGrid, x, alpha: float, h: np.ndarray) -> WeightGrid:
     """Pull every node weight toward ``x`` by ``alpha * h``; updates in place."""
-    delta = np.subtract(_check_vector(grid, x), grid.weights)
-    delta *= alpha * h[:, :, None]
-    grid.weights += delta
+    _pull(grid.weights, _check_vector(grid, x), alpha, h)
     return grid
+
+
+def _pull(weights: np.ndarray, x: np.ndarray, alpha: float, h: np.ndarray) -> None:
+    delta = np.subtract(x, weights)
+    delta *= alpha * h[:, :, None]
+    weights += delta
 
 
 def batch_update(
@@ -263,23 +261,30 @@ def batch_update(
     return grid
 
 
-def _neighbourhood(config: SomConfig, t_max: int):
-    """The update step every trainer shares, over ``max(t_max, 1)`` iterations.
+def _sampled_loop(config: SomConfig, t_max: int, rng: np.random.Generator, n: int,
+                  bmu, update) -> None:
+    """The training loop of the online map and of both supervised heads.
 
-    Returns ``step(t, row, column)``: the learning rate alpha(t) and the
-    kernel h, shaped like the grid, around BMU (row, column) at radius
-    sigma(t).
+    Each of ``t_max`` iterations draws a datapoint j = ``rng.integers(n)``,
+    takes its BMU (row, column) = ``bmu(j)`` and calls ``update(j, alpha, h)``
+    with the learning rate alpha(t) and the kernel h around the BMU at
+    radius sigma(t), shaped like the grid. The schedules run over
+    ``max(t_max, 1)`` iterations and are evaluated before the first one; h
+    is read off a table of -d^2 over node offsets, in O(nodes) memory.
     """
-    t_max = max(t_max, 1)
-    lr_spec = replace(config.lr_schedule, t_max=t_max)
-    radius_spec = replace(config.radius_schedule, t_max=t_max)
-    distances, kind = _grid_distances(config.grid_shape), config.kernel
-
-    def step(t: int, row: int, column: int) -> tuple[float, np.ndarray]:
-        h = kernel_values(distances[row, column], neighborhood_radius(t, radius_spec), kind)
-        return learning_rate(t, lr_spec), h
-
-    return step
+    _check_kernel(config.kernel)
+    mexican_hat = config.kernel == "mexican-hat"
+    horizon = max(t_max, 1)
+    lr_spec = replace(config.lr_schedule, t_max=horizon)
+    radius_spec = replace(config.radius_schedule, t_max=horizon)
+    alphas = np.fromiter((learning_rate(t, lr_spec) for t in range(t_max)), float, t_max)
+    sigmas = np.fromiter((neighborhood_radius(t, radius_spec) for t in range(t_max)), float, t_max)
+    neg_d2 = _neg_squared_distances(config.grid_shape)
+    draw = rng.integers
+    for alpha, sigma in zip(alphas, sigmas):
+        j = draw(n)
+        row, column = bmu(j)
+        update(j, alpha, _kernel(neg_d2[row, column], sigma, mexican_hat))
 
 
 def fit_unsupervised(
@@ -305,11 +310,12 @@ def fit_unsupervised(
     grid = init_weights(config, X, rng)
     t_max = config.n_iter_unsupervised
     if config.update_mode == "online":
-        step = _neighbourhood(config, t_max)
-        for t in range(t_max):
-            x = X[rng.integers(X.shape[0])]
-            row, column = find_bmu(grid, x, config.metric, cov_inv)
-            online_update(grid, x, *step(t, row, column))
+        W, search = grid.flat, _search(config.metric, cov_inv, X.shape[1])
+        _sampled_loop(
+            config, t_max, rng, X.shape[0],
+            lambda j: divmod(int(_bmu_block(W, X[j], search)), config.n_column),
+            lambda j, alpha, h: _pull(grid.weights, X[j], alpha, h),
+        )
     else:
         radius_spec = replace(config.radius_schedule, t_max=t_max)
         for t in range(t_max):
@@ -328,10 +334,11 @@ def transform(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> n
         )
     if metric == "tanimoto":
         _as_boolean(X, "data")  # all rows at once, so an error names a row of X
+    search = _search(metric, cov_inv, grid.feature_dim)
     chunk = _block_rows(grid.n_row * grid.n_column, grid.feature_dim, metric)
     out = np.empty((X.shape[0], 2), dtype=int)
     for start in range(0, X.shape[0], chunk):
-        flat_idx = _bmu_block(grid.flat, X[start : start + chunk], metric, cov_inv)
+        flat_idx = _bmu_block(grid.flat, X[start : start + chunk], search)
         out[start : start + chunk, 0] = flat_idx // grid.n_column
         out[start : start + chunk, 1] = flat_idx % grid.n_column
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .som import SomConfig, WeightGrid, _neighbourhood, transform
+from .som import SomConfig, WeightGrid, _sampled_loop, transform
 
 
 @dataclass
@@ -95,11 +95,11 @@ def fit_regressor(
     # The unsupervised grid is fully trained, so each datapoint's BMU is
     # fixed; compute them once.
     bmus = transform(unsup, X, config.metric, cov_inv)
-    step = _neighbourhood(config, config.n_iter_supervised)
-    for t in range(config.n_iter_supervised):
-        j = rng.integers(X.shape[0])
-        alpha, h = step(t, *bmus[j])
+
+    def update(j, alpha, h):
         head.values += alpha * h * (y[j] - head.values)
+
+    _sampled_loop(config, config.n_iter_supervised, rng, X.shape[0], bmus.__getitem__, update)
     return head
 
 
@@ -170,27 +170,6 @@ def class_weights(y, enabled: bool) -> dict:
     }
 
 
-def class_change_probability(w_y: float, alpha: float, h: np.ndarray) -> np.ndarray:
-    """Per-node probability of adopting the current label.
-
-    The raw product class-weight x learning-rate x kernel can leave [0, 1]
-    (large class weights, or the mexican-hat negative lobe); it is clamped.
-    """
-    return np.clip(w_y * alpha * h, 0.0, 1.0)
-
-
-def apply_class_update(
-    head: ClassificationHead, P: np.ndarray, y_code: int, rng: np.random.Generator
-) -> ClassificationHead:
-    """Flip each node to class ``y_code`` where a uniform draw lands below P.
-
-    Draws one uniform number per node; updates in place.
-    """
-    u = rng.random(head.codes.shape)
-    head.codes[u < P] = y_code
-    return head
-
-
 def fit_classifier(
     unsup: WeightGrid, X, y, config: SomConfig, rng: np.random.Generator, cov_inv=None
 ) -> ClassificationHead:
@@ -203,12 +182,16 @@ def fit_classifier(
     weight_by_label = class_weights(y, config.class_weighting)
     code_weights = np.array([weight_by_label[cls] for cls in class_set.tolist()])
 
-    step = _neighbourhood(config, config.n_iter_supervised)
-    for t in range(config.n_iter_supervised):
-        j = rng.integers(X.shape[0])
+    def update(j, alpha, h):
+        # Each node flips to the sampled class where a uniform draw u lands
+        # below P = class weight x alpha x h. P leaves [0, 1] for large
+        # class weights and in the mexican hat's negative lobe; it needs no
+        # clamp, since u in [0, 1) is below P exactly when it is below
+        # clip(P, 0, 1).
         code = y_codes[j]
-        P = class_change_probability(code_weights[code], *step(t, *bmus[j]))
-        apply_class_update(head, P, code, rng)
+        head.codes[rng.random(head.codes.shape) < code_weights[code] * alpha * h] = code
+
+    _sampled_loop(config, config.n_iter_supervised, rng, X.shape[0], bmus.__getitem__, update)
     return head
 
 

@@ -25,16 +25,17 @@ from somkit.metrics import (
 )
 from somkit.schedules import RADIUS_KINDS, LEARNING_RATE_KINDS, ScheduleSpec, learning_rate, neighborhood_radius
 from somkit.seeding import phase_rng
-from somkit.som import SomConfig, WeightGrid, find_bmu, fit_unsupervised, grid_distance_matrix, kernel_matrix
+from somkit.som import SomConfig, WeightGrid, find_bmu, fit_unsupervised
 from somkit.supervised import (
-    ClassificationHead,
-    apply_class_update,
     class_weights,
     fit_classifier,
     fit_regressor,
     predict_classification,
     predict_regression,
 )
+
+from oracles import grid_distance_matrix, kernel_matrix
+from test_supervised import constant_p, flips_toward_sampled_class
 
 
 def check(name: str, ok: bool, detail: str = ""):
@@ -157,14 +158,11 @@ def test_stochastic_update_calibration():
     rng = np.random.default_rng(99)
     worst = 0.0
     for p in (0.1, 0.5, 0.9):
-        flips = np.zeros((5, 5))
-        P = np.full((5, 5), p)
-        head = ClassificationHead(np.zeros((5, 5), dtype=int), np.array([0, 1]))
-        for _ in range(10_000):
-            head.codes[:] = 0
-            apply_class_update(head, P, 1, rng)
-            flips += head.codes
-        worst = max(worst, float(np.abs(flips / 10_000 - p).max()))
+        # 10000 trials on a 5x5 grid as one classifier iteration at P = p on a
+        # (10000 * 5) x 5 grid, whose draws fill it row by row
+        flips = flips_toward_sampled_class((50_000, 5), rng, **constant_p(p))
+        freq = flips.reshape(10_000, 5, 5).mean(axis=0)
+        worst = max(worst, float(np.abs(freq - p).max()))
     check(
         "class-update flip frequency within 0.02 of P over 10000 trials",
         worst <= 0.02,

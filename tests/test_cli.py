@@ -72,6 +72,17 @@ class TestTrain:
                    "--model", str(tmp_path / "m.json"), *FAST])
         assert rc == 2
 
+    @pytest.mark.parametrize("line, where", [(0, "header row"), (2, "row 2")])
+    def test_cell_over_the_csv_field_limit_is_data_error(self, tmp_path, capsys, line, where):
+        lines = ["f0,f1", "0.5,1.5", "2.5,3.5"]
+        lines[line] = lines[line].split(",")[0] + "," + "1" * 200_000
+        data = tmp_path / "big.csv"
+        data.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--data", str(data), "--model", str(tmp_path / "m.json"), *FAST])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"somkit: data error: {data}: {where}: field larger than field limit (131072)\n")
+
     def test_bad_flag_value_is_usage_error(self, tmp_path, reg_csv):
         rc = main(["train", "--data", str(reg_csv), "--model", str(tmp_path / "m.json"),
                    "--lr-start", "-0.5", *FAST])

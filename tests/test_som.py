@@ -6,26 +6,34 @@ import numpy as np
 import pytest
 
 from somkit.distances import _block_rows, estimate_inverse_covariance, feature_distance
-from somkit.schedules import ScheduleSpec, learning_rate, neighborhood_radius
+from somkit.schedules import (
+    LEARNING_RATE_KINDS,
+    RADIUS_KINDS,
+    ScheduleSpec,
+    learning_rate,
+    neighborhood_radius,
+)
 from somkit.som import (
     SomConfig,
     WeightGrid,
-    _grid_distances,
-    _neighbourhood,
+    _neg_squared_distances,
     _node_pairs,
     _offset_distances,
+    _sampled_loop,
     batch_update,
     bmu_histogram,
     find_bmu,
     fit_unsupervised,
-    grid_distance_matrix,
     init_weights,
-    kernel_matrix,
     kernel_values,
     online_update,
     quantization_error,
     transform,
 )
+from somkit.supervised import fit_classifier, fit_regressor
+
+import oracles
+from oracles import add_at_batch_update, grid_distance_matrix, kernel_matrix
 
 
 def small_config(**kw):
@@ -197,8 +205,6 @@ class TestKernelMatrix:
 
     def test_gaussian_radially_non_increasing(self):
         h = kernel_matrix((2, 2), 1.7, "gaussian", (9, 9))
-        from somkit.som import grid_distance_matrix
-
         d = grid_distance_matrix((2, 2), (9, 9))
         order = np.argsort(d.ravel())
         values = h.ravel()[order]
@@ -210,29 +216,46 @@ class TestKernelMatrix:
             kernel_matrix((0, 0), 1e-9, "gaussian", (3, 3))
 
 
+def run_loop(cfg, t_max, bmus, n=7, seed=0):
+    """(j, alpha, h) of each iteration of the sampled loop, whose BMU at
+    iteration t is ``bmus[t]``, and the loop's generator afterwards."""
+    rng, picks, steps = np.random.default_rng(seed), iter(bmus), []
+    _sampled_loop(cfg, t_max, rng, n, lambda j: next(picks),
+                  lambda j, alpha, h: steps.append((j, alpha, h.copy())))
+    return steps, rng
+
+
 class TestNeighbourhoodStep:
     @pytest.mark.parametrize("shape", [(20, 20), (40, 20), (1, 7), (3, 5)])
     def test_distance_table_equals_grid_distance_matrix(self, shape):
-        table = _grid_distances(shape)
+        table = _neg_squared_distances(shape)
         assert table.shape == (*shape, *shape)
         assert not table.flags.writeable
         for bmu in np.ndindex(shape):
-            assert table[bmu].tobytes() == grid_distance_matrix(bmu, shape).tobytes()
+            assert table[bmu].tobytes() == (-(grid_distance_matrix(bmu, shape) ** 2)).tobytes()
 
     @pytest.mark.parametrize("kind", ["gaussian", "mexican-hat"])
     def test_step_equals_schedules_and_kernel_matrix(self, kind):
         lr, radius = ScheduleSpec("power", 0.7), ScheduleSpec("exponential", 2.5)
         cfg = SomConfig(n_row=6, n_column=4, kernel=kind, lr_schedule=lr, radius_schedule=radius)
-        step = _neighbourhood(cfg, 30)
+        bmus = [(0, 0), (5, 3)] + [divmod(k, 4) for k in np.random.default_rng(1).integers(24, size=28)]
+        steps, rng = run_loop(cfg, 30, bmus)
         lr, radius = replace(lr, t_max=30), replace(radius, t_max=30)
-        for t, bmu in [(0, (0, 0)), (7, (3, 1)), (29, (5, 3)), (30, (1, 1))]:
-            alpha, h = step(t, *bmu)
+        replay = np.random.default_rng(0)
+        assert len(steps) == 30
+        for t, (bmu, (j, alpha, h)) in enumerate(zip(bmus, steps)):
             expected = kernel_matrix(bmu, neighborhood_radius(t, radius), kind, (6, 4))
+            assert j == replay.integers(7)
             assert alpha == learning_rate(t, lr)
             assert h.tobytes() == expected.tobytes() and h.shape == (6, 4)
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_zero_iterations_still_define_schedules(self):
-        alpha, h = _neighbourhood(SomConfig(n_iter_supervised=0), 0)(0, 0, 0)
+        cfg = SomConfig(n_iter_supervised=0)
+        steps, rng = run_loop(cfg, 0, [])
+        assert steps == []
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+        ((_, alpha, h),), _ = run_loop(cfg, 1, [(0, 0)])
         assert alpha == 0.5 and h.shape == (10, 10)
 
 
@@ -326,7 +349,7 @@ def dense_batch_update(weights, X, bmus, sigma, kind):
     """
     shape, n = weights.shape[:2], weights.shape[2]
     nodes = shape[0] * shape[1]
-    d = _grid_distances(shape)[bmus[:, 0], bmus[:, 1]]
+    d = oracles._grid_distances(shape)[bmus[:, 0], bmus[:, 1]]
     h = kernel_values(d.reshape(len(X), -1), sigma, kind)
     mass = h.sum(axis=0)
     new = weights.reshape(nodes, n).copy()
@@ -425,23 +448,58 @@ class TestBatchMapEquivalence:
         assert peaks[20000] - peaks[2000] <= 2 * (20000 - 2000) * index_bytes
 
 
-def add_at_batch_update(weights, X, bmus, sigma, kind):
-    """The batch update with per-node sums by np.add.at: the oracle of the bincount sums."""
-    shape, n = weights.shape[:2], weights.shape[2]
-    nodes = shape[0] * shape[1]
-    bmu_nodes = np.ravel_multi_index(tuple(bmus.T), shape)
-    count = np.zeros(nodes, dtype=int)
-    np.add.at(count, bmu_nodes, 1)
-    sums = np.zeros((nodes, n))
-    np.add.at(sums, bmu_nodes, X)
-    K = _node_pairs(kernel_values(_offset_distances(shape), sigma, kind), shape)
-    K = K.reshape(nodes, nodes)
-    mass = count @ K
-    updated = K.T @ sums
-    new = weights.reshape(nodes, n).copy()
-    ok = mass > 0
-    new[ok] = updated[ok] / mass[ok, None]
-    return new.reshape(weights.shape)
+def _loop_data(kind):
+    """60 rows of 3 features, continuous targets and imbalanced class labels.
+
+    "ties" holds two distinct rows only. Online training at a learning rate
+    of 1 collapses nodes onto them, so BMU search re-ranks tied nodes: 14
+    and 43 times in the gaussian euclidean and mahalanobis maps of the power
+    schedule with the linear radius.
+    """
+    rng = np.random.default_rng(31)
+    labels = rng.choice(3, size=60, p=[0.6, 0.3, 0.1])
+    if kind == "ties":
+        X = rng.uniform(size=(2, 3))[labels % 2]
+    else:
+        X = rng.normal(size=(60, 3)) + 4.0 * np.eye(3)[labels]
+    return X, X.sum(axis=1), np.array(["a", "b", "c"])[labels]
+
+
+class TestSampledLoopMatchesParentLoops:
+    """The one sampled loop gives the bits and the generator state of the
+    three loops it replaced, kept in ``oracles``."""
+
+    @staticmethod
+    def fits(fit_map, fit_reg, fit_cls, X, y, labels, cfg, cov_inv):
+        rngs = [np.random.default_rng(s) for s in (1, 2, 3, 4)]
+        grid, cov = fit_map(X, cfg, rngs[0], cov_inv)
+        unsup = WeightGrid(grid.weights.copy())
+        values = fit_reg(unsup, X, y, cfg, rngs[1], cov).values
+        codes = fit_cls(unsup, X, labels, cfg, rngs[2], cov).codes
+        weighted = fit_cls(unsup, X, labels, replace(cfg, class_weighting=True), rngs[3], cov)
+        return ([grid.weights.tobytes(), values.tobytes(), codes.tobytes(),
+                 weighted.codes.tobytes()], [r.bit_generator.state for r in rngs])
+
+    @pytest.mark.parametrize("iterations", [(60, 30), (1, 1), (1, 0)])
+    @pytest.mark.parametrize("data", ["blobs", "ties"])
+    @pytest.mark.parametrize("kernel", ["gaussian", "mexican-hat"])
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "mahalanobis"])
+    def test_fits_are_bit_equal(self, metric, kernel, data, iterations):
+        X, y, labels = _loop_data(data)
+        cov_inv = estimate_inverse_covariance(_loop_data("blobs")[0]) if metric == "mahalanobis" else None
+        lr_start = 1.0 if data == "ties" else 0.6
+        for lr_kind in LEARNING_RATE_KINDS:
+            for radius_kind in RADIUS_KINDS:
+                cfg = SomConfig(
+                    n_row=4, n_column=5, n_iter_unsupervised=iterations[0],
+                    n_iter_supervised=iterations[1], metric=metric, kernel=kernel,
+                    lr_schedule=ScheduleSpec(lr_kind, lr_start, 0.05),
+                    radius_schedule=ScheduleSpec(radius_kind, 2.5, 0.5))
+                new = self.fits(fit_unsupervised, fit_regressor, fit_classifier,
+                                X, y, labels, cfg, cov_inv)
+                old = self.fits(oracles.fit_unsupervised, oracles.fit_regressor,
+                                oracles.fit_classifier, X, y, labels, cfg, cov_inv)
+                assert new == old, (lr_kind, radius_kind)
 
 
 class TestPerNodeSums:
@@ -494,8 +552,6 @@ class TestFitUnsupervised:
         assert dev < 1e-3  # init deviation is 0 for constant data ranges
 
     def test_single_step_only_touches_neighborhood(self):
-        from somkit.som import grid_distance_matrix
-
         rng = np.random.default_rng(21)
         X = rng.uniform(size=(2, 2)) * [[1, 1], [20, 20]]  # two distant points
         cfg = small_config(

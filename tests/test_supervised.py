@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from somkit.schedules import ScheduleSpec
-from somkit.som import SomConfig, WeightGrid, _neighbourhood, fit_unsupervised, transform
+from somkit.som import SomConfig, WeightGrid, _sampled_loop, fit_unsupervised, transform
 from somkit.supervised import (
-    apply_class_update,
-    class_change_probability,
     class_weights,
     fit_classifier,
     fit_regressor,
@@ -210,6 +208,43 @@ class TestClassWeights:
             assert total == pytest.approx(len(y), abs=1e-9)
 
 
+class SampledRow:
+    """A generator whose ``integers`` always draws row ``j``; its other draws are ``rng``'s."""
+
+    def __init__(self, j, rng):
+        self.j, self.rng = j, rng
+
+    def integers(self, n):
+        return self.j
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def flips_toward_sampled_class(shape, rng, **config):
+    """Nodes that one classifier iteration moves from class "A" to the sampled "B".
+
+    All three rows map to node (0, 0), where two "A" rows outvote the "B"
+    row, so every node starts as "A"; the iteration samples the "B" row.
+    """
+    weights = np.ones((*shape, 1))
+    weights[0, 0] = 0.0
+    cfg = SomConfig(n_row=shape[0], n_column=shape[1], n_iter_supervised=1, **config)
+    head = fit_classifier(WeightGrid(weights), np.zeros((3, 1)), np.array(["B", "A", "A"]),
+                          cfg, SampledRow(0, rng))
+    return head.classes == "B"
+
+
+def constant_p(p):
+    """Schedules of a flip probability of exactly ``p`` on every node at t = 0.
+
+    At radius 1e13 the kernel rounds to exactly 1 on every node of the grids
+    used here, up to 50000 x 5.
+    """
+    return dict(lr_schedule=ScheduleSpec("start-end", p, p),
+                radius_schedule=ScheduleSpec("linear", 1e13))
+
+
 class TestClassChangeProbability:
     def make_config(self, lr_start=0.5):
         return SomConfig(
@@ -223,14 +258,11 @@ class TestClassChangeProbability:
 
     @staticmethod
     def probability(cfg, bmu, t, w_y):
-        """P as fit_classifier computes it at iteration ``t``."""
-        step = _neighbourhood(cfg, cfg.n_iter_supervised)
-        return class_change_probability(w_y, *step(t, *bmu))
-
-    def test_zero_alpha_gives_zero_grid(self):
-        cfg = self.make_config()
-        P = self.probability(cfg, (1, 1), 10, 1.0)  # linear lr hits 0 at t_max
-        np.testing.assert_array_equal(P, np.zeros((3, 3)))
+        """Raw flip probability w_y x alpha x h at iteration ``t`` of the sampled loop."""
+        steps = []
+        _sampled_loop(cfg, cfg.n_iter_supervised, np.random.default_rng(0), 1,
+                      lambda j: bmu, lambda j, alpha, h: steps.append(w_y * alpha * h))
+        return steps[t]
 
     def test_product_at_bmu(self):
         cfg = self.make_config(lr_start=0.5)
@@ -240,8 +272,14 @@ class TestClassChangeProbability:
     def test_clamped_to_one(self):
         cfg = self.make_config(lr_start=0.5)
         P = self.probability(cfg, (1, 1), 0, 4.0)
-        assert P[1, 1] == 1.0
-        assert P.max() <= 1.0 and P.min() >= 0.0
+        assert P[1, 1] == 2.0
+        # a raw probability of 1 or more flips its node on every draw: the
+        # "B" row's class weight is 1.5, so P is 1.2 at the BMU
+        config = dict(class_weighting=True, lr_schedule=ScheduleSpec("start-end", 0.8, 0.8),
+                      radius_schedule=ScheduleSpec("linear", 1.5))
+        rng = np.random.default_rng(4)
+        flips = [flips_toward_sampled_class((3, 3), rng, **config) for _ in range(200)]
+        assert all(f[0, 0] for f in flips) and not all(f.all() for f in flips)
 
     def test_mexican_hat_negative_lobe_clamped_to_zero(self):
         cfg = SomConfig(
@@ -254,35 +292,40 @@ class TestClassChangeProbability:
             radius_schedule=ScheduleSpec("linear", 2.0, t_max=10),
         )
         P = self.probability(cfg, (0, 0), 0, 1.0)
-        assert P.min() == 0.0
+        assert P.min() < 0.0
+        # nodes where P <= 0 never flip; P is positive within radius 2
+        config = dict(kernel="mexican-hat", lr_schedule=ScheduleSpec("start-end", 1.0, 1.0),
+                      radius_schedule=ScheduleSpec("linear", 2.0))
+        rng = np.random.default_rng(5)
+        flips = sum(flips_toward_sampled_class((1, 9), rng, **config) for _ in range(200))
+        np.testing.assert_array_equal(flips[0, 2:], 0)
+        assert flips[0, :2].min() > 0
 
 
 class TestApplyClassUpdate:
     def test_zero_probability_leaves_head(self):
-        head = ClassificationHead(np.zeros((4, 4), dtype=int), np.array(["A", "B"]))
-        apply_class_update(head, np.zeros((4, 4)), 1, np.random.default_rng(0))
-        assert head.codes.sum() == 0
+        # at the floor radius the kernel, and so P, is 0 off the BMU (0, 0)
+        config = dict(lr_schedule=ScheduleSpec("start-end", 1.0, 1.0),
+                      radius_schedule=ScheduleSpec("linear", 1e-6))
+        flips = flips_toward_sampled_class((4, 4), np.random.default_rng(0), **config)
+        assert flips[0, 0] and flips.sum() == 1
 
     def test_probability_one_flips_everything(self):
-        head = ClassificationHead(np.zeros((4, 4), dtype=int), np.array(["A", "B"]))
-        apply_class_update(head, np.ones((4, 4)), 1, np.random.default_rng(0))
-        assert np.all(head.codes == 1)
+        flips = flips_toward_sampled_class((4, 4), np.random.default_rng(0), **constant_p(1.0))
+        assert np.all(flips)
 
     def test_half_probability_on_large_grid(self):
-        head = ClassificationHead(np.zeros((100, 100), dtype=int), np.array(["A", "B"]))
-        apply_class_update(head, np.full((100, 100), 0.5), 1, np.random.default_rng(1))
-        frac = head.codes.mean()
+        flips = flips_toward_sampled_class((100, 100), np.random.default_rng(1), **constant_p(0.5))
+        frac = flips.mean()
         assert 0.48 <= frac <= 0.52
 
     def test_per_node_flip_frequency_matches_p(self):
+        # 10000 trials on a 5x5 grid as one iteration on a (10000 * 5) x 5
+        # grid: P is p on every node, and the draws fill the grid row by row
         rng = np.random.default_rng(7)
         for p in (0.1, 0.5, 0.9):
-            flips = np.zeros((5, 5))
-            for _ in range(10_000):
-                head = ClassificationHead(np.zeros((5, 5), dtype=int), np.array([0, 1]))
-                apply_class_update(head, np.full((5, 5), p), 1, rng)
-                flips += head.codes
-            freq = flips / 10_000
+            flips = flips_toward_sampled_class((50_000, 5), rng, **constant_p(p))
+            freq = flips.reshape(10_000, 5, 5).mean(axis=0)
             assert np.abs(freq - p).max() <= 0.02
 
 
