@@ -135,12 +135,10 @@ def _block_rows(n_nodes: int, n_features: int, metric: str) -> int:
 
 
 def _search(metric: str, cov_inv, n: int) -> tuple:
-    """The setup of a BMU search over ``n`` features, which :func:`_bmu_block` takes.
+    """(metric, cov_inv, L, kappa) for :func:`_bmu_block`, prepared once per fit or call.
 
-    Checks ``metric`` and returns (metric, cov_inv, L, kappa): for
-    mahalanobis the Cholesky factor L of ``cov_inv`` (cov_inv = L L^T) and
-    kappa = sum |cov_inv_ij|, else None and 1. Training prepares this once
-    per fit and :func:`somkit.som.transform` once per call.
+    For mahalanobis L is the Cholesky factor of cov_inv = L L^T and kappa is
+    sum |cov_inv_ij|; for the other metrics they are None and 1.
     """
     check_metric(metric)
     if metric != "mahalanobis":

@@ -173,12 +173,9 @@ def _node_pairs(offset_table: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _neg_squared_distances(shape: tuple[int, int]) -> np.ndarray:
-    """-d^2 for the grid distance d between every two nodes, shape (*shape, *shape).
-
-    A read-only view of a table over the (2 n_row - 1) x (2 n_column - 1)
-    node offsets, so it takes O(nodes) memory. It squares the distance, as
-    :func:`kernel_values` does, not the offsets: sqrt(2) ** 2 is not 2.
-    """
+    """-d^2 for grid distance d between every two nodes, shape (*shape, *shape):
+    a read-only view of a table over node offsets, O(nodes) in memory. Like
+    :func:`kernel_values` it squares d, not the offsets: sqrt(2) ** 2 is not 2."""
     return _node_pairs(-(_offset_distances(shape) ** 2), shape)
 
 
@@ -201,8 +198,7 @@ def _check_kernel(kind: str) -> None:
 
 def _kernel(neg_d2: np.ndarray, sigma: float, mexican_hat: bool) -> np.ndarray:
     """:func:`kernel_values` from -d^2 and a checked sigma."""
-    # negation is exact, so these are the bits of exp(-d^2 / (2 sigma^2)) and
-    # (1 - d^2 / sigma^2) exp(...)
+    # negation is exact, so these are the bits of the formulas with d^2
     gauss = np.exp(neg_d2 / (2.0 * sigma * sigma))
     if not mexican_hat:
         return gauss
@@ -267,10 +263,9 @@ def _sampled_loop(config: SomConfig, t_max: int, rng: np.random.Generator, n: in
 
     Each of ``t_max`` iterations draws a datapoint j = ``rng.integers(n)``,
     takes its BMU (row, column) = ``bmu(j)`` and calls ``update(j, alpha, h)``
-    with the learning rate alpha(t) and the kernel h around the BMU at
-    radius sigma(t), shaped like the grid. The schedules run over
-    ``max(t_max, 1)`` iterations and are evaluated before the first one; h
-    is read off a table of -d^2 over node offsets, in O(nodes) memory.
+    with the learning rate alpha(t) and the grid-shaped kernel h around the
+    BMU at radius sigma(t). The schedules, over ``max(t_max, 1)``
+    iterations, are evaluated before the first iteration.
     """
     _check_kernel(config.kernel)
     mexican_hat = config.kernel == "mexican-hat"
@@ -311,11 +306,9 @@ def fit_unsupervised(
     t_max = config.n_iter_unsupervised
     if config.update_mode == "online":
         W, search = grid.flat, _search(config.metric, cov_inv, X.shape[1])
-        _sampled_loop(
-            config, t_max, rng, X.shape[0],
-            lambda j: divmod(int(_bmu_block(W, X[j], search)), config.n_column),
-            lambda j, alpha, h: _pull(grid.weights, X[j], alpha, h),
-        )
+        _sampled_loop(config, t_max, rng, X.shape[0],
+                      lambda j: divmod(int(_bmu_block(W, X[j], search)), config.n_column),
+                      lambda j, alpha, h: _pull(grid.weights, X[j], alpha, h))
     else:
         radius_spec = replace(config.radius_schedule, t_max=t_max)
         for t in range(t_max):

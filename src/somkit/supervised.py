@@ -183,11 +183,9 @@ def fit_classifier(
     code_weights = np.array([weight_by_label[cls] for cls in class_set.tolist()])
 
     def update(j, alpha, h):
-        # Each node flips to the sampled class where a uniform draw u lands
-        # below P = class weight x alpha x h. P leaves [0, 1] for large
-        # class weights and in the mexican hat's negative lobe; it needs no
-        # clamp, since u in [0, 1) is below P exactly when it is below
-        # clip(P, 0, 1).
+        # A node flips where a uniform draw u lands below P = class weight x
+        # alpha x h. P leaves [0, 1] but needs no clamp: u in [0, 1) is below
+        # P exactly when it is below clip(P, 0, 1).
         code = y_codes[j]
         head.codes[rng.random(head.codes.shape) < code_weights[code] * alpha * h] = code
 

@@ -17,8 +17,6 @@ from somkit.som import (
     SomConfig,
     WeightGrid,
     _neg_squared_distances,
-    _node_pairs,
-    _offset_distances,
     _sampled_loop,
     batch_update,
     bmu_histogram,
@@ -238,7 +236,8 @@ class TestNeighbourhoodStep:
     def test_step_equals_schedules_and_kernel_matrix(self, kind):
         lr, radius = ScheduleSpec("power", 0.7), ScheduleSpec("exponential", 2.5)
         cfg = SomConfig(n_row=6, n_column=4, kernel=kind, lr_schedule=lr, radius_schedule=radius)
-        bmus = [(0, 0), (5, 3)] + [divmod(k, 4) for k in np.random.default_rng(1).integers(24, size=28)]
+        picks = np.random.default_rng(1).integers(24, size=28)
+        bmus = [(0, 0), (5, 3)] + [divmod(k, 4) for k in picks]
         steps, rng = run_loop(cfg, 30, bmus)
         lr, radius = replace(lr, t_max=30), replace(radius, t_max=30)
         replay = np.random.default_rng(0)
@@ -465,7 +464,7 @@ def _loop_data(kind):
     return X, X.sum(axis=1), np.array(["a", "b", "c"])[labels]
 
 
-class TestSampledLoopMatchesParentLoops:
+class TestSampledLoopMatchesReplacedLoops:
     """The one sampled loop gives the bits and the generator state of the
     three loops it replaced, kept in ``oracles``."""
 
