@@ -109,42 +109,52 @@ def load_csv(path, label_column: str | None = None, label_kind: str = "none") ->
     return LabeledDataset(X, y, feature_names, label_kind)
 
 
-def _line_and_comma_counts(path: Path) -> tuple[int, int]:
-    """Lines and commas in the file at ``path``.
+def _line_stats(path: Path) -> tuple[int, int, int]:
+    """Lines, commas and the bytes of the longest line in the file at ``path``.
 
     A line ends at "\\n", "\\r" or "\\r\\n", where csv and numpy's reader
     both end one; a last line without an end counts too.
     """
-    lines = commas = 0
+    lines = commas = longest = 0
     last = b"\n"  # the byte before the current block
+    start = offset = 0  # file offsets of the current line and block
     with path.open("rb") as fh:
         for block in iter(partial(fh.read, 1 << 20), b""):
             data = np.frombuffer(block, np.uint8)
             cr = data == 13
-            lines += np.count_nonzero(data == 10) + np.count_nonzero(cr)
+            ends = np.flatnonzero(cr | (data == 10))
+            lines += ends.size
             if last == b"\r" and block[:1] == b"\n":
                 lines -= 1
             if cr.any():
                 lines -= np.count_nonzero(cr[:-1] & (data[1:] == 10))
+            if ends.size:
+                gaps = np.diff(ends, prepend=start - offset - 1) - 1
+                longest = max(longest, int(gaps.max()))
+                start = offset + int(ends[-1]) + 1
             commas += np.count_nonzero(data == 44)
             last = block[-1:]
-    return int(lines) + (last not in (b"\n", b"\r")), int(commas)
+            offset += len(block)
+    longest = max(longest, offset - start)
+    return int(lines) + (last not in (b"\n", b"\r")), int(commas), longest
 
 
 def _read_columns(path: Path, n_fields: int, label_idx: int | None, label_kind: str):
     """(X, y) read column-wise by numpy's C reader, or None for the row loop.
 
-    The reader skips blank lines, ignores fields beyond ``usecols`` and
-    accepts non-finite numbers, so its result stands only when it has one
-    row per line after the header, the file has ``n_fields - 1`` commas on
-    every line (a short row makes the reader raise, so no line has more, and
-    no quoted cell holds one), and every number is finite. Any other file,
-    and any failure of the reader, is left to :func:`_read_rows`, which
-    words every error.
+    The reader skips blank lines, ignores fields beyond ``usecols``,
+    accepts non-finite numbers and has no field size limit, so its result
+    stands only when it has one row per line after the header, the file has
+    ``n_fields - 1`` commas on every line (a short row makes the reader
+    raise, so no line has more, and no quoted cell holds one), no line is
+    longer than ``csv.field_size_limit()`` (so no cell is), and every number
+    is finite. Any other file, and any failure of the reader, is left to
+    :func:`_read_rows`, which words every error.
     """
-    lines, commas = _line_and_comma_counts(path)
+    lines, commas, longest = _line_stats(path)
     features = [i for i in range(n_fields) if i != label_idx]
-    if lines < 2 or not features or commas != lines * (n_fields - 1):
+    if (lines < 2 or not features or commas != lines * (n_fields - 1)
+            or longest > csv.field_size_limit()):
         return None
     options = dict(delimiter=",", skiprows=1, comments=None, quotechar='"', encoding="utf-8")
     try:

@@ -7,12 +7,17 @@ typically estimated once from the training data via
 :func:`estimate_inverse_covariance`.
 
 :func:`feature_distance` defines each metric and is the oracle for BMU
-search, :func:`_bmu_block`, which scores a block of rows against all nodes:
+search. :func:`_bmu_block` scores a block of rows against all nodes:
 euclidean and mahalanobis (on Cholesky-whitened data) by one matrix product,
 then an exact re-rank of the nodes near each row's minimum; tanimoto by
 exact products of the 0/1 data; manhattan by broadcasting. A block's
-temporaries stay within ``BLOCK_BYTES``. Distances between map nodes on
-their grid live in :mod:`somkit.som`, next to the neighbourhood kernel.
+temporaries stay within ``BLOCK_BYTES``. :func:`_bmu_row` searches for one
+row from its differences x - W, which online training computes once per
+iteration for the search and the pull: euclidean sums the squared
+differences and re-ranks the nodes within a relative rounding bound of the
+minimum, manhattan sums their absolute values exactly, and the other metrics
+go to :func:`_bmu_block`. Distances between map nodes on their grid live in
+:mod:`somkit.som`, next to the neighbourhood kernel.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ DEFAULT_COV_RIDGE = 1e-8
 BLOCK_BYTES = 2 * 2**20
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 
 def check_metric(metric: str) -> str:
@@ -165,7 +171,7 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
     """
     metric, cov_inv, L, kappa = search
     if metric == "manhattan":
-        return np.abs(W - X[..., None, :]).sum(axis=-1).argmin(axis=-1)
+        return _abs_sums(X[..., None, :] - W).argmin(axis=-1)
     if metric == "tanimoto":
         _as_boolean(W, "weights")
         _as_boolean(X, "data")
@@ -213,8 +219,12 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
     #   S_j <= S_k + (err_S + err_O)(j) + (err_S + err_O)(k) + 8.3 u kappa M
     #       <= S_k + (24.6n + 33.1) u kappa M  <  S_k + 16 (n + 4) eps kappa M.
     # The slack doubles that, which covers rounding the slack and the sum
-    # below and blocked Cholesky's larger constant. Too loose only re-ranks more.
+    # below and blocked Cholesky's larger constant. A product that underflows
+    # errs by up to tau / 2 (tau the smallest subnormal) beyond these bounds,
+    # at most 2n tau over S and O per node, so the slack adds twice
+    # 4 (n + 4) tau. Too loose only re-ranks more.
     slack = (32.0 * (n + 4) * _EPS * kappa) * ((X * X).sum(axis=-1) + w_bound)
+    slack += 8.0 * (n + 4) * _TINY
     near = scores <= (scores.min(axis=-1) + slack)[..., None]
     if np.count_nonzero(near) == best.size:
         return best
@@ -232,6 +242,55 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
     first = np.r_[True, r[order][1:] != r[order][:-1]]
     best[ties] = c[order][first]
     return best if scores.ndim == 2 else best[0]
+
+
+def _abs_sums(D: np.ndarray) -> np.ndarray:
+    """Manhattan distances from differences ``D`` (..., n): sum_i |D_i| in
+    feature_distance's order, so equal to it bit for bit."""
+    return np.abs(D).sum(axis=-1)
+
+
+def _bmu_row(W: np.ndarray, x: np.ndarray, D: np.ndarray, search: tuple) -> int:
+    """Flat index of the nearest row of ``W`` (nodes, n) to the one row ``x``,
+    given its differences ``D`` = x - W; the contract of :func:`_bmu_block`.
+
+    Online training computes ``D`` once per iteration for the search and the
+    pull. Euclidean and manhattan score from ``D``; mahalanobis and tanimoto
+    go to :func:`_bmu_block`.
+    """
+    metric = search[0]
+    if metric == "manhattan":
+        return int(_abs_sums(D).argmin())
+    if metric != "euclidean":
+        return int(_bmu_block(W, x, search))
+    scores = np.einsum("ij,ij->i", D, D)
+    best = scores.argmin()
+    # Rounding bound. D holds the rounded differences d that the oracle
+    # squares (fl(w - x) = -fl(x - w)), so for node j the score S_j and the
+    # oracle's value O_j before its sqrt are both sums of the n products
+    # d_i^2, in some order and fused or not, for the exact T_j = sum d_i^2.
+    # Every term is non-negative, so with u = eps / 2,
+    # gamma_n = n u / (1 - n u) and tau the smallest subnormal, each errs by
+    # at most gamma_n T_j + 0.51 n tau: a product that underflows errs by up
+    # to tau / 2, and sums of subnormals are exact.
+    #  - fl(sqrt(a)) <= fl(sqrt(b)) implies a <= b (1 + 4.01 u): sqrt rounds
+    #    correctly and never returns a subnormal.
+    # So for the oracle's node j and the argmin k of S, with
+    # r = (1 + gamma_n) / (1 - gamma_n),
+    #   S_j <= S_k (1 + 4.01 u) r^2 + 2.04 n tau
+    #       <  S_k (1 + 2.1 (n + 4) eps) + 2.1 (n + 4) tau.
+    # The slack doubles both terms, which covers rounding the slack itself.
+    # Too loose only re-scores more.
+    n = D.shape[1]
+    slack = 4.2 * (n + 4)
+    near = scores <= scores[best] * (1.0 + slack * _EPS) + slack * _TINY
+    if np.count_nonzero(near) == 1:
+        return int(best)
+    # Several nodes are near the minimum: re-score them with the oracle's
+    # own arithmetic, lowest index on ties.
+    near = np.flatnonzero(near)
+    d = paired_distances(W[near], np.broadcast_to(x, (near.size, n)))
+    return int(near[d.argmin()])
 
 
 def estimate_inverse_covariance(X, ridge: float = DEFAULT_COV_RIDGE) -> np.ndarray:

@@ -71,6 +71,37 @@ class ScheduleSpec:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
 
 
+def _check_iteration(t: int, spec: ScheduleSpec) -> None:
+    if not 0 <= t <= spec.t_max:
+        raise ValueError(f"iteration t={t} outside [0, {spec.t_max}]")
+
+
+def _learning_rate_of(spec: ScheduleSpec):
+    """alpha as a function of t for ``spec``: the kind is dispatched here,
+    once, and t is not range-checked. Training maps it over its iterations."""
+    a0, t_max = spec.start, spec.t_max
+    if spec.kind == "inverse":
+        return lambda t: a0 / max(t, 1)
+    if spec.kind == "linear":
+        return lambda t: a0 * (1.0 - t / t_max)
+    if spec.kind == "power":
+        return lambda t: a0 ** (t / t_max)
+    if spec.kind == "exponential":
+        return lambda t: a0 * float(np.exp(-(t / t_max)))
+    ratio = spec.end / a0
+    return lambda t: a0 * ratio ** (t / t_max)
+
+
+def _radius_of(spec: ScheduleSpec):
+    """sigma as a function of t for ``spec``, like :func:`_learning_rate_of`."""
+    if spec.kind not in RADIUS_KINDS:
+        raise ValueError(
+            f"radius schedule kind must be one of {RADIUS_KINDS}, got {spec.kind!r}"
+        )
+    rate = _learning_rate_of(spec)
+    return lambda t: max(rate(t), RADIUS_FLOOR)
+
+
 def learning_rate(t: int, spec: ScheduleSpec) -> float:
     """Learning rate alpha(t) for the given schedule.
 
@@ -78,19 +109,8 @@ def learning_rate(t: int, spec: ScheduleSpec) -> float:
     start*(1 - t/t_max); "power" start**(t/t_max); "exponential"
     start*exp(-t/t_max); "start-end" start*(end/start)**(t/t_max).
     """
-    if not 0 <= t <= spec.t_max:
-        raise ValueError(f"iteration t={t} outside [0, {spec.t_max}]")
-    a0 = spec.start
-    frac = t / spec.t_max
-    if spec.kind == "inverse":
-        return a0 / max(t, 1)
-    if spec.kind == "linear":
-        return a0 * (1.0 - frac)
-    if spec.kind == "power":
-        return a0 ** frac
-    if spec.kind == "exponential":
-        return a0 * float(np.exp(-frac))
-    return a0 * (spec.end / a0) ** frac
+    _check_iteration(t, spec)
+    return _learning_rate_of(spec)(t)
 
 
 def neighborhood_radius(t: int, spec: ScheduleSpec) -> float:
@@ -99,8 +119,6 @@ def neighborhood_radius(t: int, spec: ScheduleSpec) -> float:
     Kinds: "linear", "exponential" and "start-end", the functions that
     :func:`learning_rate` computes for them.
     """
-    if spec.kind not in RADIUS_KINDS:
-        raise ValueError(
-            f"radius schedule kind must be one of {RADIUS_KINDS}, got {spec.kind!r}"
-        )
-    return max(learning_rate(t, spec), RADIUS_FLOOR)
+    radius = _radius_of(spec)
+    _check_iteration(t, spec)
+    return radius(t)

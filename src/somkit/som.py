@@ -14,6 +14,7 @@ cost does not grow with the number of datapoints beyond one pass over them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,6 +24,7 @@ from .distances import (
     _as_boolean,
     _block_rows,
     _bmu_block,
+    _bmu_row,
     _search,
     estimate_inverse_covariance,
     paired_distances,
@@ -32,8 +34,9 @@ from .schedules import (
     RADIUS_FLOOR,
     RADIUS_KINDS,
     ScheduleSpec,
+    _learning_rate_of,
+    _radius_of,
     check_fields,
-    learning_rate,
     neighborhood_radius,
 )
 
@@ -147,8 +150,8 @@ def init_weights(config: SomConfig, X, rng: np.random.Generator) -> WeightGrid:
 
 def find_bmu(grid: WeightGrid, x, metric: str = "euclidean", cov_inv=None) -> tuple[int, int]:
     """Index of the node closest to ``x``; ties go to the smallest row-major index."""
-    x = _check_vector(grid, x)
-    flat_idx = int(_bmu_block(grid.flat, x, _search(metric, cov_inv, grid.feature_dim)))
+    x, W = _check_vector(grid, x), grid.flat
+    flat_idx = _bmu_row(W, x, np.subtract(x, W), _search(metric, cov_inv, grid.feature_dim))
     return divmod(flat_idx, grid.n_column)
 
 
@@ -207,12 +210,13 @@ def _kernel(neg_d2: np.ndarray, sigma: float, mexican_hat: bool) -> np.ndarray:
 
 def online_update(grid: WeightGrid, x, alpha: float, h: np.ndarray) -> WeightGrid:
     """Pull every node weight toward ``x`` by ``alpha * h``; updates in place."""
-    _pull(grid.weights, _check_vector(grid, x), alpha, h)
+    _pull(grid.weights, np.subtract(_check_vector(grid, x), grid.weights), alpha, h)
     return grid
 
 
-def _pull(weights: np.ndarray, x: np.ndarray, alpha: float, h: np.ndarray) -> None:
-    delta = np.subtract(x, weights)
+def _pull(weights: np.ndarray, delta: np.ndarray, alpha: float, h: np.ndarray) -> None:
+    """weights += alpha * h * delta, for the datapoint's differences delta = x - weights,
+    both grid-shaped; overwrites delta."""
     delta *= alpha * h[:, :, None]
     weights += delta
 
@@ -257,29 +261,28 @@ def batch_update(
     return grid
 
 
-def _sampled_loop(config: SomConfig, t_max: int, rng: np.random.Generator, n: int,
-                  bmu, update) -> None:
+def _sampled_loop(config: SomConfig, t_max: int, picks, update) -> None:
     """The training loop of the online map and of both supervised heads.
 
-    Each of ``t_max`` iterations draws a datapoint j = ``rng.integers(n)``,
-    takes its BMU (row, column) = ``bmu(j)`` and calls ``update(j, alpha, h)``
-    with the learning rate alpha(t) and the grid-shaped kernel h around the
-    BMU at radius sigma(t). The schedules, over ``max(t_max, 1)``
-    iterations, are evaluated before the first iteration.
+    Iteration t takes the next item (row, column, arg) of ``picks``: the BMU
+    of that iteration's datapoint and what ``update`` needs of it. It then
+    calls ``update(arg, alpha, h)`` with the learning rate alpha(t) and the
+    grid-shaped kernel h around the BMU at radius sigma(t). The schedules run
+    over ``max(t_max, 1)`` iterations. The loop draws nothing: callers draw
+    the datapoints before it, by one ``rng.integers(n, size=t_max)`` call,
+    which gives the values and the generator state of ``t_max`` scalar
+    calls. The classifier draws uniforms between the indices, so its
+    ``picks`` draw one index per item.
     """
     _check_kernel(config.kernel)
     mexican_hat = config.kernel == "mexican-hat"
     horizon = max(t_max, 1)
-    lr_spec = replace(config.lr_schedule, t_max=horizon)
-    radius_spec = replace(config.radius_schedule, t_max=horizon)
-    alphas = np.fromiter((learning_rate(t, lr_spec) for t in range(t_max)), float, t_max)
-    sigmas = np.fromiter((neighborhood_radius(t, radius_spec) for t in range(t_max)), float, t_max)
+    alphas = map(_learning_rate_of(replace(config.lr_schedule, t_max=horizon)), range(t_max))
+    sigmas = map(_radius_of(replace(config.radius_schedule, t_max=horizon)), range(t_max))
     neg_d2 = _neg_squared_distances(config.grid_shape)
-    draw = rng.integers
-    for alpha, sigma in zip(alphas, sigmas):
-        j = draw(n)
-        row, column = bmu(j)
-        update(j, alpha, _kernel(neg_d2[row, column], sigma, mexican_hat))
+    # picks come last, so that zip never takes an item past the t_max-th
+    for alpha, sigma, (row, column, arg) in zip(alphas, sigmas, picks):
+        update(arg, alpha, _kernel(neg_d2[row, column], sigma, mexican_hat))
 
 
 def fit_unsupervised(
@@ -306,9 +309,16 @@ def fit_unsupervised(
     t_max = config.n_iter_unsupervised
     if config.update_mode == "online":
         W, search = grid.flat, _search(config.metric, cov_inv, X.shape[1])
-        _sampled_loop(config, t_max, rng, X.shape[0],
-                      lambda j: divmod(int(_bmu_block(W, X[j], search)), config.n_column),
-                      lambda j, alpha, h: _pull(grid.weights, X[j], alpha, h))
+
+        def pick(j):
+            # one difference array serves the BMU search and the pull
+            x = X[j]
+            delta = np.subtract(x, grid.weights)
+            flat_idx = _bmu_row(W, x, delta.reshape(W.shape), search)
+            return (*divmod(flat_idx, config.n_column), delta)
+
+        draws = rng.integers(X.shape[0], size=t_max).tolist()
+        _sampled_loop(config, t_max, map(pick, draws), partial(_pull, grid.weights))
     else:
         radius_spec = replace(config.radius_schedule, t_max=t_max)
         for t in range(t_max):

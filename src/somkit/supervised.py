@@ -12,6 +12,7 @@ class weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -96,10 +97,12 @@ def fit_regressor(
     # fixed; compute them once.
     bmus = transform(unsup, X, config.metric, cov_inv)
 
-    def update(j, alpha, h):
-        head.values += alpha * h * (y[j] - head.values)
+    def update(target, alpha, h):
+        head.values += alpha * h * (target - head.values)
 
-    _sampled_loop(config, config.n_iter_supervised, rng, X.shape[0], bmus.__getitem__, update)
+    t_max = config.n_iter_supervised
+    draws = rng.integers(X.shape[0], size=t_max)
+    _sampled_loop(config, t_max, zip(*bmus[draws].T.tolist(), y[draws].tolist()), update)
     return head
 
 
@@ -182,14 +185,16 @@ def fit_classifier(
     weight_by_label = class_weights(y, config.class_weighting)
     code_weights = np.array([weight_by_label[cls] for cls in class_set.tolist()])
 
-    def update(j, alpha, h):
+    def update(code, alpha, h):
         # A node flips where a uniform draw u lands below P = class weight x
         # alpha x h. P leaves [0, 1] but needs no clamp: u in [0, 1) is below
         # P exactly when it is below clip(P, 0, 1).
-        code = y_codes[j]
         head.codes[rng.random(head.codes.shape) < code_weights[code] * alpha * h] = code
 
-    _sampled_loop(config, config.n_iter_supervised, rng, X.shape[0], bmus.__getitem__, update)
+    # update draws uniforms between the indices, so each index is drawn when picked
+    t_max = config.n_iter_supervised
+    draws = map(rng.integers, repeat(X.shape[0], t_max))
+    _sampled_loop(config, t_max, ((*bmus[j].tolist(), y_codes[j]) for j in draws), update)
     return head
 
 

@@ -83,6 +83,17 @@ class TestTrain:
         assert capsys.readouterr().err == (
             f"somkit: data error: {data}: {where}: field larger than field limit (131072)\n")
 
+    @pytest.mark.parametrize("row", ["2.0," + "p" * 200_000, "0." + "0" * 200_000 + ",p"],
+                             ids=["label", "feature"])
+    def test_parseable_cell_over_the_csv_field_limit_is_data_error(self, tmp_path, capsys, row):
+        data = tmp_path / "big.csv"
+        data.write_text(f"f0,lab\n1.0,a\n{row}\n")
+        rc = main(["train", "--data", str(data), "--label-column", "lab",
+                   "--head", "classification", "--model", str(tmp_path / "m.json"), *FAST])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"somkit: data error: {data}: row 2: field larger than field limit (131072)\n")
+
     def test_bad_flag_value_is_usage_error(self, tmp_path, reg_csv):
         rc = main(["train", "--data", str(reg_csv), "--model", str(tmp_path / "m.json"),
                    "--lr-start", "-0.5", *FAST])

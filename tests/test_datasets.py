@@ -1,3 +1,5 @@
+import csv
+import re
 from unittest import mock
 
 import numpy as np
@@ -200,6 +202,34 @@ class TestColumnarIngest:
         expected, _ = _load(path, fast=False)
         _assert_same(got, expected)
         assert stood and got.n_samples == len(rows)
+
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    @pytest.mark.parametrize("column", ["a", "y"])
+    def test_lines_over_the_field_limit_go_to_the_row_loop(self, tmp_path, column, extra):
+        # the cell is at the limit for extra = 0, so only its line is over it
+        limit = csv.field_size_limit()
+        cell = "0." + "0" * (limit - 2 + extra) if column == "a" else "p" * (limit + extra)
+        row = f"{cell},q" if column == "a" else f"1,{cell}"
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,y\n2,p\n{row}\n")
+        got, stood = _load(path, "y", "categorical")
+        expected, _ = _load(path, "y", "categorical", fast=False)
+        _assert_same(got, expected)
+        assert not stood
+        assert isinstance(got, str) == (extra > 0)
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1,2\n", "a,b\r\n1,2\r\n", "a,b\r1,22\r", "a\n\n\n", "ab", "", "a,b\n1,234",
+        "a\r\n" + "1" * (2**20 - 2) + "\r\n2\n", "a\n" + "1" * 2**20 + "\n", "a\n" + "é" * 2**20,
+    ])
+    def test_line_stats(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        lines = re.split("\r\n|\r|\n", text)
+        if lines[-1] == "":
+            lines.pop()
+        longest = max((len(line.encode("utf-8")) for line in lines), default=0)
+        assert datasets._line_stats(path) == (len(lines), text.count(","), longest)
 
     def test_blank_line_error_is_the_row_loops(self, tmp_path):
         path = tmp_path / "d.csv"

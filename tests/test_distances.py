@@ -133,6 +133,26 @@ def adversarial_cases(metric, rng):
     yield "empty X", W, X[:0]
 
 
+def row_search_cases(n, rng):
+    """(name, W of shape (nodes, n), X) near-ties for the one-row search over n features."""
+    W = rng.normal(size=(24, n)).round(1)
+    duplicated = W.copy()
+    duplicated[1::2] = duplicated[0]
+    yield "duplicate nodes", duplicated, np.vstack([duplicated[:3], rng.normal(size=(4, n))])
+    yield "x within 1e-13 of a node", W, W[::3] + 1e-13 * rng.choice([-1.0, 1.0], size=(8, n))
+    # every node is the same vector with its features rotated, so the exact
+    # distances from 0 or from a constant x tie and only rounding separates them
+    v = rng.normal(size=n)
+    rotated = np.array([np.roll(v, k) for k in range(min(n, 24))])
+    yield "rotated copies", rotated, np.vstack([np.zeros(n), np.full(n, 0.25), np.full(n, v.mean())])
+    lattice = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0), indexing="ij"), -1)
+    lattice = np.tile(lattice.reshape(-1, 2), (1, n))[:, :n]
+    yield "equidistant lattice midpoints", lattice, rng.integers(0, 4, size=(8, n)) + 0.5
+    for scale in (1e-160, 1e-154):
+        yield f"scale {scale}: squares underflow", W * scale, rng.normal(size=(8, n)) * scale
+        yield f"scale {scale}: rotated copies", rotated * scale, np.zeros((1, n))
+
+
 def metric_context(metric, W, X):
     if metric != "mahalanobis":
         return None
@@ -193,6 +213,20 @@ class TestVectorizedPaths:
             X = np.vstack([W.flat[::5] + 1e-13, rng.normal(size=(10, n)).round(1)])
             got = transform(W, X)
             assert (got[:, 0] * 7 + got[:, 1]).tolist() == oracle_bmus(W.flat, X, "euclidean", None)
+            # at this scale the squares and products underflow
+            W, X = WeightGrid(rng.normal(size=(6, 7, n)) * 1e-160), rng.normal(size=(300, n)) * 1e-160
+            got = transform(W, X)
+            assert (got[:, 0] * 7 + got[:, 1]).tolist() == oracle_bmus(W.flat, X, "euclidean", None)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 130, 300])
+    def test_row_search_from_differences_is_exact(self, metric, n):
+        rng = np.random.default_rng(n)
+        search = distances._search(metric, None, n)
+        for name, W, X in row_search_cases(n, rng):
+            expected = oracle_bmus(W, X, metric, None)
+            got = [distances._bmu_row(W, x, np.subtract(x, W), search) for x in X]
+            assert got == expected, name
 
     def test_mahalanobis_rejects_non_positive_definite(self):
         grid = WeightGrid(np.zeros((2, 2, 2)))

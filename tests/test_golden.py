@@ -6,8 +6,9 @@ resolved-config sidecar (its path entries left out) with hashes recorded
 before the code they cover was refactored. Together the cases cover the
 four metrics, both update modes, both supervised heads, both kernels, class
 weighting and every learning-rate and radius schedule kind, some of them
-set through a ``--config`` file. Three cases pin paths of the sampled
-training loop: an online fit whose BMU search re-ranks tied nodes, a
+set through a ``--config`` file. Other cases pin paths of the sampled
+training loop: online fits whose nodes collapse onto two points, one of
+them with nodes that tie in the BMU search and are re-ranked exactly, a
 mexican-hat class-weighted head whose raw flip probability leaves [0, 1] on
 both sides, and heads trained for zero iterations. Pinned the same way are two
 ``crossval --k 3`` reports, the ``predict`` sidecar, an ``evaluate`` report
@@ -72,8 +73,7 @@ def _imbalanced_blob_data(rng):
 
 
 def _two_point_data(rng):
-    """200 copies of two points: online training collapses nodes onto each
-    point, so their BMU scores tie and the search re-ranks them exactly."""
+    """200 copies of two points: online training collapses nodes onto each point."""
     points = rng.uniform(0.0, 1.0, size=(2, 2))
     X = points[rng.integers(2, size=200)]
     return X, [repr(v) for v in X.sum(axis=1).tolist()]
@@ -151,6 +151,13 @@ CASES = {
         None, None),
     "ties-online-regression": (
         _two_point_data, "regression", ["--lr-start", "1.0"], None, None),
+    # At radius 1e9 the kernel rounds to 1 on every node, so the first pull
+    # moves every node onto the datapoint and the nodes stay equal, or within
+    # rounding, until the radius shrinks: their BMU scores tie.
+    "duplicate-nodes-online-regression": (
+        _two_point_data, "regression",
+        ["--lr-start", "1.0", "--radius-schedule", "start-end", "--radius-start", "1e9",
+         "--radius-end", "1.0"], None, None),
     "mexican-hat-class-weighting-classification": (
         _imbalanced_blob_data, "classification", ["--kernel", "mexican-hat", "--class-weighting"],
         None, None),
@@ -256,6 +263,10 @@ GOLDEN = {
         "cf9013e11a3fd4b7cff914ee42e5f013f45b8f694d67c86aba5548fe3f3c2831",
         "ad4c478c5de78edf728398a15f88cfed7a55f42e75a8dc02f537b507bf04e4f9",
         "82063f13a1b9e14dc8ab7bd9191bafc77d546a6031f086e2813895385b83f351"),
+    "duplicate-nodes-online-regression": (
+        "656224254e9db01ce5550142e2f364846b3450b3eff05dd3c6d0864498364655",
+        "f34c3e50794a175e27cfa4f08b85346d66a18cb092691776e236bdbb959a14db",
+        "92b4a4d8fb7605262e53543329b2a4ec0c877edf6fd7c630b5c7a80ba2af4df5"),
 }
 
 # head -> sha256 of a ``crossval --k 3`` report without its resolved_config line
@@ -372,7 +383,7 @@ def test_golden_hashes(tmp_path, name):
 
 
 def test_tie_case_reranks_during_the_online_fit(tmp_path, monkeypatch):
-    """The ties case pins outputs that went through the BMU search's exact re-rank."""
+    """The duplicate-nodes case pins outputs that went through the BMU search's exact re-rank."""
     fitting, reranks = [], []
     fit, paired = somkit.cli.fit_unsupervised, somkit.distances.paired_distances
 
@@ -389,7 +400,8 @@ def test_tie_case_reranks_during_the_online_fit(tmp_path, monkeypatch):
 
     monkeypatch.setattr(somkit.cli, "fit_unsupervised", counted_fit)
     monkeypatch.setattr(somkit.distances, "paired_distances", counted_paired)
-    assert _run_case(tmp_path, "ties-online-regression") == GOLDEN["ties-online-regression"]
+    name = "duplicate-nodes-online-regression"
+    assert _run_case(tmp_path, name) == GOLDEN[name]
     assert reranks
 
 

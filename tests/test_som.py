@@ -217,9 +217,9 @@ class TestKernelMatrix:
 def run_loop(cfg, t_max, bmus, n=7, seed=0):
     """(j, alpha, h) of each iteration of the sampled loop, whose BMU at
     iteration t is ``bmus[t]``, and the loop's generator afterwards."""
-    rng, picks, steps = np.random.default_rng(seed), iter(bmus), []
-    _sampled_loop(cfg, t_max, rng, n, lambda j: next(picks),
-                  lambda j, alpha, h: steps.append((j, alpha, h.copy())))
+    rng, steps = np.random.default_rng(seed), []
+    picks = ((*bmu, j) for bmu, j in zip(bmus, rng.integers(n, size=t_max).tolist()))
+    _sampled_loop(cfg, t_max, picks, lambda j, alpha, h: steps.append((j, alpha, h.copy())))
     return steps, rng
 
 
@@ -256,6 +256,27 @@ class TestNeighbourhoodStep:
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
         ((_, alpha, h),), _ = run_loop(cfg, 1, [(0, 0)])
         assert alpha == 0.5 and h.shape == (10, 10)
+
+
+class TestDrawsBeforeTheLoop:
+    """One ``integers(n, size=T)`` call gives the values and the final
+    generator state of T scalar ``integers(n)`` calls. The online map and the
+    regression head draw their datapoints that way before the sampled loop,
+    so a numpy release that broke this would change their outputs."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 600, 2**20, 2**31 + 5, 3 * 10**9])
+    @pytest.mark.parametrize("T", [0, 1, 2, 7, 300])
+    @pytest.mark.parametrize("before", ["nothing", "doubles", "one integer"])
+    def test_one_call_equals_scalar_calls(self, n, T, before):
+        one, scalar = np.random.default_rng(8), np.random.default_rng(8)
+        for rng in (one, scalar):
+            if before == "doubles":
+                rng.random(3)
+            elif before == "one integer":
+                rng.integers(5)  # leaves half of a 64-bit draw buffered
+        values = one.integers(n, size=T)
+        assert values.tolist() == [int(scalar.integers(n)) for _ in range(T)]
+        assert one.bit_generator.state == scalar.bit_generator.state
 
 
 class TestOnlineUpdate:

@@ -1,3 +1,5 @@
+from itertools import repeat
+
 import numpy as np
 import pytest
 
@@ -260,8 +262,8 @@ class TestClassChangeProbability:
     def probability(cfg, bmu, t, w_y):
         """Raw flip probability w_y x alpha x h at iteration ``t`` of the sampled loop."""
         steps = []
-        _sampled_loop(cfg, cfg.n_iter_supervised, np.random.default_rng(0), 1,
-                      lambda j: bmu, lambda j, alpha, h: steps.append(w_y * alpha * h))
+        _sampled_loop(cfg, cfg.n_iter_supervised, repeat((*bmu, None)),
+                      lambda _, alpha, h: steps.append(w_y * alpha * h))
         return steps[t]
 
     def test_product_at_bmu(self):
