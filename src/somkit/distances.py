@@ -220,9 +220,9 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
     #       <= S_k + (24.6n + 33.1) u kappa M  <  S_k + 16 (n + 4) eps kappa M.
     # The slack doubles that, which covers rounding the slack and the sum
     # below and blocked Cholesky's larger constant. A product that underflows
-    # errs by up to tau / 2 (tau the smallest subnormal) beyond these bounds,
-    # at most 2n tau over S and O per node, so the slack adds twice
-    # 4 (n + 4) tau. Too loose only re-ranks more.
+    # errs by up to tau / 2 (tau the smallest subnormal) beyond these bounds:
+    # at most 2n tau over S and O per node, 4n tau for j and k, which the
+    # slack's 8 (n + 4) tau doubles. Too loose only re-ranks more.
     slack = (32.0 * (n + 4) * _EPS * kappa) * ((X * X).sum(axis=-1) + w_bound)
     slack += 8.0 * (n + 4) * _TINY
     near = scores <= (scores.min(axis=-1) + slack)[..., None]

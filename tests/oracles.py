@@ -1,8 +1,9 @@
 """Reference implementations that tests compare the library against.
 
 Each function is a copy of library code that the library has since
-replaced, with its body unchanged: the grid distance and kernel matrices,
-the per-iteration neighbourhood step, the three sampled training loops
+replaced, with its body unchanged: the one-row BMU search through the block
+search, the grid distance and kernel matrices, the per-iteration
+neighbourhood step, the three sampled training loops
 (the online map and both heads, each with its own loop and its own step
 function), the clamped class-change probability and the class update, and
 the batch update with per-node sums by ``np.add.at``. Seeded runs of the
@@ -14,15 +15,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from somkit.distances import estimate_inverse_covariance
+from somkit.distances import _bmu_block, _search, estimate_inverse_covariance
 from somkit.schedules import learning_rate, neighborhood_radius
 from somkit.som import (
     SomConfig,
     WeightGrid,
+    _check_vector,
     _node_pairs,
     _offset_distances,
     batch_update,
-    find_bmu,
     init_weights,
     kernel_values,
     online_update,
@@ -36,6 +37,13 @@ from somkit.supervised import (
     encode_classes,
     init_classifier,
 )
+
+
+def find_bmu(grid: WeightGrid, x, metric: str = "euclidean", cov_inv=None) -> tuple[int, int]:
+    """Index of the node closest to ``x``; ties go to the smallest row-major index."""
+    x = _check_vector(grid, x)
+    flat_idx = int(_bmu_block(grid.flat, x, _search(metric, cov_inv, grid.feature_dim)))
+    return divmod(flat_idx, grid.n_column)
 
 
 def grid_distance_matrix(bmu: tuple[int, int], shape: tuple[int, int]) -> np.ndarray:

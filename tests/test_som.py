@@ -216,7 +216,8 @@ class TestKernelMatrix:
 
 def run_loop(cfg, t_max, bmus, n=7, seed=0):
     """(j, alpha, h) of each iteration of the sampled loop, whose BMU at
-    iteration t is ``bmus[t]``, and the loop's generator afterwards."""
+    iteration t is ``bmus[t]``, and the generator that drew the datapoints j
+    before the loop, as the online map and the regression head do."""
     rng, steps = np.random.default_rng(seed), []
     picks = ((*bmu, j) for bmu, j in zip(bmus, rng.integers(n, size=t_max).tolist()))
     _sampled_loop(cfg, t_max, picks, lambda j, alpha, h: steps.append((j, alpha, h.copy())))
