@@ -102,6 +102,8 @@ def load_csv(path, label_column: str | None = None, label_kind: str = "none") ->
         else:
             label_idx = None
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
+        if not feature_names:
+            raise DatasetError(f"{path}: no feature columns in header")
         columns = None
         if reader.line_num == 1:  # numpy's reader skips one line as the header
             columns = _read_columns(path, len(header), label_idx, label_kind)

@@ -6,18 +6,21 @@ All metrics are selected by string name ("euclidean", "manhattan",
 typically estimated once from the training data via
 :func:`estimate_inverse_covariance`.
 
-:func:`feature_distance` defines each metric and is the oracle for BMU
-search. :func:`_bmu_block` scores a block of rows against all nodes:
-euclidean and mahalanobis (on Cholesky-whitened data) by one matrix product,
-then an exact re-rank of the nodes near each row's minimum; tanimoto by
-exact products of the 0/1 data; manhattan by broadcasting. A block's
-temporaries stay within ``BLOCK_BYTES``. :func:`_bmu_row` searches for one
-row from its differences x - W, which online training computes once per
-iteration for the search and the pull: euclidean sums the squared
-differences and re-ranks the nodes within a relative rounding bound of the
-minimum, manhattan sums their absolute values exactly, and the other metrics
-go to :func:`_bmu_block`. Distances between map nodes on their grid live in
-:mod:`somkit.som`, next to the neighbourhood kernel.
+Each metric's exact distance between two rows is written once, in
+:func:`_exact`, as a function of their differences. :func:`feature_distance`
+(one pair, the oracle of BMU search) and :func:`paired_distances` (row ``i``
+with row ``i``) check their inputs and call it, so they agree bit for bit.
+:func:`_bmu_block` scores a block of rows against all nodes: euclidean and
+mahalanobis (on Cholesky-whitened data) by one matrix product, then an exact
+re-rank of the nodes near each row's minimum; manhattan and tanimoto exactly,
+from the differences. A block's temporaries stay within ``BLOCK_BYTES``.
+:func:`_bmu_row` searches for one row from its differences x - W, which
+online training computes once per iteration for the search and the pull:
+euclidean sums the squared differences and re-ranks the nodes within a
+relative rounding bound of the minimum, manhattan is exact from the
+differences, and the other metrics go to :func:`_bmu_block`. Both re-ranks
+re-score with :func:`_exact`. Distances between map nodes on their grid live
+in :mod:`somkit.som`, next to the neighbourhood kernel.
 """
 
 from __future__ import annotations
@@ -67,6 +70,47 @@ def _check_cov_inv(cov_inv, n: int) -> np.ndarray:
     return cov_inv
 
 
+def _differences(a, b, metric: str, cov_inv, ndim: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(a - b, cov_inv)`` after the input checks of :func:`feature_distance`
+    (``ndim`` 1) and :func:`paired_distances` (``ndim`` 2); cov_inv is checked
+    for mahalanobis."""
+    check_metric(metric)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != ndim or a.shape != b.shape:
+        what = "equal-length 1-d vectors" if ndim == 1 else "two (N, n) matrices of one shape"
+        raise ValueError(f"expected {what}, got {a.shape} and {b.shape}")
+    if a.shape[-1] == 0:
+        raise ValueError("vectors must have dimension >= 1")
+    if metric == "tanimoto":
+        _as_boolean(a, "a")
+        _as_boolean(b, "b")
+    if metric == "mahalanobis":
+        cov_inv = _check_cov_inv(cov_inv, a.shape[-1])
+    return a - b, cov_inv
+
+
+def _exact(D: np.ndarray, metric: str, cov_inv=None) -> np.ndarray:
+    """Distance of each pair of rows from their differences ``D`` (..., n).
+
+    The one place each metric's formula is written. Tanimoto needs the rows
+    to be 0/1 and mahalanobis a checked ``cov_inv``; the callers see to both.
+    The stacked matrix product gives each row the bits of the 1-d
+    ``d @ cov_inv @ d``, whatever the number of rows.
+    """
+    if metric == "euclidean":
+        return np.sqrt((D**2).sum(axis=-1))
+    if metric == "manhattan":
+        return np.abs(D).sum(axis=-1)
+    if metric == "tanimoto":
+        # m mismatches over n 0/1 features: 2m / (c_TT + c_FF + 2m), with
+        # c_TT + c_FF = n - m
+        m = np.count_nonzero(D, axis=-1)
+        return 2 * m / (D.shape[-1] + m)
+    q = ((D[..., None, :] @ cov_inv) @ D[..., :, None])[..., 0, 0]
+    return np.sqrt(np.maximum(q, 0.0))
+
+
 def feature_distance(a, b, metric: str = "euclidean", cov_inv=None) -> float:
     """Distance between two feature vectors under the chosen metric.
 
@@ -78,73 +122,33 @@ def feature_distance(a, b, metric: str = "euclidean", cov_inv=None) -> float:
     Returns:
         Nonnegative distance; symmetric in ``a`` and ``b``.
     """
-    check_metric(metric)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"expected equal-length 1-d vectors, got {a.shape} and {b.shape}")
-    if a.size == 0:
-        raise ValueError("vectors must have dimension >= 1")
-
-    if metric == "euclidean":
-        return float(np.sqrt(((a - b) ** 2).sum()))
-    if metric == "manhattan":
-        return float(np.abs(a - b).sum())
-    if metric == "tanimoto":
-        ab = _as_boolean(a, "a")
-        bb = _as_boolean(b, "b")
-        n_tt = int((ab & bb).sum())
-        n_ff = int((~ab & ~bb).sum())
-        mismatches = 2 * (int((ab & ~bb).sum()) + int((~ab & bb).sum()))
-        return mismatches / (n_tt + n_ff + mismatches)
-    # mahalanobis
-    v_inv = _check_cov_inv(cov_inv, a.size)
-    d = a - b
-    q = float(d @ v_inv @ d)
-    return float(np.sqrt(max(q, 0.0)))
+    D, cov_inv = _differences(a, b, metric, cov_inv, 1)
+    return float(_exact(D, metric, cov_inv))
 
 
 def paired_distances(A, B, metric: str = "euclidean", cov_inv=None) -> np.ndarray:
     """Distance between row ``i`` of ``A`` and row ``i`` of ``B``, for every ``i``.
 
-    Same formulas as :func:`feature_distance`, vectorized over rows. The
-    euclidean, manhattan and tanimoto values equal the scalar ones exactly;
-    the mahalanobis quadratic form is summed in another order.
+    Equal bit for bit to :func:`feature_distance` row by row.
     """
-    check_metric(metric)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or A.shape != B.shape:
-        raise ValueError(f"expected two (N, n) matrices of one shape, got {A.shape} and {B.shape}")
-    if metric == "euclidean":
-        return np.sqrt(((A - B) ** 2).sum(axis=1))
-    if metric == "manhattan":
-        return np.abs(A - B).sum(axis=1)
-    if metric == "tanimoto":
-        ab = _as_boolean(A, "A")
-        bb = _as_boolean(B, "B")
-        n_tt = (ab & bb).sum(axis=1)
-        n_ff = (~ab & ~bb).sum(axis=1)
-        mismatches = 2 * (ab ^ bb).sum(axis=1)
-        return mismatches / (n_tt + n_ff + mismatches)
-    v_inv = _check_cov_inv(cov_inv, A.shape[1])
-    d = A - B
-    return np.sqrt(np.maximum(((d @ v_inv) * d).sum(axis=1), 0.0))
+    D, cov_inv = _differences(A, B, metric, cov_inv, 2)
+    return _exact(D, metric, cov_inv)
 
 
 def _block_rows(n_nodes: int, n_features: int, metric: str) -> int:
     """Rows of X per :func:`_bmu_block` call, so its largest float64
-    temporary, (rows, nodes) or manhattan's (rows, nodes, n), stays within
-    ``BLOCK_BYTES``."""
-    per_row = n_nodes * (n_features if metric == "manhattan" else 1) * 8
+    temporary, (rows, nodes) or the (rows, nodes, n) differences of manhattan
+    and tanimoto, stays within ``BLOCK_BYTES``."""
+    per_row = n_nodes * (n_features if metric in ("manhattan", "tanimoto") else 1) * 8
     return max(1, BLOCK_BYTES // per_row)
 
 
 def _search(metric: str, cov_inv, n: int) -> tuple:
     """(metric, cov_inv, L, kappa) for :func:`_bmu_block`, prepared once per fit or call.
 
-    For mahalanobis L is the Cholesky factor of cov_inv = L L^T and kappa is
-    sum |cov_inv_ij|; for the other metrics they are None and 1.
+    For mahalanobis cov_inv is checked, L is the Cholesky factor of
+    cov_inv = L L^T and kappa is sum |cov_inv_ij|; for the other metrics
+    they are None and 1.
     """
     check_metric(metric)
     if metric != "mahalanobis":
@@ -157,7 +161,7 @@ def _search(metric: str, cov_inv, n: int) -> tuple:
         raise ValueError(
             "mahalanobis needs a symmetric positive definite inverse covariance"
         ) from None
-    return metric, cov_inv, L, float(np.abs(v_inv).sum())
+    return metric, v_inv, L, float(np.abs(v_inv).sum())
 
 
 def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
@@ -170,19 +174,11 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
     index.
     """
     metric, cov_inv, L, kappa = search
-    if metric == "manhattan":
-        return _abs_sums(X[..., None, :] - W).argmin(axis=-1)
     if metric == "tanimoto":
         _as_boolean(W, "weights")
         _as_boolean(X, "data")
-        # Counts from products of 0/1 floats are exact integers, so these
-        # distances equal feature_distance's: c_TT + c_FF + mismatches is
-        # n + |x| + |w| - 2 c_TT, and the mismatches 2 (|x| + |w| - 2 c_TT).
-        n_tt = X @ W.T
-        n_x = X.sum(axis=-1)[..., None]
-        n_w = W.sum(axis=1)
-        mismatches = 2.0 * (n_x + n_w - 2.0 * n_tt)
-        return (mismatches / (X.shape[-1] + n_x + n_w - 2.0 * n_tt)).argmin(axis=-1)
+    if metric in ("manhattan", "tanimoto"):
+        return _exact(X[..., None, :] - W, metric).argmin(axis=-1)
 
     n = X.shape[-1]
     w_norms = np.einsum("ij,ij->i", W, W)
@@ -233,21 +229,11 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
     X, near, best = np.atleast_2d(X), np.atleast_2d(near), np.atleast_1d(best)
     ties = np.flatnonzero(near.sum(axis=1) > 1)
     r, c = np.nonzero(near[ties])
-    rows = ties[r]
-    if metric == "euclidean":
-        d = paired_distances(W[c], X[rows])
-    else:
-        d = np.array([feature_distance(W[j], X[i], metric, cov_inv) for i, j in zip(rows, c)])
+    d = _exact(W[c] - X[ties[r]], metric, cov_inv)
     order = np.lexsort((c, d, r))
     first = np.r_[True, r[order][1:] != r[order][:-1]]
     best[ties] = c[order][first]
     return best if scores.ndim == 2 else best[0]
-
-
-def _abs_sums(D: np.ndarray) -> np.ndarray:
-    """Manhattan distances from differences ``D`` (..., n): sum_i |D_i| in
-    feature_distance's order, so equal to it bit for bit."""
-    return np.abs(D).sum(axis=-1)
 
 
 def _bmu_row(W: np.ndarray, x: np.ndarray, D: np.ndarray, search: tuple) -> int:
@@ -260,7 +246,7 @@ def _bmu_row(W: np.ndarray, x: np.ndarray, D: np.ndarray, search: tuple) -> int:
     """
     metric = search[0]
     if metric == "manhattan":
-        return int(_abs_sums(D).argmin())
+        return int(_exact(D, metric).argmin())
     if metric != "euclidean":
         return int(_bmu_block(W, x, search))
     scores = np.einsum("ij,ij->i", D, D)
@@ -289,8 +275,7 @@ def _bmu_row(W: np.ndarray, x: np.ndarray, D: np.ndarray, search: tuple) -> int:
     # Several nodes are near the minimum: re-score them with the oracle's
     # own arithmetic, lowest index on ties.
     near = np.flatnonzero(near)
-    d = paired_distances(W[near], np.broadcast_to(x, (near.size, n)))
-    return int(near[d.argmin()])
+    return int(near[_exact(D[near], metric).argmin()])
 
 
 def estimate_inverse_covariance(X, ridge: float = DEFAULT_COV_RIDGE) -> np.ndarray:

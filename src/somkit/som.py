@@ -37,7 +37,6 @@ from .schedules import (
     _learning_rate_of,
     _radius_of,
     check_fields,
-    neighborhood_radius,
 )
 
 KERNELS = ("gaussian", "mexican-hat")
@@ -320,10 +319,8 @@ def fit_unsupervised(
         draws = rng.integers(X.shape[0], size=t_max).tolist()
         _sampled_loop(config, t_max, map(pick, draws), partial(_pull, grid.weights))
     else:
-        radius_spec = replace(config.radius_schedule, t_max=t_max)
-        for t in range(t_max):
+        for sigma in map(_radius_of(replace(config.radius_schedule, t_max=t_max)), range(t_max)):
             bmus = transform(grid, X, config.metric, cov_inv)
-            sigma = neighborhood_radius(t, radius_spec)
             batch_update(grid, X, bmus, sigma, config.kernel)
     return grid, cov_inv
 

@@ -1,7 +1,8 @@
 """Reference implementations that tests compare the library against.
 
 Each function is a copy of library code that the library has since
-replaced, with its body unchanged: the one-row BMU search through the block
+replaced, with its body unchanged: the distance of one pair of vectors with
+each metric's formula written out, the one-row BMU search through the block
 search, the grid distance and kernel matrices, the per-iteration
 neighbourhood step, the three sampled training loops
 (the online map and both heads, each with its own loop and its own step
@@ -15,7 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from somkit.distances import _bmu_block, _search, estimate_inverse_covariance
+from somkit.distances import (
+    _as_boolean,
+    _bmu_block,
+    _check_cov_inv,
+    _search,
+    check_metric,
+    estimate_inverse_covariance,
+)
 from somkit.schedules import learning_rate, neighborhood_radius
 from somkit.som import (
     SomConfig,
@@ -37,6 +45,43 @@ from somkit.supervised import (
     encode_classes,
     init_classifier,
 )
+
+
+def feature_distance(a, b, metric: str = "euclidean", cov_inv=None) -> float:
+    """Distance between two feature vectors under the chosen metric.
+
+    Args:
+        a, b: 1-d arrays of equal length.
+        metric: one of :data:`METRICS`.
+        cov_inv: inverse covariance matrix, required for "mahalanobis".
+
+    Returns:
+        Nonnegative distance; symmetric in ``a`` and ``b``.
+    """
+    check_metric(metric)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"expected equal-length 1-d vectors, got {a.shape} and {b.shape}")
+    if a.size == 0:
+        raise ValueError("vectors must have dimension >= 1")
+
+    if metric == "euclidean":
+        return float(np.sqrt(((a - b) ** 2).sum()))
+    if metric == "manhattan":
+        return float(np.abs(a - b).sum())
+    if metric == "tanimoto":
+        ab = _as_boolean(a, "a")
+        bb = _as_boolean(b, "b")
+        n_tt = int((ab & bb).sum())
+        n_ff = int((~ab & ~bb).sum())
+        mismatches = 2 * (int((ab & ~bb).sum()) + int((~ab & bb).sum()))
+        return mismatches / (n_tt + n_ff + mismatches)
+    # mahalanobis
+    v_inv = _check_cov_inv(cov_inv, a.size)
+    d = a - b
+    q = float(d @ v_inv @ d)
+    return float(np.sqrt(max(q, 0.0)))
 
 
 def find_bmu(grid: WeightGrid, x, metric: str = "euclidean", cov_inv=None) -> tuple[int, int]:

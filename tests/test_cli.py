@@ -94,6 +94,15 @@ class TestTrain:
         assert capsys.readouterr().err == (
             f"somkit: data error: {data}: row 2: field larger than field limit (131072)\n")
 
+    def test_label_only_csv_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("target\n1.0\n2.0\n3.0\n")
+        rc = main(["train", "--data", str(data), "--label-column", "target",
+                   "--head", "regression", "--model", str(tmp_path / "m.json"), *FAST])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"somkit: data error: {data}: no feature columns in header\n")
+
     def test_bad_flag_value_is_usage_error(self, tmp_path, reg_csv):
         rc = main(["train", "--data", str(reg_csv), "--model", str(tmp_path / "m.json"),
                    "--lr-start", "-0.5", *FAST])

@@ -11,6 +11,8 @@ from somkit.distances import (
 )
 from somkit.som import WeightGrid, find_bmu, transform
 
+from oracles import feature_distance as reference_distance
+
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 vector_pairs = st.integers(min_value=1, max_value=12).flatmap(
     lambda n: st.tuples(
@@ -153,6 +155,24 @@ def row_search_cases(n, rng):
         yield f"scale {scale}: rotated copies", rotated * scale, np.zeros((1, n))
 
 
+def pair_cases(metric, n, rng):
+    """(name, A, B) row pairs over n features for comparing distance formulas."""
+    if metric == "tanimoto":
+        A = rng.integers(0, 2, size=(40, n)).astype(float)
+        flipped = A.copy()
+        flipped[np.arange(40), rng.integers(0, n, size=40)] += 1.0
+        yield "random bits", A, rng.integers(0, 2, size=(40, n)).astype(float)
+        yield "one bit apart", A, flipped % 2
+        yield "equal", A, A.copy()
+        return
+    A = rng.normal(size=(40, n))
+    yield "random", A, rng.normal(size=(40, n))
+    yield "near-equal", A, A + 1e-13 * rng.normal(size=(40, n))
+    yield "large offset, near-equal", 1e6 + A, 1e6 + A + 1e-9 * rng.normal(size=(40, n))
+    yield "scale 1e-160", A * 1e-160, rng.normal(size=(40, n)) * 1e-160
+    yield "equal", A, A.copy()
+
+
 def metric_context(metric, W, X):
     if metric != "mahalanobis":
         return None
@@ -172,10 +192,7 @@ class TestVectorizedPaths:
             for b in (others, x):
                 bulk = paired_distances(points, b, metric, cov_inv)
                 scalar = [feature_distance(p, q, metric, cov_inv) for p, q in zip(points, b)]
-                if metric == "mahalanobis":
-                    np.testing.assert_allclose(bulk, scalar, rtol=1e-12, atol=1e-12)
-                else:
-                    np.testing.assert_array_equal(bulk, scalar)
+                np.testing.assert_array_equal(bulk, scalar)
 
     def test_distances_to_many_matches_scalar_tanimoto(self):
         rng = np.random.default_rng(12)
@@ -186,6 +203,34 @@ class TestVectorizedPaths:
             bulk = paired_distances(points, b, "tanimoto")
             scalar = [feature_distance(p, q, "tanimoto") for p, q in zip(points, b)]
             np.testing.assert_array_equal(bulk, scalar)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("n", [1, 2, 7, 32, 204])
+    def test_one_formula_per_metric_keeps_the_reference_bits(self, metric, n):
+        """feature_distance gives the bits of the reference formulas, and
+        paired_distances on k rows gives them row by row, whatever k."""
+        rng = np.random.default_rng(n)
+        cov_inv = None
+        if metric == "mahalanobis":
+            correlated = rng.normal(size=(2 * n + 3, n)) @ rng.normal(size=(n, n))
+            cov_inv = estimate_inverse_covariance(correlated)
+        for name, A, B in pair_cases(metric, n, rng):
+            expected = [reference_distance(a, b, metric, cov_inv) for a, b in zip(A, B)]
+            got = [feature_distance(a, b, metric, cov_inv) for a, b in zip(A, B)]
+            assert got == expected, name
+            rows = [paired_distances(A[i : i + 1], B[i : i + 1], metric, cov_inv)[0]
+                    for i in range(len(A))]
+            assert rows == expected, name
+            np.testing.assert_array_equal(paired_distances(A, B, metric, cov_inv), expected, name)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_zero_feature_rows_are_rejected(self, metric):
+        empty = np.zeros((3, 0))
+        with pytest.raises(ValueError, match="dimension >= 1") as paired:
+            paired_distances(empty, empty, metric, np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="dimension >= 1") as single:
+            feature_distance(empty[0], empty[0], metric, np.zeros((0, 0)))
+        assert str(paired.value) == str(single.value)
 
     def test_distance_matrix_matches_row_loops(self, monkeypatch):
         """Block and single-row BMU search equal the feature_distance argmin."""

@@ -385,7 +385,7 @@ def test_golden_hashes(tmp_path, name):
 def test_tie_case_reranks_during_the_online_fit(tmp_path, monkeypatch):
     """The duplicate-nodes case pins outputs that went through the BMU search's exact re-rank."""
     fitting, reranks = [], []
-    fit, paired = somkit.cli.fit_unsupervised, somkit.distances.paired_distances
+    fit, exact = somkit.cli.fit_unsupervised, somkit.distances._exact
 
     def counted_fit(*args, **kwargs):
         fitting.append(True)
@@ -394,12 +394,12 @@ def test_tie_case_reranks_during_the_online_fit(tmp_path, monkeypatch):
         finally:
             fitting.pop()
 
-    def counted_paired(*args, **kwargs):
+    def counted_exact(*args, **kwargs):
         reranks.extend(fitting)
-        return paired(*args, **kwargs)
+        return exact(*args, **kwargs)
 
     monkeypatch.setattr(somkit.cli, "fit_unsupervised", counted_fit)
-    monkeypatch.setattr(somkit.distances, "paired_distances", counted_paired)
+    monkeypatch.setattr(somkit.distances, "_exact", counted_exact)
     name = "duplicate-nodes-online-regression"
     assert _run_case(tmp_path, name) == GOLDEN[name]
     assert reranks
