@@ -104,6 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(args: argparse.Namespace) -> dict:
+    """The config file's values by key, each of its ``_KEY_TYPES`` type and, if
+    its flag has choices, one of them; else a usage error names the file."""
     config_path = getattr(args, "config", None)
     if not config_path:
         return {}
@@ -116,15 +118,18 @@ def _read_config_file(args: argparse.Namespace) -> dict:
         raise UsageError(f"{path}: not valid JSON: {exc}")
     if not isinstance(from_file, dict):
         raise UsageError(f"{path}: must hold a JSON object")
-    unknown = set(from_file) - set(_CONFIG_OPTIONS) - set(_KEY_TYPES)
+    unknown = set(from_file) - set(_KEY_TYPES)
     if unknown:
         raise UsageError(f"{path}: unknown configuration keys: {sorted(unknown)}")
     if "radius_start" in from_file and from_file["radius_start"] is None:
         del from_file["radius_start"]  # asks for the default, which the grid size sets
+    options = {**_CONFIG_OPTIONS, **_COMMANDS[args.command].params}
     for key, value in from_file.items():
-        kind = _KEY_TYPES.get(key)
-        if kind and not has_type(value, kind):
+        kind, choices = _KEY_TYPES[key], options.get(key, {}).get("choices")
+        if not has_type(value, kind):
             raise UsageError(f"{path}: {key} must be of type {kind.__name__}, got {value!r}")
+        if choices and value not in choices:
+            raise UsageError(f"{path}: {key} must be one of {choices}, got {value!r}")
     return from_file
 
 
@@ -135,38 +140,20 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise UsageError(f"missing required value(s): {flags}")
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """The configuration values set by the config file or, winning, by flags.
-
-    Command parameters the file supplies fill in omitted flags; a value with
-    choices must be one of the command's.
-    """
-    from_file = _read_config_file(args)
-    merged = {key: from_file[key] for key in _CONFIG_OPTIONS if key in from_file}
-    for key in _CONFIG_OPTIONS:
-        if getattr(args, key, None) is not None:
-            merged[key] = getattr(args, key)
-
-    for key, options in _COMMANDS[args.command].params.items():
-        if getattr(args, key) is None and key in from_file:
-            value, choices = from_file[key], options.get("choices")
-            if choices and value not in choices:
-                raise UsageError(f"{args.config}: {key} must be one of {choices}, got {value!r}")
-            setattr(args, key, value)
-    return merged
-
-
 def _validated_config(args: argparse.Namespace) -> tuple[bool, SomConfig]:
-    """The minmax_scale switch and the SomConfig of the merged values.
+    """The minmax_scale switch and the SomConfig of the configuration values.
 
-    A value that is not of its key's type or not one of its choices is a
-    usage error; an absent one takes SomConfig's default.
+    Each flag left out takes the config file's value, if it has one; an
+    absent value takes SomConfig's default. A value SomConfig rejects is a
+    usage error.
     """
-    values = _merge_config(args)
+    for key, value in _read_config_file(args).items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
+    values = {key: getattr(args, key) for key in _CONFIG_OPTIONS
+              if getattr(args, key, None) is not None}
     try:
         scale = values.pop("minmax_scale", False)
-        if not isinstance(scale, bool):
-            raise ValueError(f"minmax_scale must be of type bool, got {scale!r}")
         schedules = {
             f.name: {attr: values.pop(key)
                      for key, attr in _schedule_keys(f.name).items() if key in values}
@@ -429,12 +416,11 @@ _COMMANDS = {
 }
 # the commands that train a map and so take the configuration flags
 _TRAINING_COMMANDS = ("train", "crossval")
-# the type of each config-file key that has one: the run keys and the
-# configuration keys whose flags take a number
-_KEY_TYPES = {key: options["type"] for key, options in _CONFIG_OPTIONS.items()
-              if "type" in options}
-_KEY_TYPES.update({key: options.get("type", str)
-                   for command in _COMMANDS.values() for key, options in command.params.items()})
+# the type of each key a config file may hold, the configuration keys and
+# every command's run keys: its flag's type, bool for a switch, else str
+_KEY_TYPES = {key: options.get("type", bool if "action" in options else str)
+              for table in (_CONFIG_OPTIONS, *(c.params for c in _COMMANDS.values()))
+              for key, options in table.items()}
 
 
 def main(argv: list[str] | None = None) -> int:

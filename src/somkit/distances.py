@@ -12,15 +12,16 @@ Each metric's exact distance between two rows is written once, in
 with row ``i``) check their inputs and call it, so they agree bit for bit.
 :func:`_bmu_block` scores a block of rows against all nodes: euclidean and
 mahalanobis (on Cholesky-whitened data) by one matrix product, then an exact
-re-rank of the nodes near each row's minimum; manhattan and tanimoto exactly,
-from the differences. A block's temporaries stay within ``BLOCK_BYTES``.
-:func:`_bmu_row` searches for one row from its differences x - W, which
-online training computes once per iteration for the search and the pull:
-euclidean sums the squared differences and re-ranks the nodes within a
-relative rounding bound of the minimum, manhattan is exact from the
-differences, and the other metrics go to :func:`_bmu_block`. Both re-ranks
-re-score with :func:`_exact`. Distances between map nodes on their grid live
-in :mod:`somkit.som`, next to the neighbourhood kernel.
+re-rank of the nodes near each row's minimum; manhattan exactly from the
+differences, tanimoto from the rows' boolean mismatches. A block's
+temporaries stay within ``BLOCK_BYTES``. :func:`_bmu_row` searches for one
+row from its differences x - W, which online training computes once per
+iteration for the search and the pull: euclidean sums the squared
+differences and re-ranks the nodes within a relative rounding bound of the
+minimum, manhattan is exact from the differences, and the other metrics go
+to :func:`_bmu_block`. Both re-ranks re-score with :func:`_exact`. Distances
+between map nodes on their grid live in :mod:`somkit.som`, next to the
+neighbourhood kernel.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ def _differences(a, b, metric: str, cov_inv, ndim: int) -> tuple[np.ndarray, np.
 def _exact(D: np.ndarray, metric: str, cov_inv=None) -> np.ndarray:
     """Distance of each pair of rows from their differences ``D`` (..., n).
 
-    The one place each metric's formula is written. Tanimoto needs the rows
-    to be 0/1 and mahalanobis a checked ``cov_inv``; the callers see to both.
+    The one place each metric's formula is written. Tanimoto needs 0/1 rows,
+    whose mismatches ``a != b`` may stand for ``D``, and mahalanobis a checked
+    ``cov_inv``; the callers see to both.
     The stacked matrix product gives each row the bits of the 1-d
     ``d @ cov_inv @ d``, whatever the number of rows.
     """
@@ -154,6 +156,9 @@ def _search(metric: str, cov_inv, n: int) -> tuple:
     if metric != "mahalanobis":
         return metric, cov_inv, None, 1.0
     v_inv = _check_cov_inv(cov_inv, n)
+    if not np.isfinite(v_inv).all():
+        # Cholesky does not raise on NaN; the search would then fail unworded
+        raise ValueError("inverse covariance must be finite")
     try:
         # x^T V x only sees the symmetric part of V
         L = np.linalg.cholesky(0.5 * (v_inv + v_inv.T))
@@ -175,9 +180,9 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
     """
     metric, cov_inv, L, kappa = search
     if metric == "tanimoto":
-        _as_boolean(W, "weights")
-        _as_boolean(X, "data")
-    if metric in ("manhattan", "tanimoto"):
+        W = _as_boolean(W, "weights")
+        return _exact(_as_boolean(X, "data")[..., None, :] != W, metric).argmin(axis=-1)
+    if metric == "manhattan":
         return _exact(X[..., None, :] - W, metric).argmin(axis=-1)
 
     n = X.shape[-1]
@@ -282,13 +287,16 @@ def estimate_inverse_covariance(X, ridge: float = DEFAULT_COV_RIDGE) -> np.ndarr
     """Inverse of the sample covariance of ``X`` with a small ridge term.
 
     The ridge keeps the inversion well-posed for degenerate data. Needs at
-    least two rows.
+    least two rows, and a covariance and inverse that are finite.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"expected an (N, n) matrix, got shape {X.shape}")
     if X.shape[0] < 2:
         raise ValueError("covariance estimation needs at least 2 datapoints")
-    cov = np.atleast_2d(np.cov(X, rowvar=False))
-    cov = cov + ridge * np.eye(cov.shape[0])
-    return np.linalg.inv(cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.atleast_2d(np.cov(X, rowvar=False)) + ridge * np.eye(X.shape[1])
+        cov_inv = np.linalg.inv(cov) if np.isfinite(cov).all() else cov
+    if not np.isfinite(cov_inv).all():
+        raise ValueError("the covariance of the data or its inverse is not finite")
+    return cov_inv

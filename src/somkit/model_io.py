@@ -144,12 +144,17 @@ def save_model(model: SomModel, path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
+def _reject_constant(name: str):
+    """``json`` reads NaN, Infinity and -Infinity, which no model entry may hold."""
+    raise ValueError(f"model file: non-finite number {name} is not allowed")
+
+
 def load_model(path) -> SomModel:
     """Read a model file; a missing or malformed entry raises ValueError."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such model file: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     if not isinstance(payload, dict):
         raise ValueError("model file must hold a JSON object")
     version = payload.get("format_version")

@@ -103,6 +103,16 @@ class TestTrain:
         assert capsys.readouterr().err == (
             f"somkit: data error: {data}: no feature columns in header\n")
 
+    def test_mahalanobis_on_overflowing_features_is_error(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        rows = np.random.default_rng(0).random((40, 3)) * 1e160
+        data.write_text("a,b,c\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+        rc = main(["train", "--data", str(data), "--model", str(tmp_path / "m.json"),
+                   "--metric", "mahalanobis", *FAST])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "somkit: error: the covariance of the data or its inverse is not finite\n")
+
     def test_bad_flag_value_is_usage_error(self, tmp_path, reg_csv):
         rc = main(["train", "--data", str(reg_csv), "--model", str(tmp_path / "m.json"),
                    "--lr-start", "-0.5", *FAST])
@@ -150,10 +160,24 @@ class TestTrain:
                    "--config", str(cfg_file), "--n-iter-unsupervised", "50"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("somkit: error: ")
+        assert err.startswith(f"somkit: error: {cfg_file}: ")
         assert next(iter(values)) in err  # the mistyped key comes first
         if "lr_start" in values:
             assert err == f"somkit: error: {cfg_file}: lr_start must be of type float, got '0.5'\n"
+        assert not model_path.exists()
+
+    def test_bad_config_file_head_is_usage_error_under_a_head_flag(self, tmp_path, reg_csv,
+                                                                   capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"head": "bogus"}))
+        model_path = tmp_path / "m.json"
+        rc = main(["train", "--data", str(reg_csv), "--label-column", "target",
+                   "--head", "regression", "--model", str(model_path),
+                   "--config", str(cfg_file), *FAST])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"somkit: error: {cfg_file}: head must be one of "
+            "('none', 'regression', 'classification'), got 'bogus'\n")
         assert not model_path.exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate", "export-maps"])
@@ -272,6 +296,13 @@ MALFORMED_MODELS = {
         "'ranges'"),
     "string head value": (
         lambda p: p["head"]["values"].__setitem__(0, repr(p["head"]["values"][0])), "'values'"),
+    "NaN in cov_inv": (lambda p: p["cov_inv"][0].__setitem__(0, float("nan")), "NaN"),
+    "Infinity in cov_inv": (lambda p: p["cov_inv"][1].__setitem__(1, float("inf")), "Infinity"),
+    "NaN scaling min": (lambda p: p["scaling"]["mins"].__setitem__(0, float("nan")), "NaN"),
+    "Infinity scaling range": (
+        lambda p: p["scaling"]["ranges"].__setitem__(0, float("inf")), "Infinity"),
+    "-Infinity weight": (lambda p: p["weights"].__setitem__(0, -float("inf")), "-Infinity"),
+    "NaN head value": (lambda p: p["head"]["values"].__setitem__(0, float("nan")), "NaN"),
 }
 
 

@@ -273,6 +273,28 @@ class TestVectorizedPaths:
             got = [distances._bmu_row(W, x, np.subtract(x, W), search) for x in X]
             assert got == expected, name
 
+    @pytest.mark.parametrize("metric", ["manhattan", "tanimoto"])
+    def test_exact_block_search_over_many_blocks(self, metric):
+        rng = np.random.default_rng(15)
+        W = rng.integers(0, 2, size=(40, 20, 16)).astype(float)
+        W[:, 1::2] = W[:, ::2]  # duplicated nodes: ties go to the lower index
+        grid, X = WeightGrid(W), rng.integers(0, 2, size=(300, 16)).astype(float)
+        assert len(X) > 2 * distances._block_rows(800, 16, metric)
+        expected = [int(paired_distances(np.broadcast_to(x, grid.flat.shape), grid.flat,
+                                         metric).argmin()) for x in X]
+        got = transform(grid, X, metric)
+        assert (got[:, 0] * 20 + got[:, 1]).tolist() == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mahalanobis_rejects_non_finite_cov_inv(self, bad):
+        grid = WeightGrid(np.zeros((2, 2, 2)))
+        cov_inv = np.eye(2)
+        cov_inv[0, 1] = cov_inv[1, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            find_bmu(grid, (1.0, 1.0), "mahalanobis", cov_inv)
+        with pytest.raises(ValueError, match="must be finite"):
+            transform(grid, np.ones((3, 2)), "mahalanobis", cov_inv)
+
     def test_mahalanobis_rejects_non_positive_definite(self):
         grid = WeightGrid(np.zeros((2, 2, 2)))
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -293,6 +315,11 @@ class TestCovarianceEstimate:
         X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
         inv = estimate_inverse_covariance(X)
         assert np.all(np.isfinite(inv))
+
+    def test_overflowing_covariance_is_rejected(self):
+        X = np.random.default_rng(0).random((40, 3)) * 1e160  # squares overflow
+        with pytest.raises(ValueError, match="not finite"):
+            estimate_inverse_covariance(X)
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
