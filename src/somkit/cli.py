@@ -37,8 +37,8 @@ from .metrics import (
 )
 from .model_io import SomModel, load_model, save_model
 from .schedules import has_type
-from .som import SomConfig, bmu_histogram, fit_unsupervised
-from .supervised import fit_classifier, fit_regressor
+from .som import SomConfig, _fit_maps, bmu_histogram, fit_unsupervised
+from .supervised import _fit_classifiers, _fit_regressors, fit_classifier, fit_regressor
 from .seeding import PHASES, SEED_SCHEME, phase_rng
 
 HEAD_KINDS = ("none", "regression", "classification")
@@ -230,6 +230,25 @@ def _train_model(config: SomConfig, data: LabeledDataset, head_kind: str, scale:
     return SomModel(config, grid, cov_inv, scaling, head)
 
 
+def _train_folds(config: SomConfig, trains: list[LabeledDataset], head_kind: str,
+                 scale: bool) -> list[SomModel]:
+    """``_train_model(config, trains[i], head_kind, scale, fold=i)`` for every
+    fold i: each fold keeps its own random streams, and the folds' maps and
+    heads train together, in one loop each."""
+    scaled = [minmax_scale(data) if scale else (data, None) for data in trains]
+    Xs, ys = [data.X for data, _ in scaled], [data.y for data, _ in scaled]
+
+    def rngs(phase):
+        return [phase_rng(config.seed, phase, i) for i in range(len(trains))]
+
+    grids, cov_invs = zip(*_fit_maps(Xs, config, rngs("unsupervised"), [None] * len(Xs)))
+    fit_heads = {"regression": _fit_regressors, "classification": _fit_classifiers}
+    heads = (fit_heads[head_kind](grids, Xs, ys, config, rngs("supervised"), cov_invs)
+             if head_kind in fit_heads else [None] * len(Xs))
+    return [SomModel(config, grid, cov_inv, scaling, head)
+            for grid, cov_inv, (_, scaling), head in zip(grids, cov_invs, scaled, heads)]
+
+
 def _evaluate_model(model: SomModel, data: LabeledDataset, section: str) -> EvaluationReport:
     predictions = model.predict(data.X)
     if model.head_kind == "regression":
@@ -311,6 +330,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
+    """k-fold cross-validation. Every fold is split, scaled and trained, all
+    k maps and heads together, before any is evaluated; each fold keeps its
+    own random streams, so each model equals a run of that fold alone."""
     scale, config = _validated_config(args)
     _require(args, "data", "label_column", "head")
     if args.k is None:
@@ -319,9 +341,9 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         raise UsageError(f"k must be >= 2, got {args.k}")
     data = _load_for_model(args.data, args.label_column, args.head)
     folds = k_fold(data, args.k, phase_rng(config.seed, "fold"))
+    models = _train_folds(config, [train for train, _ in folds], args.head, scale)
     fold_reports = []
-    for i, (train, test) in enumerate(folds):
-        model = _train_model(config, train, args.head, scale, fold=i)
+    for i, ((train, test), model) in enumerate(zip(folds, models)):
         test_metrics = _evaluate_model(model, test, "test")
         train_metrics = _evaluate_model(model, train, "train")
         fold_report = EvaluationReport(

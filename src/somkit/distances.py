@@ -15,11 +15,12 @@ mahalanobis (on Cholesky-whitened data) by one matrix product, then an exact
 re-rank of the nodes near each row's minimum; manhattan exactly from the
 differences, tanimoto from the rows' boolean mismatches. A block's
 temporaries stay within ``BLOCK_BYTES``. :func:`_bmu_row` searches for one
-row from its differences x - W, which online training computes once per
-iteration for the search and the pull: euclidean sums the squared
-differences and re-ranks the nodes within a relative rounding bound of the
-minimum, manhattan is exact from the differences, and the other metrics go
-to :func:`_bmu_block`. Both re-ranks re-score with :func:`_exact`. Distances
+row of each of a stack of maps, from node-major weights and the differences
+x - W, which online training computes once per iteration for the search and
+the pull: euclidean and manhattan score every map's nodes in one pass, in
+any summation order, and re-rank the nodes within a relative rounding bound
+of each minimum; the other metrics go to :func:`_bmu_block`, one map at a
+time. Both re-ranks re-score with :func:`_exact`. Distances
 between map nodes on their grid live in :mod:`somkit.som`, next to the
 neighbourhood kernel.
 """
@@ -50,6 +51,8 @@ def check_metric(metric: str) -> str:
 
 
 def _as_boolean(v: np.ndarray, name: str) -> np.ndarray:
+    if v.dtype == bool:
+        return v  # checked before, or 0/1 by its type
     bad = (v != 0) & (v != 1)
     if bad.any():
         first = np.unravel_index(bad.argmax(), v.shape)
@@ -138,11 +141,12 @@ def paired_distances(A, B, metric: str = "euclidean", cov_inv=None) -> np.ndarra
 
 
 def _block_rows(n_nodes: int, n_features: int, metric: str) -> int:
-    """Rows of X per :func:`_bmu_block` call, so its largest float64
-    temporary, (rows, nodes) or the (rows, nodes, n) differences of manhattan
-    and tanimoto, stays within ``BLOCK_BYTES``."""
-    per_row = n_nodes * (n_features if metric in ("manhattan", "tanimoto") else 1) * 8
-    return max(1, BLOCK_BYTES // per_row)
+    """Rows of X per :func:`_bmu_block` call, so its largest temporary stays
+    within ``BLOCK_BYTES``: the float64 (rows, nodes) scores, manhattan's
+    float64 (rows, nodes, n) differences, or tanimoto's 1-byte (rows, nodes, n)
+    mismatches and 8-byte (rows, nodes) counts."""
+    per_node = {"manhattan": 8 * n_features, "tanimoto": max(n_features, 8)}.get(metric, 8)
+    return max(1, BLOCK_BYTES // (n_nodes * per_node))
 
 
 def _search(metric: str, cov_inv, n: int) -> tuple:
@@ -176,7 +180,8 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
     one index per row; callers bound the rows by :func:`_block_rows`. The
     result is what :func:`feature_distance` gives row by row under the
     metric of ``search`` (from :func:`_search`), ties going to the lowest
-    index.
+    index. Tanimoto checks that ``W`` and ``X`` hold 0/1 values unless they
+    are boolean arrays, which callers searching many blocks pass.
     """
     metric, cov_inv, L, kappa = search
     if metric == "tanimoto":
@@ -241,21 +246,22 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
     return best if scores.ndim == 2 else best[0]
 
 
-def _bmu_row(W: np.ndarray, x: np.ndarray, D: np.ndarray, search: tuple) -> int:
-    """Flat index of the nearest row of ``W`` (nodes, n) to the one row ``x``,
-    given its differences ``D`` = x - W; the contract of :func:`_bmu_block`.
+def _bmu_row(W: np.ndarray, x: np.ndarray, D: np.ndarray, searches) -> np.ndarray:
+    """Flat index of the nearest node to ``x[f]`` in map ``f``, for each map
+    of a stack; the contract of :func:`_bmu_block`.
 
-    Online training computes ``D`` once per iteration for the search and the
-    pull. Euclidean and manhattan score from ``D``; mahalanobis and tanimoto
-    go to :func:`_bmu_block`.
+    ``W`` holds the maps' weights node-major, (maps, n, nodes), ``x`` one row
+    per map, (maps, n), and ``D`` their differences x[:, :, None] - W, which
+    online training computes once per iteration for the search and the pull.
+    ``searches`` holds each map's :func:`_search`, all of one metric.
+    Euclidean and manhattan score from ``D``; mahalanobis and tanimoto go to
+    :func:`_bmu_block` with each map's (nodes, n) view.
     """
-    metric = search[0]
-    if metric == "manhattan":
-        return int(_exact(D, metric).argmin())
-    if metric != "euclidean":
-        return int(_bmu_block(W, x, search))
-    scores = np.einsum("ij,ij->i", D, D)
-    best = scores.argmin()
+    metric = searches[0][0]
+    if metric not in ("euclidean", "manhattan"):
+        return np.array([_bmu_block(w.T, r, s) for w, r, s in zip(W, x, searches)])
+    scores = np.einsum("fin,fin->fn", D, D) if metric == "euclidean" else np.abs(D).sum(axis=1)
+    best = scores.argmin(axis=1)
     # Rounding bound. D holds the rounded differences d that the oracle
     # squares (fl(w - x) = -fl(x - w)), so for node j the score S_j and the
     # oracle's value O_j before its sqrt are both sums of the n products
@@ -270,17 +276,21 @@ def _bmu_row(W: np.ndarray, x: np.ndarray, D: np.ndarray, search: tuple) -> int:
     # r = (1 + gamma_n) / (1 - gamma_n),
     #   S_j <= S_k (1 + 4.01 u) r^2 + 2.04 n tau
     #       <  S_k (1 + 2.1 (n + 4) eps) + 2.1 (n + 4) tau.
-    # The slack doubles both terms, which covers rounding the slack itself.
-    # Too loose only re-scores more.
-    n = D.shape[1]
-    slack = 4.2 * (n + 4)
-    near = scores <= scores[best] * (1.0 + slack * _EPS) + slack * _TINY
-    if np.count_nonzero(near) == 1:
-        return int(best)
-    # Several nodes are near the minimum: re-score them with the oracle's
-    # own arithmetic, lowest index on ties.
-    near = np.flatnonzero(near)
-    return int(near[_exact(D[near], metric).argmin()])
+    # Manhattan's S_j and O_j are sums of the n exact terms |d_i|, which the
+    # same bound covers without the sqrt and the products. The slack doubles
+    # both terms, which covers rounding the slack itself. Too loose only
+    # re-scores more.
+    slack = 4.2 * (D.shape[1] + 4)
+    lowest = scores.min(axis=1, keepdims=True)
+    near = scores <= lowest * (1.0 + slack * _EPS) + slack * _TINY
+    if np.count_nonzero(near) == len(best):
+        return best
+    # Some map has several nodes near its minimum: re-score them with the
+    # oracle's own arithmetic, on row-major differences, lowest index on ties.
+    for f in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
+        nodes = np.flatnonzero(near[f])
+        best[f] = nodes[_exact(np.ascontiguousarray(D[f][:, nodes].T), metric).argmin()]
+    return best
 
 
 def estimate_inverse_covariance(X, ridge: float = DEFAULT_COV_RIDGE) -> np.ndarray:

@@ -9,12 +9,19 @@ every weight as a kernel-weighted mean over the whole dataset. Batch mode
 is Kohonen's batch map: it sums and counts the datapoints per BMU node, then
 weights those per-node sums and counts by the nodes x nodes kernel, so its
 cost does not grow with the number of datapoints beyond one pass over them.
+
+Online training and both supervised heads share one sampled loop, which runs
+a stack of k runs that share a :class:`SomConfig`: one run for
+:func:`fit_unsupervised`, the k folds of cross-validation for
+:func:`_fit_maps`. Each run keeps its own generator and draw order, and each
+step does every run's own elementwise arithmetic, so every run's output is
+bit for bit that of a run of its own. The online maps train node-major,
+(k, n, nodes), and are written back to their grids once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -149,9 +156,10 @@ def init_weights(config: SomConfig, X, rng: np.random.Generator) -> WeightGrid:
 
 def find_bmu(grid: WeightGrid, x, metric: str = "euclidean", cov_inv=None) -> tuple[int, int]:
     """Index of the node closest to ``x``; ties go to the smallest row-major index."""
-    x, W = _check_vector(grid, x), grid.flat
-    flat_idx = _bmu_row(W, x, np.subtract(x, W), _search(metric, cov_inv, grid.feature_dim))
-    return divmod(flat_idx, grid.n_column)
+    x, W = _check_vector(grid, x)[None], grid.flat.T[None]
+    (flat_idx,) = _bmu_row(W, x, np.subtract(x[:, :, None], W),
+                           [_search(metric, cov_inv, grid.feature_dim)])
+    return divmod(int(flat_idx), grid.n_column)
 
 
 def _offset_distances(shape: tuple[int, int]) -> np.ndarray:
@@ -209,14 +217,14 @@ def _kernel(neg_d2: np.ndarray, sigma: float, mexican_hat: bool) -> np.ndarray:
 
 def online_update(grid: WeightGrid, x, alpha: float, h: np.ndarray) -> WeightGrid:
     """Pull every node weight toward ``x`` by ``alpha * h``; updates in place."""
-    _pull(grid.weights, np.subtract(_check_vector(grid, x), grid.weights), alpha, h)
+    _pull(grid.weights, np.subtract(_check_vector(grid, x), grid.weights), alpha * h[:, :, None])
     return grid
 
 
-def _pull(weights: np.ndarray, delta: np.ndarray, alpha: float, h: np.ndarray) -> None:
-    """weights += alpha * h * delta, for the datapoint's differences delta = x - weights,
-    both grid-shaped; overwrites delta."""
-    delta *= alpha * h[:, :, None]
+def _pull(weights: np.ndarray, delta: np.ndarray, step: np.ndarray) -> None:
+    """weights += step * delta, for the datapoint's differences delta = x - weights
+    and the per-node step alpha * h, broadcast against them; overwrites delta."""
+    delta *= step
     weights += delta
 
 
@@ -261,17 +269,19 @@ def batch_update(
 
 
 def _sampled_loop(config: SomConfig, t_max: int, picks, update) -> None:
-    """The training loop of the online map and of both supervised heads.
+    """The training loop of the online map and of both supervised heads, for
+    a stack of k runs that share ``config``.
 
-    Iteration t takes the next item (row, column, arg) of ``picks``: the BMU
-    of that iteration's datapoint and what ``update`` needs of it. It then
-    calls ``update(arg, alpha, h)`` with the learning rate alpha(t) and the
-    grid-shaped kernel h around the BMU at radius sigma(t). The schedules run
-    over ``max(t_max, 1)`` iterations. The loop draws nothing: callers draw
-    the datapoints before it, by one ``rng.integers(n, size=t_max)`` call,
-    which gives the values and the generator state of ``t_max`` scalar
-    calls. The classifier draws uniforms between the indices, so its
-    ``picks`` draw one index per item.
+    Iteration t takes the next item (rows, columns, arg) of ``picks``: the
+    BMU (rows[f], columns[f]) of that iteration's datapoint in each run f,
+    and what ``update`` needs of them. It then calls ``update(arg, alpha, h)``
+    with the learning rate alpha(t) and the (k, n_row, n_column) kernel h,
+    whose entry f is run f's kernel around its BMU at radius sigma(t). The
+    schedules run over ``max(t_max, 1)`` iterations. The loop draws nothing:
+    callers draw each run's datapoints before it, by one
+    ``rng.integers(n, size=t_max)`` call, which gives the values and the
+    generator state of ``t_max`` scalar calls. The classifier draws uniforms
+    between the indices, so its ``picks`` draw each run's index per item.
     """
     _check_kernel(config.kernel)
     mexican_hat = config.kernel == "mexican-hat"
@@ -280,8 +290,8 @@ def _sampled_loop(config: SomConfig, t_max: int, picks, update) -> None:
     sigmas = map(_radius_of(replace(config.radius_schedule, t_max=horizon)), range(t_max))
     neg_d2 = _neg_squared_distances(config.grid_shape)
     # picks come last, so that zip never takes an item past the t_max-th
-    for alpha, sigma, (row, column, arg) in zip(alphas, sigmas, picks):
-        update(arg, alpha, _kernel(neg_d2[row, column], sigma, mexican_hat))
+    for alpha, sigma, (rows, columns, arg) in zip(alphas, sigmas, picks):
+        update(arg, alpha, _kernel(neg_d2[rows, columns], sigma, mexican_hat))
 
 
 def fit_unsupervised(
@@ -293,36 +303,75 @@ def fit_unsupervised(
     used for BMU search (estimated from ``X`` for the mahalanobis metric,
     ``None`` otherwise); prediction needs the same matrix later.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
+    (fitted,) = _fit_maps([X], config, [rng], [cov_inv])
+    return fitted
+
+
+def _fit_maps(Xs, config: SomConfig, rngs, cov_invs) -> list[tuple[WeightGrid, np.ndarray | None]]:
+    """:func:`fit_unsupervised` of each dataset of ``Xs`` with its own generator
+    and cov_inv; the online maps train together in one loop, with the outputs
+    of separate runs."""
+    Xs = [np.asarray(X, dtype=float) for X in Xs]
+    if any(X.ndim != 2 or X.shape[0] == 0 for X in Xs):
         raise ValueError("training needs a nonempty (N, n) data matrix")
     if config.metric == "tanimoto":
         # initial and updated weights are not 0/1, which tanimoto needs
         raise ValueError(
             "tanimoto maps cannot be trained; tanimoto can only predict with 0/1 weights"
         )
-    if cov_inv is None and config.metric == "mahalanobis":
-        cov_inv = estimate_inverse_covariance(X)
-
-    grid = init_weights(config, X, rng)
-    t_max = config.n_iter_unsupervised
+    if config.metric == "mahalanobis":
+        cov_invs = [estimate_inverse_covariance(X) if c is None else c
+                    for X, c in zip(Xs, cov_invs)]
+    grids = [init_weights(config, X, rng) for X, rng in zip(Xs, rngs)]
     if config.update_mode == "online":
-        W, search = grid.flat, _search(config.metric, cov_inv, X.shape[1])
-
-        def pick(j):
-            # one difference array serves the BMU search and the pull
-            x = X[j]
-            delta = np.subtract(x, grid.weights)
-            flat_idx = _bmu_row(W, x, delta.reshape(W.shape), search)
-            return (*divmod(flat_idx, config.n_column), delta)
-
-        draws = rng.integers(X.shape[0], size=t_max).tolist()
-        _sampled_loop(config, t_max, map(pick, draws), partial(_pull, grid.weights))
+        _fit_online(grids, Xs, config, rngs, cov_invs)
     else:
-        for sigma in map(_radius_of(replace(config.radius_schedule, t_max=t_max)), range(t_max)):
-            bmus = transform(grid, X, config.metric, cov_inv)
-            batch_update(grid, X, bmus, sigma, config.kernel)
-    return grid, cov_inv
+        # batch maps have no sampled loop to share, so they train one by one
+        t_max = config.n_iter_unsupervised
+        radii = list(map(_radius_of(replace(config.radius_schedule, t_max=t_max)), range(t_max)))
+        for grid, X, cov_inv in zip(grids, Xs, cov_invs):
+            for sigma in radii:
+                bmus = transform(grid, X, config.metric, cov_inv)
+                batch_update(grid, X, bmus, sigma, config.kernel)
+    return list(zip(grids, cov_invs))
+
+
+# Bytes of the sampled rows the online fit gathers at once: a long fit
+# never holds every sampled row.
+_ROW_CHUNK_BYTES = 2**16
+
+
+def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
+    """Online training of a stack of maps, map f on rows of ``Xs[f]`` drawn
+    by ``rngs[f]``; updates the grids in place.
+
+    The maps train node-major, (k, n, nodes), and are written back once at
+    the end. Every step is elementwise, and the BMU search re-ranks its
+    scores exactly, so each map gets the bits of a run of its own.
+    """
+    k, n = len(grids), grids[0].feature_dim
+    searches = [_search(config.metric, cov_inv, n) for cov_inv in cov_invs]
+    t_max = config.n_iter_unsupervised
+    draws = [rng.integers(len(X), size=t_max) for X, rng in zip(Xs, rngs)]
+    W = np.array([grid.flat.T for grid in grids], order="C")
+    delta = np.empty_like(W)
+    chunk = max(1, _ROW_CHUNK_BYTES // (8 * k * n))
+
+    def rows():
+        for start in range(0, t_max, chunk):
+            yield from np.stack([X[d[start : start + chunk]] for X, d in zip(Xs, draws)], axis=1)
+
+    def pick(x):
+        # one difference array serves the BMU search and the pull
+        np.subtract(x[:, :, None], W, out=delta)
+        return (*np.divmod(_bmu_row(W, x, delta, searches), config.n_column), delta)
+
+    def update(delta, alpha, h):
+        _pull(W, delta, alpha * h.reshape(k, 1, -1))
+
+    _sampled_loop(config, t_max, map(pick, rows()), update)
+    for grid, weights in zip(grids, W):
+        grid.flat[...] = weights.T
 
 
 def transform(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> np.ndarray:
@@ -332,13 +381,14 @@ def transform(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> n
         raise ValueError(
             f"data has shape {X.shape}, grid expects dimension {grid.feature_dim}"
         )
+    search, W = _search(metric, cov_inv, grid.feature_dim), grid.flat
     if metric == "tanimoto":
-        _as_boolean(X, "data")  # all rows at once, so an error names a row of X
-    search = _search(metric, cov_inv, grid.feature_dim)
+        # checked once, all rows at once, so an error names a row of X
+        X, W = _as_boolean(X, "data"), _as_boolean(W, "weights")
     chunk = _block_rows(grid.n_row * grid.n_column, grid.feature_dim, metric)
     out = np.empty((X.shape[0], 2), dtype=int)
     for start in range(0, X.shape[0], chunk):
-        flat_idx = _bmu_block(grid.flat, X[start : start + chunk], search)
+        flat_idx = _bmu_block(W, X[start : start + chunk], search)
         out[start : start + chunk, 0] = flat_idx // grid.n_column
         out[start : start + chunk, 1] = flat_idx % grid.n_column
     return out

@@ -12,7 +12,6 @@ class weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -83,27 +82,41 @@ def fit_regressor(
     sampled labels, so with a gaussian kernel and learning-rate start <= 1
     they stay inside the training label range.
     """
-    X, y = _check_labeled(unsup, X, y)
-    y = y.astype(float)
+    (head,) = _fit_regressors([unsup], [X], [y], config, [rng], [cov_inv])
+    return head
+
+
+def _fit_regressors(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[RegressionHead]:
+    """:func:`fit_regressor` on each grid with its own data, generator and
+    cov_inv; the heads train together in one loop, with the outputs of
+    separate runs."""
+    labeled = [_check_labeled(grid, X, y) for grid, X, y in zip(grids, Xs, ys)]
     if config.lr_schedule.start > 1.0:
         raise ValueError(
             "regression head update needs a learning-rate start <= 1, "
             f"got {config.lr_schedule.start}"
         )
-    values = rng.uniform(y.min(), y.max(), size=(unsup.n_row, unsup.n_column))
-    head = RegressionHead(values)
-
-    # The unsupervised grid is fully trained, so each datapoint's BMU is
-    # fixed; compute them once.
-    bmus = transform(unsup, X, config.metric, cov_inv)
-
-    def update(target, alpha, h):
-        head.values += alpha * h * (target - head.values)
-
     t_max = config.n_iter_supervised
-    draws = rng.integers(X.shape[0], size=t_max)
-    _sampled_loop(config, t_max, zip(*bmus[draws].T.tolist(), y[draws].tolist()), update)
-    return head
+    heads, picked = [], []
+    for grid, (X, y), rng, cov_inv in zip(grids, labeled, rngs, cov_invs):
+        y = y.astype(float)
+        heads.append(RegressionHead(
+            rng.uniform(y.min(), y.max(), size=(grid.n_row, grid.n_column))))
+        # The unsupervised grid is fully trained, so each datapoint's BMU is
+        # fixed; compute them once.
+        bmus = transform(grid, X, config.metric, cov_inv)
+        draws = rng.integers(X.shape[0], size=t_max)
+        picked.append((*bmus[draws].T, y[draws]))
+    values = np.stack([head.values for head in heads])
+
+    def update(targets, alpha, h):
+        np.add(values, alpha * h * (targets[:, None, None] - values), out=values)
+
+    rows, columns, targets = (np.stack(p, axis=1) for p in zip(*picked))
+    _sampled_loop(config, t_max, zip(rows, columns, targets), update)
+    for head, v in zip(heads, values):
+        head.values = v
+    return heads
 
 
 def predict_regression(
@@ -177,25 +190,49 @@ def fit_classifier(
     unsup: WeightGrid, X, y, config: SomConfig, rng: np.random.Generator, cov_inv=None
 ) -> ClassificationHead:
     """Train a classification head against the frozen unsupervised grid."""
-    X, y = _check_labeled(unsup, X, y)
-    bmus = transform(unsup, X, config.metric, cov_inv)
-    head = init_classifier(unsup, X, y, config.metric, rng, cov_inv, bmus=bmus)
-    class_set, y_codes = encode_classes(y)
+    (head,) = _fit_classifiers([unsup], [X], [y], config, [rng], [cov_inv])
+    return head
 
-    weight_by_label = class_weights(y, config.class_weighting)
-    code_weights = np.array([weight_by_label[cls] for cls in class_set.tolist()])
 
-    def update(code, alpha, h):
+def _fit_classifiers(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[ClassificationHead]:
+    """:func:`fit_classifier` on each grid with its own data, generator and
+    cov_inv; the heads train together in one loop, with the outputs of
+    separate runs."""
+    heads, sizes, per_row = [], [], []
+    for grid, X, y, rng, cov_inv in zip(grids, Xs, ys, rngs, cov_invs):
+        X, y = _check_labeled(grid, X, y)
+        bmus = transform(grid, X, config.metric, cov_inv)
+        heads.append(init_classifier(grid, X, y, config.metric, rng, cov_inv, bmus=bmus))
+        class_set, y_codes = encode_classes(y)
+        weight_by_label = class_weights(y, config.class_weighting)
+        code_weights = np.array([weight_by_label[cls] for cls in class_set.tolist()])
+        sizes.append(X.shape[0])
+        per_row.append((bmus[:, 0], bmus[:, 1], y_codes, code_weights[y_codes]))
+    # run f's rows follow those of the runs before it
+    offsets = np.cumsum([0, *sizes[:-1]]).tolist()
+    rows, columns, y_codes, row_weights = map(np.concatenate, zip(*per_row))
+    codes = np.stack([head.codes for head in heads])
+    u = np.empty(codes.shape)
+
+    def picks():
+        # update draws uniforms between the indices, so each index is drawn when picked
+        for _ in range(config.n_iter_supervised):
+            j = np.array([rng.integers(n) + at for rng, n, at in zip(rngs, sizes, offsets)])
+            yield rows[j], columns[j], j
+
+    def update(j, alpha, h):
         # A node flips where a uniform draw u lands below P = class weight x
         # alpha x h. P leaves [0, 1] but needs no clamp: u in [0, 1) is below
         # P exactly when it is below clip(P, 0, 1).
-        head.codes[rng.random(head.codes.shape) < code_weights[code] * alpha * h] = code
+        for rng, u_f in zip(rngs, u):
+            rng.random(out=u_f)
+        flips = u < row_weights[j][:, None, None] * alpha * h
+        np.copyto(codes, y_codes[j][:, None, None], where=flips)
 
-    # update draws uniforms between the indices, so each index is drawn when picked
-    t_max = config.n_iter_supervised
-    draws = map(rng.integers, repeat(X.shape[0], t_max))
-    _sampled_loop(config, t_max, ((*bmus[j].tolist(), y_codes[j]) for j in draws), update)
-    return head
+    _sampled_loop(config, config.n_iter_supervised, picks(), update)
+    for head, c in zip(heads, codes):
+        head.codes = c
+    return heads
 
 
 def predict_classification(

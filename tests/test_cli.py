@@ -8,9 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from somkit.cli import main
-from somkit.datasets import save_csv, synthetic_blobs, synthetic_regression
-from somkit.model_io import load_model
+import somkit.distances
+from somkit.cli import _train_folds, _train_model, main
+from somkit.datasets import (
+    LabeledDataset,
+    k_fold,
+    save_csv,
+    synthetic_blobs,
+    synthetic_regression,
+)
+from somkit.model_io import load_model, save_model
+from somkit.schedules import ScheduleSpec
+from somkit.seeding import phase_rng
+from somkit.som import SomConfig
 
 FAST = [
     "--n-row", "5", "--n-column", "5",
@@ -509,6 +519,74 @@ class TestEvaluate:
                    "--label-column", "target", "--output", str(report)])
         assert rc == 0
         assert "r_squared" in report.read_text()
+
+
+def _two_points(rng, head):
+    """100 copies of two points: with a radius of 1e9 the first pull moves
+    every node onto one of them, so BMU scores tie and are re-ranked."""
+    points = rng.uniform(0.0, 1.0, size=(2, 2))
+    which = rng.integers(2, size=100)
+    y = points[which].sum(axis=1) if head == "regression" else which
+    return LabeledDataset(points[which], y, label_kind="continuous"
+                          if head == "regression" else "categorical")
+
+
+_TIES = dict(lr_schedule=ScheduleSpec("start-end", 1.0, 0.05),
+             radius_schedule=ScheduleSpec("start-end", 1e9, 1.0))
+
+# name -> (data of 100 rows, head, SomConfig values, minmax scaling); with
+# k = 3 the folds train on 67, 67 and 66 rows
+STACKED_FOLD_CASES = {
+    "euclidean-online-regression-scaled-mexican-hat": (
+        lambda rng: synthetic_regression(100, 0.05, rng), "regression",
+        dict(kernel="mexican-hat"), True),
+    "manhattan-online-classification-class-weighting": (
+        lambda rng: synthetic_blobs(100, 3, 2.0, rng), "classification",
+        dict(metric="manhattan", class_weighting=True), False),
+    "mahalanobis-online-classification-scaled": (
+        lambda rng: synthetic_blobs(100, 3, 2.0, rng), "classification",
+        dict(metric="mahalanobis"), True),
+    "mahalanobis-online-regression": (
+        lambda rng: synthetic_regression(100, 0.05, rng), "regression",
+        dict(metric="mahalanobis", kernel="mexican-hat"), False),
+    "euclidean-batch-classification-mexican-hat": (
+        lambda rng: synthetic_blobs(100, 3, 2.0, rng), "classification",
+        dict(update_mode="batch", kernel="mexican-hat", class_weighting=True), False),
+    "manhattan-batch-regression-scaled": (
+        lambda rng: synthetic_regression(100, 0.05, rng), "regression",
+        dict(metric="manhattan", update_mode="batch"), True),
+    "euclidean-online-regression-ties": (
+        lambda rng: _two_points(rng, "regression"), "regression", _TIES, False),
+    "manhattan-online-classification-ties": (
+        lambda rng: _two_points(rng, "classification"), "classification",
+        dict(metric="manhattan", **_TIES), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_FOLD_CASES))
+def test_folds_trained_together_equal_folds_trained_alone(tmp_path, monkeypatch, case):
+    """Every fold of crossval's stacked training saves the bytes of
+    ``_train_model`` run on that fold alone."""
+    make_data, head, values, scale = STACKED_FOLD_CASES[case]
+    config = SomConfig(n_row=6, n_column=5, n_iter_unsupervised=200,
+                       n_iter_supervised=200, seed=5, **values)
+    folds = k_fold(make_data(np.random.default_rng(9)), 3, phase_rng(config.seed, "fold"))
+    assert sorted({train.n_samples for train, _ in folds}) == [66, 67]
+    reranks, exact = [], somkit.distances._exact
+
+    def counted_exact(*args, **kwargs):
+        reranks.append(True)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(somkit.distances, "_exact", counted_exact)
+    models = _train_folds(config, [train for train, _ in folds], head, scale)
+    monkeypatch.undo()
+    if case.endswith("-ties"):
+        assert reranks
+    for i, ((train, _), model) in enumerate(zip(folds, models)):
+        save_model(model, tmp_path / "together.json")
+        save_model(_train_model(config, train, head, scale, fold=i), tmp_path / "alone.json")
+        assert (tmp_path / "together.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
 
 
 class TestCrossval:

@@ -264,21 +264,28 @@ class TestVectorizedPaths:
             assert (got[:, 0] * 7 + got[:, 1]).tolist() == oracle_bmus(W.flat, X, "euclidean", None)
 
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
-    @pytest.mark.parametrize("n", [1, 2, 7, 130, 300])
+    @pytest.mark.parametrize("n", [1, 2, 7, 9, 33, 130, 204, 300])
     def test_row_search_from_differences_is_exact(self, metric, n):
+        """The node-major search of one map, and of a stack of maps that each
+        hold the nodes in another order, one row per map."""
         rng = np.random.default_rng(n)
         search = distances._search(metric, None, n)
         for name, W, X in row_search_cases(n, rng):
             expected = oracle_bmus(W, X, metric, None)
-            got = [distances._bmu_row(W, x, np.subtract(x, W), search) for x in X]
+            got = [int(distances._bmu_row(W.T[None], x[None], (x[:, None] - W.T)[None],
+                                          [search])[0]) for x in X]
             assert got == expected, name
+            maps = np.stack([np.roll(W, f, axis=0).T for f in range(len(X))])
+            expected = [oracle_bmus(w.T, x[None], metric, None)[0] for w, x in zip(maps, X)]
+            got = distances._bmu_row(maps, X, X[:, :, None] - maps, [search] * len(X))
+            assert got.tolist() == expected, name
 
     @pytest.mark.parametrize("metric", ["manhattan", "tanimoto"])
     def test_exact_block_search_over_many_blocks(self, metric):
         rng = np.random.default_rng(15)
         W = rng.integers(0, 2, size=(40, 20, 16)).astype(float)
         W[:, 1::2] = W[:, ::2]  # duplicated nodes: ties go to the lower index
-        grid, X = WeightGrid(W), rng.integers(0, 2, size=(300, 16)).astype(float)
+        grid, X = WeightGrid(W), rng.integers(0, 2, size=(700, 16)).astype(float)
         assert len(X) > 2 * distances._block_rows(800, 16, metric)
         expected = [int(paired_distances(np.broadcast_to(x, grid.flat.shape), grid.flat,
                                          metric).argmin()) for x in X]

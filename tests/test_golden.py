@@ -10,7 +10,7 @@ set through a ``--config`` file. Other cases pin paths of the sampled
 training loop: online fits whose nodes collapse onto two points, one of
 them with nodes that tie in the BMU search and are re-ranked exactly, a
 mexican-hat class-weighted head whose raw flip probability leaves [0, 1] on
-both sides, and heads trained for zero iterations. Pinned the same way are two
+both sides, and heads trained for zero iterations. Pinned the same way are five
 ``crossval --k 3`` reports, the ``predict`` sidecar, an ``evaluate`` report
 with a train section, ``export-maps`` for each head kind, predictions from
 model files of format version 1 kept under ``tests/data``, and the
@@ -269,21 +269,46 @@ GOLDEN = {
         "92b4a4d8fb7605262e53543329b2a4ec0c877edf6fd7c630b5c7a80ba2af4df5"),
 }
 
-# head -> sha256 of a ``crossval --k 3`` report without its resolved_config line
+# name -> (data, head, CLI flags, --config file values or None) of a
+# ``crossval --k 3`` run; 200 rows make folds of 67, 67 and 66
+CROSSVAL_CASES = {
+    "classification": (_blob_data, "classification", [], {"kernel": "mexican-hat"}),
+    "regression": (_regression_data, "regression", [], {"minmax_scale": True}),
+    "manhattan-online-classification": (
+        _blob_data, "classification", ["--metric", "manhattan"], None),
+    "mahalanobis-online-regression": (
+        _regression_data, "regression", ["--metric", "mahalanobis"], None),
+    "euclidean-batch-classification": (
+        _blob_data, "classification", ["--update-mode", "batch"], None),
+}
+
+# name -> sha256 of a ``crossval --k 3`` report without its resolved_config line
 GOLDEN_CROSSVAL = {
     "classification":
         "b14c0ef18df17ae07464e6047abeae197cbbc2e24e74d25a474aac1a1a52c476",
     "regression":
         "37b01b8518d98274635c5ee73f87aaf26c8f2b12aa70cffb35d69392ff9877df",
+    "manhattan-online-classification":
+        "de9a2c1dac32d1c0fa159c11983c82cf544810c5440d140da159c26c479a8776",
+    "mahalanobis-online-regression":
+        "52f17e7c9979d85e61f627cb9fc475391431537a02ef5b98836b096236061e81",
+    "euclidean-batch-classification":
+        "4947b3b84b95c38a939daeea570a7cf92624ed8703a9929b905aaf70097ec21d",
 }
 
-# head -> sha256 of the record on that report's resolved_config line, without
+# name -> sha256 of the record on that report's resolved_config line, without
 # its path entries
 GOLDEN_CROSSVAL_RECORD = {
     "classification":
         "72676b6c532cc20481b46207120f1c52051832b5368cef5c49eaa01f43f6f22b",
     "regression":
         "03354961820f1d030e528718dea603592ff05d2b288c4f31c5b098567ca08c7e",
+    "manhattan-online-classification":
+        "849cdcd5dee644317e65fd14f0839d9e3f6d005ec809b1ddf3c9917b9f7b2d81",
+    "mahalanobis-online-regression":
+        "1dda12d059ec1f891d3552f5777c8c4d2a4c7d3603e34b74ea6bd1d66a6871e2",
+    "euclidean-batch-classification":
+        "ae9687240ee5368a244b8ea54fc453096c71831093bd2bb37b1b07a6f92b7e9d",
 }
 
 # case -> {output -> sha256}; each record is hashed without its path entries
@@ -450,20 +475,23 @@ def test_class_weighting_case_takes_flip_probabilities_past_0_and_1(tmp_path, mo
     assert min(far) < 0 and min(at_bmu) > 0
 
 
-@pytest.mark.parametrize("head", sorted(GOLDEN_CROSSVAL))
-def test_golden_crossval_report(tmp_path, head):
-    make_data = _regression_data if head == "regression" else _blob_data
+def _crossval_hashes(tmp_path, name):
+    make_data, head, flags, config = CROSSVAL_CASES[name]
     data = _data_csv(tmp_path, make_data)
     report = tmp_path / "cv.txt"
-    config = {"minmax_scale": True} if head == "regression" else {"kernel": "mexican-hat"}
     assert main(["crossval", "--data", str(data), "--label-column", "label",
-                 "--head", head, "--k", "3", "--output", str(report), *COMMON,
+                 "--head", head, "--k", "3", "--output", str(report), *COMMON, *flags,
                  *_config_flags(tmp_path, config)]) == 0
     lines = report.read_text(encoding="utf-8").splitlines(keepends=True)
     assert lines[-1].startswith("resolved_config: ")
-    assert _sha256("".join(lines[:-1]).encode()) == GOLDEN_CROSSVAL[head]
     record = json.loads(lines[-1].removeprefix("resolved_config: "))
-    assert _record_sha256(record, "data", "output") == GOLDEN_CROSSVAL_RECORD[head]
+    return _sha256("".join(lines[:-1]).encode()), _record_sha256(record, "data", "output")
+
+
+@pytest.mark.parametrize("head", sorted(CROSSVAL_CASES))
+def test_golden_crossval_report(tmp_path, head):
+    assert _crossval_hashes(tmp_path, head) == (GOLDEN_CROSSVAL[head],
+                                                GOLDEN_CROSSVAL_RECORD[head])
 
 
 def _command_outputs(tmp_path, case):

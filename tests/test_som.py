@@ -215,12 +215,13 @@ class TestKernelMatrix:
 
 
 def run_loop(cfg, t_max, bmus, n=7, seed=0):
-    """(j, alpha, h) of each iteration of the sampled loop, whose BMU at
-    iteration t is ``bmus[t]``, and the generator that drew the datapoints j
-    before the loop, as the online map and the regression head do."""
+    """(j, alpha, h) of each iteration of the sampled loop run on a stack of
+    one, whose BMU at iteration t is ``bmus[t]``, and the generator that drew
+    the datapoints j before the loop, as the online map and the regression
+    head do."""
     rng, steps = np.random.default_rng(seed), []
-    picks = ((*bmu, j) for bmu, j in zip(bmus, rng.integers(n, size=t_max).tolist()))
-    _sampled_loop(cfg, t_max, picks, lambda j, alpha, h: steps.append((j, alpha, h.copy())))
+    picks = (([r], [c], j) for (r, c), j in zip(bmus, rng.integers(n, size=t_max).tolist()))
+    _sampled_loop(cfg, t_max, picks, lambda j, alpha, h: steps.append((j, alpha, h[0].copy())))
     return steps, rng
 
 
@@ -249,6 +250,22 @@ class TestNeighbourhoodStep:
             assert alpha == learning_rate(t, lr)
             assert h.tobytes() == expected.tobytes() and h.shape == (6, 4)
         assert rng.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mexican-hat"])
+    def test_stacked_runs_step_as_separate_runs(self, kind):
+        cfg = SomConfig(n_row=5, n_column=3, kernel=kind)
+        draws = np.random.default_rng(2).integers(15, size=(3, 40))
+        bmus = [[divmod(int(k), 3) for k in run] for run in draws]
+        separate = [run_loop(cfg, 40, run)[0] for run in bmus]
+        steps = []
+        picks = ((*np.array(bmu).T, None) for bmu in zip(*bmus))
+        _sampled_loop(cfg, 40, picks, lambda _, alpha, h: steps.append((alpha, h.copy())))
+        assert len(steps) == 40
+        for t, (alpha, h) in enumerate(steps):
+            assert h.shape == (3, 5, 3)
+            for f, run in enumerate(separate):
+                assert alpha == run[t][1]
+                assert h[f].tobytes() == run[t][2].tobytes()
 
     def test_zero_iterations_still_define_schedules(self):
         cfg = SomConfig(n_iter_supervised=0)

@@ -260,10 +260,11 @@ class TestClassChangeProbability:
 
     @staticmethod
     def probability(cfg, bmu, t, w_y):
-        """Raw flip probability w_y x alpha x h at iteration ``t`` of the sampled loop."""
+        """Raw flip probability w_y x alpha x h at iteration ``t`` of the sampled
+        loop, run on a stack of one."""
         steps = []
-        _sampled_loop(cfg, cfg.n_iter_supervised, repeat((*bmu, None)),
-                      lambda _, alpha, h: steps.append(w_y * alpha * h))
+        _sampled_loop(cfg, cfg.n_iter_supervised, repeat(([bmu[0]], [bmu[1]], None)),
+                      lambda _, alpha, h: steps.append(w_y * alpha * h[0]))
         return steps[t]
 
     def test_product_at_bmu(self):
