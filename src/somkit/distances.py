@@ -12,15 +12,17 @@ Each metric's exact distance between two rows is written once, in
 with row ``i``) check their inputs and call it, so they agree bit for bit.
 :func:`_bmu_block` scores a block of rows against all nodes: euclidean and
 mahalanobis (on Cholesky-whitened data) by one matrix product, then an exact
-re-rank of the nodes near each row's minimum; manhattan exactly from the
-differences, tanimoto from the rows' boolean mismatches. A block's
-temporaries stay within ``BLOCK_BYTES``. :func:`_bmu_row` searches for one
-row of each of a stack of maps, from node-major weights and the differences
-x - W, which online training computes once per iteration for the search and
-the pull: euclidean and manhattan score every map's nodes in one pass, in
-any summation order, and re-rank the nodes within a relative rounding bound
-of each minimum; the other metrics go to :func:`_bmu_block`, one map at a
-time. Both re-ranks re-score with :func:`_exact`. Distances
+re-rank of the nodes near each row's minimum, for the rows whose runner-up
+score is near it; manhattan exactly from the differences, tanimoto from the
+rows' boolean mismatches. A block's temporaries stay within ``BLOCK_BYTES``.
+:func:`_check_scale` rejects data and weights whose squared distances could
+overflow, once per fit or call, before the first search. :func:`_bmu_row`
+searches for one row of each of a stack of maps, from node-major weights and
+the differences x - W, which online training computes once per iteration for
+the search and the pull: euclidean and manhattan score every map's nodes in
+one pass, in any summation order, and re-rank the nodes within a relative
+rounding bound of each minimum; the other metrics go to :func:`_bmu_block`,
+one map at a time. Both re-ranks re-score with :func:`_exact`. Distances
 between map nodes on their grid live in :mod:`somkit.som`, next to the
 neighbourhood kernel.
 """
@@ -33,12 +35,16 @@ METRICS = ("euclidean", "manhattan", "tanimoto", "mahalanobis")
 
 DEFAULT_COV_RIDGE = 1e-8
 
-# Largest float64 temporary of one BMU search block. Larger blocks are no
-# faster, and a block's temporaries add to the peak RSS: at 1/2/4/8 MB the
-# benchmark's desk run peaked at 39.3/40.3/42.6/43.6 MB and its palette run
-# (6000 rows, 800 nodes) at 45.8/47.0/49.2/49.0 MB. 1 MB saves another MB,
-# but one run per size cannot show that it costs no time.
-BLOCK_BYTES = 2 * 2**20
+# Largest float64 temporary of one BMU search block. At few features the
+# search is bound by passes over a block's (rows, nodes) scores, and 1 MB of
+# them stays in a 2 MB per-core L2 cache; a block's temporaries also add to
+# the peak RSS (4 and 8 MB peaked 2-3 MB above 2 MB). Three alternating pairs
+# of 30 s benchmark runs at 2 MB against 1 MB, on 2 cores: palette (6000
+# rows, 800 nodes) train_s 0.385-0.416 against 0.354-0.374 s and peak RSS
+# 46.0 against 45.0 MB; desk peak RSS 40.2-40.5 against 39.1-39.4 MB, its
+# times within noise. In-process transform of 24000 x 3 rows on 800 nodes:
+# 52-55 against 35-50 ms; of 2000 x 204 rows: 15 against 12-19 ms.
+BLOCK_BYTES = 2**20
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
@@ -173,6 +179,28 @@ def _search(metric: str, cov_inv, n: int) -> tuple:
     return metric, v_inv, L, float(np.abs(v_inv).sum())
 
 
+def _check_scale(search: tuple, X: np.ndarray, W: np.ndarray) -> None:
+    """Reject rows ``X`` and weights ``W`` (nodes, n) whose squared distances
+    could overflow under the euclidean or mahalanobis ``search``.
+
+    Callers check once per fit or call, before the first search. In the
+    notation of :func:`_bmu_block`'s rounding bound, every score, every
+    oracle value before its sqrt and the slack stay below 2.05 kappa M, with
+    M = max |x|^2 + max |w|^2; so a finite 4 kappa M keeps them all finite.
+    """
+    metric, _, _, kappa = search
+    if metric not in ("euclidean", "mahalanobis"):
+        return
+    with np.errstate(over="ignore"):
+        M = sum(np.einsum("ij,ij->i", A, A).max(initial=0.0) for A in (np.atleast_2d(X), W))
+        if np.isfinite(4.0 * kappa * M):
+            return
+    raise ValueError(
+        f"the data or node weights are too large for {metric} search: "
+        "their squared distances overflow"
+    )
+
+
 def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
     """Flat index of the nearest row of ``W`` (nodes, n) to ``X``.
 
@@ -181,7 +209,14 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
     result is what :func:`feature_distance` gives row by row under the
     metric of ``search`` (from :func:`_search`), ties going to the lowest
     index. Tanimoto checks that ``W`` and ``X`` hold 0/1 values unless they
-    are boolean arrays, which callers searching many blocks pass.
+    are boolean arrays, which callers searching many blocks pass. Euclidean
+    and mahalanobis need rows and weights that passed :func:`_check_scale`.
+
+    The product metrics make four passes over the (rows, nodes) scores: the
+    product, adding |w|^2, the argmin, and the min of the scores with each
+    row's minimum hidden, which gives its runner-up. Only if some runner-up
+    lies within the rounding slack of its row's minimum does a block build
+    the mask of near nodes and re-score them exactly.
     """
     metric, cov_inv, L, kappa = search
     if metric == "tanimoto":
@@ -231,11 +266,18 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
     # slack's 8 (n + 4) tau doubles. Too loose only re-ranks more.
     slack = (32.0 * (n + 4) * _EPS * kappa) * ((X * X).sum(axis=-1) + w_bound)
     slack += 8.0 * (n + 4) * _TINY
-    near = scores <= (scores.min(axis=-1) + slack)[..., None]
-    if np.count_nonzero(near) == best.size:
+    # The score at the argmin is the row's min, so the threshold has the
+    # bits of min + slack. A plain scalar index keeps one-row calls cheap.
+    at = best if scores.ndim == 1 else (np.arange(len(best)), best)
+    lowest = scores[at]
+    threshold = lowest + slack
+    scores[at] = np.inf
+    if not (scores.min(axis=-1) <= threshold).any():
         return best
     # Some row has more than one node near its minimum: re-score those nodes
     # with the oracle's own arithmetic.
+    scores[at] = lowest
+    near = scores <= threshold[..., None]
     X, near, best = np.atleast_2d(X), np.atleast_2d(near), np.atleast_1d(best)
     ties = np.flatnonzero(near.sum(axis=1) > 1)
     r, c = np.nonzero(near[ties])

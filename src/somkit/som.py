@@ -32,6 +32,7 @@ from .distances import (
     _block_rows,
     _bmu_block,
     _bmu_row,
+    _check_scale,
     _search,
     estimate_inverse_covariance,
     paired_distances,
@@ -157,8 +158,9 @@ def init_weights(config: SomConfig, X, rng: np.random.Generator) -> WeightGrid:
 def find_bmu(grid: WeightGrid, x, metric: str = "euclidean", cov_inv=None) -> tuple[int, int]:
     """Index of the node closest to ``x``; ties go to the smallest row-major index."""
     x, W = _check_vector(grid, x)[None], grid.flat.T[None]
-    (flat_idx,) = _bmu_row(W, x, np.subtract(x[:, :, None], W),
-                           [_search(metric, cov_inv, grid.feature_dim)])
+    search = _search(metric, cov_inv, grid.feature_dim)
+    _check_scale(search, x, grid.flat)
+    (flat_idx,) = _bmu_row(W, x, np.subtract(x[:, :, None], W), [search])
     return divmod(int(flat_idx), grid.n_column)
 
 
@@ -351,6 +353,8 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
     """
     k, n = len(grids), grids[0].feature_dim
     searches = [_search(config.metric, cov_inv, n) for cov_inv in cov_invs]
+    for search, X, grid in zip(searches, Xs, grids):
+        _check_scale(search, X, grid.flat)
     t_max = config.n_iter_unsupervised
     draws = [rng.integers(len(X), size=t_max) for X, rng in zip(Xs, rngs)]
     W = np.array([grid.flat.T for grid in grids], order="C")
@@ -382,6 +386,7 @@ def transform(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> n
             f"data has shape {X.shape}, grid expects dimension {grid.feature_dim}"
         )
     search, W = _search(metric, cov_inv, grid.feature_dim), grid.flat
+    _check_scale(search, X, W)
     if metric == "tanimoto":
         # checked once, all rows at once, so an error names a row of X
         X, W = _as_boolean(X, "data"), _as_boolean(W, "weights")

@@ -49,6 +49,19 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+def write_features(path, scale):
+    """40 rows of 3 uniform features times ``scale`` and a 0/1 label "lab"."""
+    rows = np.random.default_rng(0).random((40, 3)) * scale
+    path.write_text("a,b,c,lab\n" + "".join(
+        ",".join(map(repr, r)) + f",{i % 2}\n" for i, r in enumerate(rows.tolist())))
+    return path
+
+
+# at features near 1e160 the squared euclidean distances overflow
+OVERFLOW_ERROR = ("somkit: error: the data or node weights are too large for euclidean "
+                  "search: their squared distances overflow\n")
+
+
 class TestTrain:
     def test_regression_model_and_sidecar(self, tmp_path, reg_csv):
         model_path = tmp_path / "model.json"
@@ -122,6 +135,15 @@ class TestTrain:
         assert rc == 2
         assert capsys.readouterr().err == (
             "somkit: error: the covariance of the data or its inverse is not finite\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--head", "classification"],
+                                       ["--update-mode", "batch"]])
+    def test_euclidean_on_overflowing_features_is_error(self, tmp_path, capsys, flags):
+        data = write_features(tmp_path / "big.csv", 1e160)
+        rc = main(["train", "--data", str(data), "--label-column", "lab",
+                   "--model", str(tmp_path / "m.json"), *flags, *FAST])
+        assert rc == 2
+        assert capsys.readouterr().err == OVERFLOW_ERROR
 
     def test_bad_flag_value_is_usage_error(self, tmp_path, reg_csv):
         rc = main(["train", "--data", str(reg_csv), "--model", str(tmp_path / "m.json"),
@@ -480,6 +502,27 @@ class TestPredict:
         rc = main(["predict", "--model", str(model_path), "--data", str(reg_csv),
                    "--label-column", "target", "--output", str(tmp_path / "p.csv")])
         assert rc == 2
+
+
+    @pytest.mark.parametrize("command", ["predict", "export-maps"])
+    @pytest.mark.parametrize("overflowing", ["data", "weights"])
+    def test_overflowing_squares_are_error(self, tmp_path, capsys, command, overflowing):
+        model_path = tmp_path / "m.json"
+        assert main(["train", "--data", str(write_features(tmp_path / "train.csv", 1.0)),
+                     "--label-column", "lab", "--head", "classification",
+                     "--model", str(model_path), *FAST]) == 0
+        data = write_features(tmp_path / "apply.csv", 1e160 if overflowing == "data" else 1.0)
+        if overflowing == "weights":
+            payload = json.loads(model_path.read_text())
+            payload["weights"] = [w * 1e160 for w in payload["weights"]]
+            model_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = ["--output", str(tmp_path / "p.csv")] if command == "predict" else [
+            "--out-dir", str(tmp_path / "maps")]
+        rc = main([command, "--model", str(model_path), "--data", str(data),
+                   "--label-column", "lab", *out])
+        assert rc == 2
+        assert capsys.readouterr().err == OVERFLOW_ERROR
 
 
 class TestEvaluate:

@@ -173,6 +173,20 @@ def pair_cases(metric, n, rng):
     yield "equal", A, A.copy()
 
 
+def assert_searches_agree(grid, X, metric, cov_inv, monkeypatch):
+    """transform in blocks of the default size and of one row, and the
+    one-row call of _bmu_block, equal the feature_distance argmin of each row."""
+    W = grid.flat
+    expected = [int(paired_distances(np.broadcast_to(x, W.shape), W, metric, cov_inv).argmin())
+                for x in X]
+    for block_bytes in (distances.BLOCK_BYTES, 1):  # 1: blocks of one row
+        monkeypatch.setattr(distances, "BLOCK_BYTES", block_bytes)
+        got = transform(grid, X, metric, cov_inv)
+        assert (got[:, 0] * grid.n_column + got[:, 1]).tolist() == expected
+    search = distances._search(metric, cov_inv, X.shape[1])
+    assert [int(distances._bmu_block(W, x, search)) for x in X] == expected
+
+
 def metric_context(metric, W, X):
     if metric != "mahalanobis":
         return None
@@ -280,17 +294,38 @@ class TestVectorizedPaths:
             got = distances._bmu_row(maps, X, X[:, :, None] - maps, [search] * len(X))
             assert got.tolist() == expected, name
 
-    @pytest.mark.parametrize("metric", ["manhattan", "tanimoto"])
-    def test_exact_block_search_over_many_blocks(self, metric):
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_exact_block_search_over_many_blocks(self, metric, monkeypatch):
         rng = np.random.default_rng(15)
         W = rng.integers(0, 2, size=(40, 20, 16)).astype(float)
         W[:, 1::2] = W[:, ::2]  # duplicated nodes: ties go to the lower index
         grid, X = WeightGrid(W), rng.integers(0, 2, size=(700, 16)).astype(float)
         assert len(X) > 2 * distances._block_rows(800, 16, metric)
-        expected = [int(paired_distances(np.broadcast_to(x, grid.flat.shape), grid.flat,
-                                         metric).argmin()) for x in X]
-        got = transform(grid, X, metric)
-        assert (got[:, 0] * 20 + got[:, 1]).tolist() == expected
+        # integer distances: most rows tie between several nodes
+        assert_searches_agree(grid, X, metric, metric_context(metric, W, X), monkeypatch)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+    def test_product_search_re_ranks_near_twins(self, metric, monkeypatch):
+        rng = np.random.default_rng(16)
+        W = rng.normal(size=(800, 16))
+        W[1::2] = W[::2] + 1e-13 * rng.normal(size=(400, 16))
+        B = distances._block_rows(800, 16, metric)
+        # rows nearest the earlier and the later node of a pair, whose
+        # product scores only rounding separates; the first two blocks hold
+        # random rows, and one of them one such row
+        near = W[:40] + 1e-14 * rng.normal(size=(40, 16))
+        X = np.vstack([rng.normal(size=(2 * B, 16)), near])
+        X[B + 7] = near[0]
+        grid = WeightGrid(W.reshape(40, 20, 16))
+        assert_searches_agree(grid, X, metric, metric_context(metric, grid.weights, X),
+                              monkeypatch)
+        # A node scoring at the runner-up threshold is re-ranked. With no
+        # slack only exact score ties are: from x = 1 both nodes below score
+        # -1, and the later one is nearer.
+        monkeypatch.setattr(distances, "_EPS", 0.0)
+        monkeypatch.setattr(distances, "_TINY", 0.0)
+        grid = WeightGrid(np.array([[[1 + 2.0**-29], [1 - 2.0**-30], [3.0]]]))
+        assert_searches_agree(grid, np.ones((1, 1)), metric, np.ones((1, 1)), monkeypatch)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_mahalanobis_rejects_non_finite_cov_inv(self, bad):

@@ -723,3 +723,22 @@ class TestTransformAndHistogram:
         X = rng.normal(size=(340, 3))
         counts = bmu_histogram(grid, X)
         assert (counts > 0).sum() <= 340
+
+    def test_transform_memory_does_not_grow_with_the_dataset(self):
+        # aim: bounded memory as N grows. Only the (N, 2) output and one
+        # index per datapoint may grow with N; a block of rows holds at most
+        # BLOCK_BYTES of scores, whatever N is.
+        rng = np.random.default_rng(14)
+        grid = WeightGrid(rng.normal(size=(40, 20, 3)))
+        peaks = {}
+        for N in (2000, 20000):
+            X = rng.normal(size=(N, 3))
+            transform(grid, X)  # warm caches and lazy imports
+            tracemalloc.start()
+            try:
+                transform(grid, X)
+                peaks[N] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        index_bytes = np.dtype(np.intp).itemsize
+        assert peaks[20000] - peaks[2000] <= (2 + 1) * (20000 - 2000) * index_bytes
