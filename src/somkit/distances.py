@@ -11,12 +11,15 @@ Each metric's exact distance between two rows is written once, in
 (one pair, the oracle of BMU search) and :func:`paired_distances` (row ``i``
 with row ``i``) check their inputs and call it, so they agree bit for bit.
 :func:`_bmu_block` scores a block of rows against all nodes: euclidean and
-mahalanobis (on Cholesky-whitened data) by one matrix product, then an exact
-re-rank of the nodes near each row's minimum, for the rows whose runner-up
-score is near it; manhattan exactly from the differences, tanimoto from the
-rows' boolean mismatches. A block's temporaries stay within ``BLOCK_BYTES``.
-:func:`_check_scale` rejects data and weights whose squared distances could
-overflow, once per fit or call, before the first search. :func:`_bmu_row`
+mahalanobis (on Cholesky-whitened data) by one matrix product of the rows
+``[-2 x_w | 1]`` with the weights ``[W_w | |w_w|^2]^T``, which gives each
+score whole, then an exact re-rank of the nodes near each row's minimum, for
+the rows whose runner-up score is near it; manhattan exactly from the
+differences, tanimoto from the rows' boolean mismatches. :func:`_prepare`
+builds those weights once per call, for all of its blocks. A block's
+temporaries stay within ``BLOCK_BYTES``. :func:`_check_scale` rejects data
+and weights whose squared distances could overflow, once per fit or call,
+before the first search. :func:`_bmu_row`
 searches for one row of each of a stack of maps, from node-major weights and
 the differences x - W, which online training computes once per iteration for
 the search and the pull: euclidean and manhattan score every map's nodes in
@@ -156,15 +159,16 @@ def _block_rows(n_nodes: int, n_features: int, metric: str) -> int:
 
 
 def _search(metric: str, cov_inv, n: int) -> tuple:
-    """(metric, cov_inv, L, kappa) for :func:`_bmu_block`, prepared once per fit or call.
+    """(metric, cov_inv, L, kappa, L_x) for :func:`_bmu_block`, prepared once per fit or call.
 
     For mahalanobis cov_inv is checked, L is the Cholesky factor of
-    cov_inv = L L^T and kappa is sum |cov_inv_ij|; for the other metrics
-    they are None and 1.
+    cov_inv = L L^T, kappa is sum |cov_inv_ij| and L_x is [-2 L | 0], which
+    maps a row x to the first n entries of the row [-2 x L | 1] of the
+    block search's product; for the other metrics they are None, 1 and None.
     """
     check_metric(metric)
     if metric != "mahalanobis":
-        return metric, cov_inv, None, 1.0
+        return metric, cov_inv, None, 1.0, None
     v_inv = _check_cov_inv(cov_inv, n)
     if not np.isfinite(v_inv).all():
         # Cholesky does not raise on NaN; the search would then fail unworded
@@ -176,7 +180,8 @@ def _search(metric: str, cov_inv, n: int) -> tuple:
         raise ValueError(
             "mahalanobis needs a symmetric positive definite inverse covariance"
         ) from None
-    return metric, v_inv, L, float(np.abs(v_inv).sum())
+    L_x = np.hstack((-2.0 * L, np.zeros((n, 1))))
+    return metric, v_inv, L, float(np.abs(v_inv).sum()), L_x
 
 
 def _check_scale(search: tuple, X: np.ndarray, W: np.ndarray) -> None:
@@ -184,11 +189,12 @@ def _check_scale(search: tuple, X: np.ndarray, W: np.ndarray) -> None:
     could overflow under the euclidean or mahalanobis ``search``.
 
     Callers check once per fit or call, before the first search. In the
-    notation of :func:`_bmu_block`'s rounding bound, every score, every
+    notation of :func:`_bmu_block`'s rounding bound, every partial sum of a
+    score's product (at most |x_w|^2 + 2 |w_w|^2 in absolute value), every
     oracle value before its sqrt and the slack stay below 2.05 kappa M, with
     M = max |x|^2 + max |w|^2; so a finite 4 kappa M keeps them all finite.
     """
-    metric, _, _, kappa = search
+    metric, _, _, kappa, _ = search
     if metric not in ("euclidean", "mahalanobis"):
         return
     with np.errstate(over="ignore"):
@@ -201,42 +207,70 @@ def _check_scale(search: tuple, X: np.ndarray, W: np.ndarray) -> None:
     )
 
 
-def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
+def _prepare(search: tuple, W: np.ndarray):
+    """The weights side of :func:`_bmu_block`'s product for ``W`` (nodes, n),
+    prepared once per call or online step: ``(A, w_bound)``.
+
+    For euclidean and mahalanobis A is ``[W_w | |w_w|^2]^T``, shape
+    (n + 1, nodes), with W_w = W L for mahalanobis and W otherwise, and
+    w_bound is max |w|^2 of the unwhitened rows, for the slack. ``W`` may be a
+    view of node-major weights: ``L^T W^T`` then reads them in place and
+    writes into A, with no transposed copy. Manhattan and tanimoto need
+    nothing, so they get None.
+    """
+    metric, _, L, _, _ = search
+    if metric not in ("euclidean", "mahalanobis"):
+        return None
+    n = W.shape[1]
+    A = np.empty((n + 1, W.shape[0]))
+    W_w, norms = A[:n], A[n]
+    if L is None:
+        W_w[...] = W.T
+    else:
+        np.matmul(L.T, W.T, out=W_w)
+    np.einsum("ij,ij->j", W_w, W_w, out=norms)
+    return A, norms.max() if L is None else np.einsum("ij,ij->i", W, W).max()
+
+
+def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple, prepared):
     """Flat index of the nearest row of ``W`` (nodes, n) to ``X``.
 
     ``X`` is one row (n,), giving one index, or a block (rows, n), giving
     one index per row; callers bound the rows by :func:`_block_rows`. The
     result is what :func:`feature_distance` gives row by row under the
     metric of ``search`` (from :func:`_search`), ties going to the lowest
-    index. Tanimoto checks that ``W`` and ``X`` hold 0/1 values unless they
-    are boolean arrays, which callers searching many blocks pass. Euclidean
-    and mahalanobis need rows and weights that passed :func:`_check_scale`.
+    index. ``prepared`` is :func:`_prepare` of ``search`` and ``W``. Tanimoto
+    checks that ``W`` and ``X`` hold 0/1 values unless they are boolean
+    arrays, which callers searching many blocks pass. Euclidean and
+    mahalanobis need rows and weights that passed :func:`_check_scale`.
 
-    The product metrics make four passes over the (rows, nodes) scores: the
-    product, adding |w|^2, the argmin, and the min of the scores with each
-    row's minimum hidden, which gives its runner-up. Only if some runner-up
-    lies within the rounding slack of its row's minimum does a block build
-    the mask of near nodes and re-score them exactly.
+    The product metrics make three passes over the (rows, nodes) scores: one
+    matrix product of the rows ``[-2 x_w | 1]`` with the prepared weights,
+    which writes each score |w_w|^2 - 2 x_w . w_w whole, the argmin, and the
+    min of the scores with each row's minimum hidden, which gives its
+    runner-up. Only if some runner-up lies within the rounding slack of its
+    row's minimum does a block build the mask of near nodes and re-score
+    them exactly.
     """
-    metric, cov_inv, L, kappa = search
+    metric, cov_inv, _, kappa, L_x = search
     if metric == "tanimoto":
         W = _as_boolean(W, "weights")
         return _exact(_as_boolean(X, "data")[..., None, :] != W, metric).argmin(axis=-1)
     if metric == "manhattan":
         return _exact(X[..., None, :] - W, metric).argmin(axis=-1)
 
+    A, w_bound = prepared
     n = X.shape[-1]
-    w_norms = np.einsum("ij,ij->i", W, W)
-    w_bound = w_norms.max()
-    X_w, W_w = X, W
-    if metric == "mahalanobis":
-        # (x - w) V (x - w)^T = |x L - w L|^2: the euclidean search on whitened rows
-        X_w, W_w = X @ L, W @ L
-        w_norms = np.einsum("ij,ij->i", W_w, W_w)
     # |x_w - w_w|^2 - |x_w|^2; the row constant |x_w|^2 does not move the
     # argmin. Scaling by -2 is exact, and cheaper on the X side.
-    scores = (-2.0 * X_w) @ W_w.T
-    scores += w_norms
+    if L_x is None:
+        X_a = np.empty(X.shape[:-1] + (n + 1,))
+        np.multiply(X, -2.0, out=X_a[..., :n])
+    else:
+        # (x - w) V (x - w)^T = |x L - w L|^2: the euclidean search on whitened rows
+        X_a = X @ L_x
+    X_a[..., n] = 1.0
+    scores = X_a @ A
     best = scores.argmin(axis=-1)
 
     # Rounding bound. For one row x and node w let T be the exact
@@ -249,16 +283,19 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple):
     # gamma_n = n u / (1 - n u) times the sum of the absolute products.
     #  - O rounds d = w - x and then takes two length-n sums:
     #    |O - T| <= (4n + 4.1) u kappa P.
-    #  - S + |x_w|^2 vs T: |w_w|^2 and x_w . w_w err by gamma_n each and the
-    #    last subtraction by u, (2.1n + 2.2) u kappa P. Mahalanobis adds the
-    #    whitening products (4.1n u kappa P), Cholesky's backward error
-    #    |L L^T - V| <= gamma_{n+1} |L| |L^T| (2.05 (n + 1) u kappa P) and the
-    #    symmetrising (2 u kappa P): (8.3n + 8.3) u kappa P at most.
+    #  - S + |x_w|^2 vs T: the rounded |w_w|^2 errs by gamma_n kappa P. S is
+    #    one sum of n + 1 products, the last of them 1 times that rounded
+    #    |w_w|^2, which is exact; their absolute values sum to at most
+    #    |x_w|^2 + 2 |w_w|^2 (1 + gamma_n) <= 2.01 kappa P, so the sum errs by
+    #    gamma_{n+1} 2.01 kappa P: (3.1n + 2.1) u kappa P together. Mahalanobis
+    #    adds the whitening products (4.1n u kappa P), Cholesky's backward
+    #    error |L L^T - V| <= gamma_{n+1} |L| |L^T| (2.05 (n + 1) u kappa P)
+    #    and the symmetrising (2 u kappa P): (9.3n + 6.2) u kappa P at most.
     #  - fl(sqrt(a)) <= fl(sqrt(b)) implies a <= b (1 + 4.01 u), and
     #    O <= 2.05 kappa M.
     # So for the oracle's node j and the argmin k of S,
     #   S_j <= S_k + (err_S + err_O)(j) + (err_S + err_O)(k) + 8.3 u kappa M
-    #       <= S_k + (24.6n + 33.1) u kappa M  <  S_k + 16 (n + 4) eps kappa M.
+    #       <= S_k + (26.6n + 29.0) u kappa M  <  S_k + 16 (n + 4) eps kappa M.
     # The slack doubles that, which covers rounding the slack and the sum
     # below and blocked Cholesky's larger constant. A product that underflows
     # errs by up to tau / 2 (tau the smallest subnormal) beyond these bounds:
@@ -301,7 +338,8 @@ def _bmu_row(W: np.ndarray, x: np.ndarray, D: np.ndarray, searches) -> np.ndarra
     """
     metric = searches[0][0]
     if metric not in ("euclidean", "manhattan"):
-        return np.array([_bmu_block(w.T, r, s) for w, r, s in zip(W, x, searches)])
+        return np.array([_bmu_block(w, r, s, _prepare(s, w))
+                         for w, r, s in zip(W.transpose(0, 2, 1), x, searches)])
     scores = np.einsum("fin,fin->fn", D, D) if metric == "euclidean" else np.abs(D).sum(axis=1)
     best = scores.argmin(axis=1)
     # Rounding bound. D holds the rounded differences d that the oracle

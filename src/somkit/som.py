@@ -33,6 +33,7 @@ from .distances import (
     _bmu_block,
     _bmu_row,
     _check_scale,
+    _prepare,
     _search,
     estimate_inverse_covariance,
     paired_distances,
@@ -373,7 +374,17 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
     def update(delta, alpha, h):
         _pull(W, delta, alpha * h.reshape(k, 1, -1))
 
-    _sampled_loop(config, t_max, map(pick, rows()), update)
+    # A kernel with a negative lobe can push nodes away without bound; one
+    # check after the loop reports that, instead of a check per iteration.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _sampled_loop(config, t_max, map(pick, rows()), update)
+    if not np.isfinite(W).all():
+        lr = config.lr_schedule
+        raise ValueError(
+            f"online training diverged: the node weights overflowed with the "
+            f"{config.kernel} kernel and the {lr.kind} learning rate from {lr.start}; "
+            "a smaller learning rate or the gaussian kernel keeps them finite"
+        )
     for grid, weights in zip(grids, W):
         grid.flat[...] = weights.T
 
@@ -390,10 +401,13 @@ def transform(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> n
     if metric == "tanimoto":
         # checked once, all rows at once, so an error names a row of X
         X, W = _as_boolean(X, "data"), _as_boolean(W, "weights")
+    # the weights side of the search, once per call: each batch-map
+    # iteration calls with new weights
+    prepared = _prepare(search, W)
     chunk = _block_rows(grid.n_row * grid.n_column, grid.feature_dim, metric)
     out = np.empty((X.shape[0], 2), dtype=int)
     for start in range(0, X.shape[0], chunk):
-        flat_idx = _bmu_block(W, X[start : start + chunk], search)
+        flat_idx = _bmu_block(W, X[start : start + chunk], search, prepared)
         out[start : start + chunk, 0] = flat_idx // grid.n_column
         out[start : start + chunk, 1] = flat_idx % grid.n_column
     return out

@@ -20,6 +20,7 @@ from somkit.distances import (
     _as_boolean,
     _bmu_block,
     _check_cov_inv,
+    _prepare,
     _search,
     check_metric,
     estimate_inverse_covariance,
@@ -87,7 +88,8 @@ def feature_distance(a, b, metric: str = "euclidean", cov_inv=None) -> float:
 def find_bmu(grid: WeightGrid, x, metric: str = "euclidean", cov_inv=None) -> tuple[int, int]:
     """Index of the node closest to ``x``; ties go to the smallest row-major index."""
     x = _check_vector(grid, x)
-    flat_idx = int(_bmu_block(grid.flat, x, _search(metric, cov_inv, grid.feature_dim)))
+    W, search = grid.flat, _search(metric, cov_inv, grid.feature_dim)
+    flat_idx = int(_bmu_block(W, x, search, _prepare(search, W)))
     return divmod(flat_idx, grid.n_column)
 
 

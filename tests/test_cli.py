@@ -62,6 +62,16 @@ OVERFLOW_ERROR = ("somkit: error: the data or node weights are too large for euc
                   "search: their squared distances overflow\n")
 
 
+# online training with the mexican-hat kernel at the default learning rate
+# pushes nodes in the kernel's negative lobe away without bound: by 20000
+# iterations on uniform data in [0, 1]^3 the weights overflow
+DIVERGING = ["--kernel", "mexican-hat", "--n-row", "10", "--n-column", "10",
+             "--n-iter-unsupervised", "20000", "--n-iter-supervised", "10", "--seed", "1"]
+DIVERGED_ERROR = ("somkit: error: online training diverged: the node weights overflowed "
+                  "with the mexican-hat kernel and the start-end learning rate from 0.5; "
+                  "a smaller learning rate or the gaussian kernel keeps them finite\n")
+
+
 class TestTrain:
     def test_regression_model_and_sidecar(self, tmp_path, reg_csv):
         model_path = tmp_path / "model.json"
@@ -144,6 +154,16 @@ class TestTrain:
                    "--model", str(tmp_path / "m.json"), *flags, *FAST])
         assert rc == 2
         assert capsys.readouterr().err == OVERFLOW_ERROR
+
+    @pytest.mark.parametrize("head", ["none", "regression"])
+    def test_diverging_online_training_is_error(self, tmp_path, capsys, head):
+        data = write_features(tmp_path / "unit.csv", 1.0)
+        model = tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--label-column", "lab", "--head", head,
+                   "--model", str(model), *DIVERGING])
+        assert rc == 2
+        assert capsys.readouterr().err == DIVERGED_ERROR
+        assert not model.exists() and not (tmp_path / "m.resolved.json").exists()
 
     def test_bad_flag_value_is_usage_error(self, tmp_path, reg_csv):
         rc = main(["train", "--data", str(reg_csv), "--model", str(tmp_path / "m.json"),
@@ -678,6 +698,14 @@ class TestCrossval:
         rc = main(["crossval", "--data", str(blob_csv), "--label-column", "label",
                    "--head", "none", "--k", "3", *FAST])
         assert rc == 1
+
+    def test_diverging_online_training_is_error(self, tmp_path, capsys):
+        data, out = write_features(tmp_path / "unit.csv", 1.0), tmp_path / "cv.txt"
+        rc = main(["crossval", "--data", str(data), "--label-column", "lab",
+                   "--head", "classification", "--k", "3", "--output", str(out), *DIVERGING])
+        assert rc == 2
+        assert capsys.readouterr().err == DIVERGED_ERROR
+        assert not out.exists()
 
     def test_bad_k(self, tmp_path, blob_csv):
         rc = main(["crossval", "--data", str(blob_csv), "--label-column", "label",

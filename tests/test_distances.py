@@ -9,7 +9,7 @@ from somkit.distances import (
     feature_distance,
     paired_distances,
 )
-from somkit.som import WeightGrid, find_bmu, transform
+from somkit.som import WeightGrid, batch_update, find_bmu, transform
 
 from oracles import feature_distance as reference_distance
 
@@ -174,8 +174,9 @@ def pair_cases(metric, n, rng):
 
 
 def assert_searches_agree(grid, X, metric, cov_inv, monkeypatch):
-    """transform in blocks of the default size and of one row, and the
-    one-row call of _bmu_block, equal the feature_distance argmin of each row."""
+    """transform in blocks of the default size and of one row, the one-row
+    call of _bmu_block, and the one-row call of online training, on
+    node-major weights, equal the feature_distance argmin of each row."""
     W = grid.flat
     expected = [int(paired_distances(np.broadcast_to(x, W.shape), W, metric, cov_inv).argmin())
                 for x in X]
@@ -184,7 +185,34 @@ def assert_searches_agree(grid, X, metric, cov_inv, monkeypatch):
         got = transform(grid, X, metric, cov_inv)
         assert (got[:, 0] * grid.n_column + got[:, 1]).tolist() == expected
     search = distances._search(metric, cov_inv, X.shape[1])
-    assert [int(distances._bmu_block(W, x, search)) for x in X] == expected
+    prepared = distances._prepare(search, W)
+    assert [int(distances._bmu_block(W, x, search, prepared)) for x in X] == expected
+    node_major = np.ascontiguousarray(W.T)[None]
+    assert [int(distances._bmu_row(node_major, x[None], x[None, :, None] - node_major,
+                                   [search])[0]) for x in X] == expected
+
+
+PRODUCT_CASES = ("offset 1e6, spread 1", "offset 1e6, near twins", "near twins",
+                 "duplicated nodes", "scale 1e-160")
+
+
+def prepared_product_cases(n, rng):
+    """name -> (W (400, n), X) for each of PRODUCT_CASES, for the product search."""
+    W = rng.normal(size=(400, n))
+    twins, duplicated, offset_twins = W.copy(), W.copy(), 1e6 + W
+    twins[1::2] = W[::2] + 1e-13 * rng.normal(size=(200, n))
+    duplicated[1::2] = W[::2]
+    # 1e-9 is a few units in the last place of 1e6
+    offset_twins[1::2] = offset_twins[::2] + 1e-9 * rng.normal(size=(200, n))
+    return {
+        # scores about -|x|^2 = -n 1e12, spread about n: |w|^2 cancels the product
+        "offset 1e6, spread 1": (1e6 + W, 1e6 + rng.normal(size=(20, n))),
+        "offset 1e6, near twins": (offset_twins, offset_twins[:20] + 1e-10),
+        "near twins": (twins, np.vstack([twins[:20] + 1e-14 * rng.normal(size=(20, n)),
+                                         rng.normal(size=(10, n))])),
+        "duplicated nodes": (duplicated, np.vstack([duplicated[:10], rng.normal(size=(10, n))])),
+        "scale 1e-160": (W * 1e-160, rng.normal(size=(20, n)) * 1e-160),
+    }
 
 
 def metric_context(metric, W, X):
@@ -326,6 +354,33 @@ class TestVectorizedPaths:
         monkeypatch.setattr(distances, "_TINY", 0.0)
         grid = WeightGrid(np.array([[[1 + 2.0**-29], [1 - 2.0**-30], [3.0]]]))
         assert_searches_agree(grid, np.ones((1, 1)), metric, np.ones((1, 1)), monkeypatch)
+
+    @pytest.mark.parametrize("case", PRODUCT_CASES)
+    @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+    @pytest.mark.parametrize("n", [1, 3, 204])
+    def test_prepared_product_search_is_exact(self, case, metric, n, monkeypatch):
+        """The one product against the prepared weights, where |w|^2 cancels
+        against it, where nodes tie or nearly tie, and where it underflows."""
+        nodes, X = prepared_product_cases(n, np.random.default_rng(n))[case]
+        grid = WeightGrid(nodes.reshape(20, 20, n))
+        assert_searches_agree(grid, X, metric, metric_context(metric, grid.weights, X),
+                              monkeypatch)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+    def test_each_transform_call_prepares_the_weights_it_is_given(self, metric):
+        """A batch-map iteration updates the weights in place; the next
+        transform call must search the updated weights."""
+        rng = np.random.default_rng(17)
+        grid, X = WeightGrid(rng.normal(size=(8, 8, 5))), rng.normal(size=(300, 5))
+        cov_inv = metric_context(metric, grid.weights, X)
+        before = transform(grid, X, metric, cov_inv)
+        batch_update(grid, X, before, 1.5)
+        W = grid.flat
+        expected = [int(paired_distances(np.broadcast_to(x, W.shape), W, metric, cov_inv).argmin())
+                    for x in X]
+        got = transform(grid, X, metric, cov_inv)
+        assert (got[:, 0] * 8 + got[:, 1]).tolist() == expected
+        assert (before != got).any()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_mahalanobis_rejects_non_finite_cov_inv(self, bad):

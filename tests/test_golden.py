@@ -14,7 +14,11 @@ both sides, and heads trained for zero iterations. Pinned the same way are five
 ``crossval --k 3`` reports, the ``predict`` sidecar, an ``evaluate`` report
 with a train section, ``export-maps`` for each head kind, predictions from
 model files of format version 1 kept under ``tests/data``, and the
-``--help`` text of ``somkit`` and of each command at 80 columns. Records
+``--help`` text of ``somkit`` and of each command at 80 columns. Two cases
+at the benchmark's sizes pin the block BMU search where it spans several
+blocks: a 40x20 euclidean map of 204 features and a 20x20 mahalanobis batch
+map of 32 correlated features, each through ``train``, ``predict`` and
+``export-maps``. Records
 are hashed without their path entries, which differ between runs. The
 inputs are generated here from numpy alone, so a change to ``somkit``'s
 synthetic data helpers cannot change them.
@@ -85,6 +89,24 @@ def _binary_data(rng):
     flips = rng.random((200, 10)) < 0.15
     X = np.where(flips, 1 - prototypes[labels], prototypes[labels]).astype(float)
     return X, [f"c{k}" for k in labels.tolist()]
+
+
+def _spectral_data(rng):
+    """600 rows of 204 integer bands in 16 classes, shaped like a hyperspectral scene."""
+    spectra = rng.uniform(200.0, 3000.0, size=(16, 204))
+    labels = rng.integers(16, size=600)
+    X = np.clip(np.rint(spectra[labels] + rng.normal(0.0, 60.0, size=(600, 204))), 0, None)
+    return X, [f"c{k}" for k in labels.tolist()]
+
+
+def _correlated_data(rng):
+    """1200 rows of 32 correlated features in mixed units, from 8 clusters."""
+    centers = 2.5 * rng.normal(size=(8, 32))
+    cluster = rng.integers(8, size=1200)
+    Z = centers[cluster] + rng.normal(size=(1200, 32))
+    X = (Z @ rng.normal(size=(32, 32))) * 10.0 ** rng.uniform(-1.0, 1.5, size=32)
+    y = Z[:, 0] + 0.1 * rng.normal(size=1200)
+    return X, [repr(v) for v in y.tolist()]
 
 
 def _as_tanimoto_map(model_path):
@@ -546,3 +568,76 @@ def test_format_v1_model_fixture_predicts(tmp_path, fixture):
     assert main(["predict", "--model", str(DATA_DIR / fixture), "--data", str(data),
                  "--label-column", "label", "--output", str(pred)]) == 0
     assert _sha256(pred.read_bytes()) == GOLDEN_V1_MODELS[fixture]
+
+
+# name -> (data, head, metric, nodes, CLI flags) of a map at the benchmark's
+# sizes, whose BMU searches in train, predict and export-maps each span
+# several blocks of the block search
+BLOCK_CASES = {
+    "euclidean-online-204-features-classification": (
+        _spectral_data, "classification", "euclidean", 800,
+        ["--n-row", "40", "--n-column", "20", "--n-iter-unsupervised", "200",
+         "--n-iter-supervised", "200", "--seed", "7"]),
+    "mahalanobis-batch-32-features-regression": (
+        _correlated_data, "regression", "mahalanobis", 400,
+        ["--metric", "mahalanobis", "--update-mode", "batch", "--minmax-scale",
+         "--n-row", "20", "--n-column", "20", "--n-iter-unsupervised", "8",
+         "--n-iter-supervised", "200", "--seed", "7"]),
+}
+
+# name -> {output -> sha256}; each record is hashed without its path entries
+GOLDEN_BLOCKS = {
+    "euclidean-online-204-features-classification": {
+        "model.json":
+            "67ef96c4a7f5337bf15e5c4ae52a90285450963c5859e63b46a1d74bf814a084",
+        "model.resolved.json":
+            "98a4971819213b5876fde50adf2cb444a7b74c3cac8bd3179a931d518d3141dc",
+        "pred.csv":
+            "d4c5d5347bd8b115f12a97dd899bb4ccaa8d124ecc511b23de306c42d32f25e9",
+        "bmu_histogram.csv":
+            "e3eefe436969b2e094e2c37c47d7262f19a2a426dba71de2579371bfe4a506ce",
+        "output_map.csv":
+            "ba6ed0c2101fd54c6b4a944ba81b97baa9d0a522e1c03c5565c0fc8b7588112d",
+        "maps.resolved.json":
+            "09854e5aef0c6565300a208dc583e1047e943d493fb457dbb0fdb7e976fd7e3e"},
+    "mahalanobis-batch-32-features-regression": {
+        "model.json":
+            "305f2401bb5fce1f35c14031aaff10e2910b1bc79ca3885a83bfa2e4aadaa142",
+        "model.resolved.json":
+            "ed404850be2a7b21be9e43bafce83c3b7d9d11fef5eb399ed3addf5dddf80d60",
+        "pred.csv":
+            "00f362760caf8789fc728809668d90620d718dbe953384edc0bd6656d594b9dd",
+        "bmu_histogram.csv":
+            "e5e8f084eaefd7764c8e36ac4518a4c38c13172b6ef6d29516bf95af44b59168",
+        "output_map.csv":
+            "c6a5c0ea5e71d2dc7c5db1b51fc0f42e8a3f2bd00f9dc210a383495a5bad7ec4",
+        "maps.resolved.json":
+            "fcdfbbba884fd330554db827f60894fac5b275de85d16753e9b52b24d118afec"},
+}
+
+
+def _block_case_outputs(tmp_path, name):
+    make_data, head, metric, nodes, flags = BLOCK_CASES[name]
+    X, labels = make_data(np.random.default_rng(20190327))
+    rows = somkit.distances._block_rows(nodes, X.shape[1], metric)
+    assert len(X) > 2 * rows  # three blocks or more
+    data = tmp_path / "data.csv"
+    _write_csv(data, X, labels)
+    model, pred, out_dir = tmp_path / "model.json", tmp_path / "pred.csv", tmp_path / "maps"
+    paths = ["--model", str(model), "--data", str(data), "--label-column", "label"]
+    assert main(["train", *paths, "--head", head, *flags]) == 0
+    assert main(["predict", *paths, "--output", str(pred)]) == 0
+    assert main(["export-maps", *paths, "--out-dir", str(out_dir)]) == 0
+    sidecar = json.loads((tmp_path / "model.resolved.json").read_text(encoding="utf-8"))
+    record = json.loads((out_dir / "maps.resolved.json").read_text(encoding="utf-8"))
+    return {"model.json": _sha256(model.read_bytes()),
+            "model.resolved.json": _record_sha256(sidecar, "data", "model"),
+            "pred.csv": _sha256(pred.read_bytes()),
+            "bmu_histogram.csv": _sha256((out_dir / "bmu_histogram.csv").read_bytes()),
+            "output_map.csv": _sha256((out_dir / "output_map.csv").read_bytes()),
+            "maps.resolved.json": _record_sha256(record, "model", "data", "out_dir")}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_golden_multi_block_outputs(tmp_path, name):
+    assert _block_case_outputs(tmp_path, name) == GOLDEN_BLOCKS[name]
