@@ -37,8 +37,8 @@ from .metrics import (
 )
 from .model_io import SomModel, load_model, save_model
 from .schedules import has_type
-from .som import SomConfig, _fit_maps, bmu_histogram, fit_unsupervised
-from .supervised import _fit_classifiers, _fit_regressors, fit_classifier, fit_regressor
+from .som import SomConfig, _fit_maps, bmu_histogram
+from .supervised import _fit_classifiers, _fit_regressors
 from .seeding import PHASES, SEED_SCHEME, phase_rng
 
 HEAD_KINDS = ("none", "regression", "classification")
@@ -209,37 +209,16 @@ def _load_for_model(path: str, label_column: str | None, head_kind: str) -> Labe
     return load_csv(path)
 
 
-def _train_model(config: SomConfig, data: LabeledDataset, head_kind: str, scale: bool,
-                 fold: int | None = None) -> SomModel:
-    extra = () if fold is None else (fold,)
-    scaling = None
-    if scale:
-        data, scaling = minmax_scale(data)
-    grid, cov_inv = fit_unsupervised(
-        data.X, config, phase_rng(config.seed, "unsupervised", *extra)
-    )
-    head = None
-    if head_kind == "regression":
-        head = fit_regressor(
-            grid, data.X, data.y, config, phase_rng(config.seed, "supervised", *extra), cov_inv
-        )
-    elif head_kind == "classification":
-        head = fit_classifier(
-            grid, data.X, data.y, config, phase_rng(config.seed, "supervised", *extra), cov_inv
-        )
-    return SomModel(config, grid, cov_inv, scaling, head)
-
-
-def _train_folds(config: SomConfig, trains: list[LabeledDataset], head_kind: str,
-                 scale: bool) -> list[SomModel]:
-    """``_train_model(config, trains[i], head_kind, scale, fold=i)`` for every
-    fold i: each fold keeps its own random streams, and the folds' maps and
-    heads train together, in one loop each."""
-    scaled = [minmax_scale(data) if scale else (data, None) for data in trains]
+def _train_models(config: SomConfig, datasets: list[LabeledDataset], head_kind: str,
+                  scale: bool, keys: list[tuple]) -> list[SomModel]:
+    """A model trained on each of ``datasets``, model i from the streams
+    ``phase_rng(config.seed, phase, *keys[i])``. The maps train together, in
+    one loop, and so do the heads; each model equals a run of its own."""
+    scaled = [minmax_scale(data) if scale else (data, None) for data in datasets]
     Xs, ys = [data.X for data, _ in scaled], [data.y for data, _ in scaled]
 
     def rngs(phase):
-        return [phase_rng(config.seed, phase, i) for i in range(len(trains))]
+        return [phase_rng(config.seed, phase, *key) for key in keys]
 
     grids, cov_invs = zip(*_fit_maps(Xs, config, rngs("unsupervised"), [None] * len(Xs)))
     fit_heads = {"regression": _fit_regressors, "classification": _fit_classifiers}
@@ -294,7 +273,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         args.head = "none"
     _require(args, "data", "model")
     data = _load_for_model(args.data, args.label_column, args.head)
-    model = _train_model(config, data, args.head, scale)
+    (model,) = _train_models(config, [data], args.head, scale, [()])
     save_model(model, args.model)
     _write_resolved(_resolved_record(args, config, scale),
                     _resolved_path(args.resolved_config, args.model))
@@ -330,9 +309,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
-    """k-fold cross-validation. Every fold is split, scaled and trained, all
-    k maps and heads together, before any is evaluated; each fold keeps its
-    own random streams, so each model equals a run of that fold alone."""
+    """k-fold cross-validation. Every fold is split, scaled and trained before
+    any is evaluated, by the one training function of ``train``: fold i
+    draws from the streams keyed ``(i,)``, so each model equals a run of
+    that fold alone."""
     scale, config = _validated_config(args)
     _require(args, "data", "label_column", "head")
     if args.k is None:
@@ -341,7 +321,8 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         raise UsageError(f"k must be >= 2, got {args.k}")
     data = _load_for_model(args.data, args.label_column, args.head)
     folds = k_fold(data, args.k, phase_rng(config.seed, "fold"))
-    models = _train_folds(config, [train for train, _ in folds], args.head, scale)
+    models = _train_models(config, [train for train, _ in folds], args.head, scale,
+                           [(i,) for i in range(args.k)])
     fold_reports = []
     for i, ((train, test), model) in enumerate(zip(folds, models)):
         test_metrics = _evaluate_model(model, test, "test")

@@ -412,10 +412,7 @@ def load_band_mask(path) -> list[int]:
 def discard_bands(X, indices: list[int]) -> np.ndarray:
     """Drop 1-based feature columns named in ``indices``."""
     X = np.asarray(X, dtype=float)
-    zero_based = [i - 1 for i in indices]
-    if zero_based and max(zero_based) >= X.shape[1]:
-        raise ValueError(
-            f"band index {max(indices)} out of range for {X.shape[1]} features"
-        )
-    keep = [i for i in range(X.shape[1]) if i not in set(zero_based)]
-    return X[:, keep]
+    for i in indices:
+        if not 1 <= i <= X.shape[1]:
+            raise ValueError(f"band index {i} out of range 1..{X.shape[1]}")
+    return np.delete(X, np.asarray(indices, dtype=int) - 1, axis=1)

@@ -15,17 +15,19 @@ mahalanobis (on Cholesky-whitened data) by one matrix product of the rows
 ``[-2 x_w | 1]`` with the weights ``[W_w | |w_w|^2]^T``, which gives each
 score whole, then an exact re-rank of the nodes near each row's minimum, for
 the rows whose runner-up score is near it; manhattan exactly from the
-differences, tanimoto from the rows' boolean mismatches. :func:`_prepare`
-builds those weights once per call, for all of its blocks. A block's
-temporaries stay within ``BLOCK_BYTES``. :func:`_check_scale` rejects data
-and weights whose squared distances could overflow, once per fit or call,
-before the first search. :func:`_bmu_row`
-searches for one row of each of a stack of maps, from node-major weights and
-the differences x - W, which online training computes once per iteration for
-the search and the pull: euclidean and manhattan score every map's nodes in
-one pass, in any summation order, and re-rank the nodes within a relative
-rounding bound of each minimum; the other metrics go to :func:`_bmu_block`,
-one map at a time. Both re-ranks re-score with :func:`_exact`. Distances
+differences, tanimoto from the mismatches of rows and weights that
+:func:`somkit.som.transform`, its one caller for tanimoto, has checked to be
+0/1. :func:`_prepare` builds those weights once per call, for all of its
+blocks. A block's temporaries stay within ``BLOCK_BYTES``.
+:func:`_check_scale` rejects data and weights whose squared distances could
+overflow, once per fit or call, before the first search. :func:`_bmu_row`
+serves only online training: it searches for one row of each of a stack of
+maps, from node-major weights and the differences x - W, which the fit
+computes once per iteration for the search and the pull. Euclidean and
+manhattan score every map's nodes in one pass, in any summation order, and
+re-rank the nodes within a relative rounding bound of each minimum;
+mahalanobis goes to :func:`_bmu_block`, one map at a time. Tanimoto maps
+never train. Both re-ranks re-score with :func:`_exact`. Distances
 between map nodes on their grid live in :mod:`somkit.som`, next to the
 neighbourhood kernel.
 """
@@ -60,8 +62,6 @@ def check_metric(metric: str) -> str:
 
 
 def _as_boolean(v: np.ndarray, name: str) -> np.ndarray:
-    if v.dtype == bool:
-        return v  # checked before, or 0/1 by its type
     bad = (v != 0) & (v != 1)
     if bad.any():
         first = np.unravel_index(bad.argmax(), v.shape)
@@ -240,9 +240,9 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple, prepared):
     result is what :func:`feature_distance` gives row by row under the
     metric of ``search`` (from :func:`_search`), ties going to the lowest
     index. ``prepared`` is :func:`_prepare` of ``search`` and ``W``. Tanimoto
-    checks that ``W`` and ``X`` hold 0/1 values unless they are boolean
-    arrays, which callers searching many blocks pass. Euclidean and
-    mahalanobis need rows and weights that passed :func:`_check_scale`.
+    needs ``W`` and ``X`` of 0/1 values, which :func:`somkit.som.transform`
+    checks once per call, and euclidean and mahalanobis rows and weights
+    that passed :func:`_check_scale`.
 
     The product metrics make three passes over the (rows, nodes) scores: one
     matrix product of the rows ``[-2 x_w | 1]`` with the prepared weights,
@@ -254,8 +254,7 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple, prepared):
     """
     metric, cov_inv, _, kappa, L_x = search
     if metric == "tanimoto":
-        W = _as_boolean(W, "weights")
-        return _exact(_as_boolean(X, "data")[..., None, :] != W, metric).argmin(axis=-1)
+        return _exact(X[..., None, :] != W, metric).argmin(axis=-1)
     if metric == "manhattan":
         return _exact(X[..., None, :] - W, metric).argmin(axis=-1)
 
@@ -332,9 +331,9 @@ def _bmu_row(W: np.ndarray, x: np.ndarray, D: np.ndarray, searches) -> np.ndarra
     ``W`` holds the maps' weights node-major, (maps, n, nodes), ``x`` one row
     per map, (maps, n), and ``D`` their differences x[:, :, None] - W, which
     online training computes once per iteration for the search and the pull.
-    ``searches`` holds each map's :func:`_search`, all of one metric.
-    Euclidean and manhattan score from ``D``; mahalanobis and tanimoto go to
-    :func:`_bmu_block` with each map's (nodes, n) view.
+    ``searches`` holds each map's :func:`_search`, all of one metric, which
+    is never tanimoto. Euclidean and manhattan score from ``D``; mahalanobis
+    goes to :func:`_bmu_block` with each map's (nodes, n) view.
     """
     metric = searches[0][0]
     if metric not in ("euclidean", "manhattan"):

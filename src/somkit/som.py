@@ -12,11 +12,16 @@ cost does not grow with the number of datapoints beyond one pass over them.
 
 Online training and both supervised heads share one sampled loop, which runs
 a stack of k runs that share a :class:`SomConfig`: one run for
-:func:`fit_unsupervised`, the k folds of cross-validation for
-:func:`_fit_maps`. Each run keeps its own generator and draw order, and each
-step does every run's own elementwise arithmetic, so every run's output is
-bit for bit that of a run of its own. The online maps train node-major,
-(k, n, nodes), and are written back to their grids once at the end.
+:func:`fit_unsupervised` and the CLI's ``train``, the k folds of ``crossval``.
+Each run keeps its own generator and draw order, and each step does every
+run's own elementwise arithmetic, so every run's output is bit for bit that
+of a run of its own. The online maps train node-major, (k, n, nodes), and
+are written back to their grids once at the end.
+
+The online fit searches one row per map and step, by
+:func:`somkit.distances._bmu_row`. Every other BMU search, :func:`find_bmu`
+included, is :func:`transform`, which checks its rows and the weights once
+per call, tanimoto's 0/1 values among them, and searches block by block.
 """
 
 from __future__ import annotations
@@ -158,11 +163,8 @@ def init_weights(config: SomConfig, X, rng: np.random.Generator) -> WeightGrid:
 
 def find_bmu(grid: WeightGrid, x, metric: str = "euclidean", cov_inv=None) -> tuple[int, int]:
     """Index of the node closest to ``x``; ties go to the smallest row-major index."""
-    x, W = _check_vector(grid, x)[None], grid.flat.T[None]
-    search = _search(metric, cov_inv, grid.feature_dim)
-    _check_scale(search, x, grid.flat)
-    (flat_idx,) = _bmu_row(W, x, np.subtract(x[:, :, None], W), [search])
-    return divmod(int(flat_idx), grid.n_column)
+    row, column = transform(grid, _check_vector(grid, x)[None], metric, cov_inv)[0]
+    return int(row), int(column)
 
 
 def _offset_distances(shape: tuple[int, int]) -> np.ndarray:
@@ -297,6 +299,24 @@ def _sampled_loop(config: SomConfig, t_max: int, picks, update) -> None:
         update(arg, alpha, _kernel(neg_d2[rows, columns], sigma, mexican_hat))
 
 
+def _pulling_loop(config: SomConfig, t_max: int, picks, update, values, what: str) -> None:
+    """:func:`_sampled_loop` whose ``update`` pulls ``values`` toward targets.
+
+    A kernel with a negative lobe can push values away without bound; one
+    check after the loop reports that, naming ``what``, instead of a check
+    per iteration.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        _sampled_loop(config, t_max, picks, update)
+    if not np.isfinite(values).all():
+        lr = config.lr_schedule
+        raise ValueError(
+            f"online training diverged: the {what} overflowed with the "
+            f"{config.kernel} kernel and the {lr.kind} learning rate from {lr.start}; "
+            "a smaller learning rate or the gaussian kernel keeps them finite"
+        )
+
+
 def fit_unsupervised(
     X, config: SomConfig, rng: np.random.Generator, cov_inv=None
 ) -> tuple[WeightGrid, np.ndarray | None]:
@@ -374,17 +394,7 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
     def update(delta, alpha, h):
         _pull(W, delta, alpha * h.reshape(k, 1, -1))
 
-    # A kernel with a negative lobe can push nodes away without bound; one
-    # check after the loop reports that, instead of a check per iteration.
-    with np.errstate(over="ignore", invalid="ignore"):
-        _sampled_loop(config, t_max, map(pick, rows()), update)
-    if not np.isfinite(W).all():
-        lr = config.lr_schedule
-        raise ValueError(
-            f"online training diverged: the node weights overflowed with the "
-            f"{config.kernel} kernel and the {lr.kind} learning rate from {lr.start}; "
-            "a smaller learning rate or the gaussian kernel keeps them finite"
-        )
+    _pulling_loop(config, t_max, map(pick, rows()), update, W, "node weights")
     for grid, weights in zip(grids, W):
         grid.flat[...] = weights.T
 

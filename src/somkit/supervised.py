@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .som import SomConfig, WeightGrid, _sampled_loop, transform
+from .som import SomConfig, WeightGrid, _pulling_loop, _sampled_loop, transform
 
 
 @dataclass
@@ -113,7 +113,7 @@ def _fit_regressors(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[Re
         np.add(values, alpha * h * (targets[:, None, None] - values), out=values)
 
     rows, columns, targets = (np.stack(p, axis=1) for p in zip(*picked))
-    _sampled_loop(config, t_max, zip(rows, columns, targets), update)
+    _pulling_loop(config, t_max, zip(rows, columns, targets), update, values, "head values")
     for head, v in zip(heads, values):
         head.values = v
     return heads

@@ -9,18 +9,20 @@ import numpy as np
 import pytest
 
 import somkit.distances
-from somkit.cli import _train_folds, _train_model, main
+from somkit.cli import _train_models, main
 from somkit.datasets import (
     LabeledDataset,
     k_fold,
+    minmax_scale,
     save_csv,
     synthetic_blobs,
     synthetic_regression,
 )
-from somkit.model_io import load_model, save_model
+from somkit.model_io import SomModel, load_model, save_model
 from somkit.schedules import ScheduleSpec
 from somkit.seeding import phase_rng
-from somkit.som import SomConfig
+from somkit.som import SomConfig, fit_unsupervised
+from somkit.supervised import fit_classifier, fit_regressor
 
 FAST = [
     "--n-row", "5", "--n-column", "5",
@@ -70,6 +72,20 @@ DIVERGING = ["--kernel", "mexican-hat", "--n-row", "10", "--n-column", "10",
 DIVERGED_ERROR = ("somkit: error: online training diverged: the node weights overflowed "
                   "with the mexican-hat kernel and the start-end learning rate from 0.5; "
                   "a smaller learning rate or the gaussian kernel keeps them finite\n")
+# the regression head diverges in the same way: with a map that stays finite,
+# 40000 head iterations on 200 rows in [0, 1]^3 make its values overflow
+DIVERGING_HEAD = ["--head", "regression", "--kernel", "mexican-hat", "--n-row", "10",
+                  "--n-column", "10", "--n-iter-unsupervised", "2000",
+                  "--n-iter-supervised", "40000", "--seed", "1"]
+HEAD_DIVERGED_ERROR = DIVERGED_ERROR.replace("node weights", "head values")
+
+
+def write_sums(path):
+    """200 rows of 3 uniform features and their sum, "target"."""
+    rows = np.random.default_rng(0).random((200, 3))
+    path.write_text("a,b,c,target\n" + "".join(
+        ",".join(map(repr, r)) + f",{sum(r)!r}\n" for r in rows.tolist()))
+    return path
 
 
 class TestTrain:
@@ -163,6 +179,14 @@ class TestTrain:
                    "--model", str(model), *DIVERGING])
         assert rc == 2
         assert capsys.readouterr().err == DIVERGED_ERROR
+        assert not model.exists() and not (tmp_path / "m.resolved.json").exists()
+
+    def test_diverging_regression_head_is_error(self, tmp_path, capsys):
+        data, model = write_sums(tmp_path / "sums.csv"), tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--label-column", "target",
+                   "--model", str(model), *DIVERGING_HEAD])
+        assert rc == 2
+        assert capsys.readouterr().err == HEAD_DIVERGED_ERROR
         assert not model.exists() and not (tmp_path / "m.resolved.json").exists()
 
     def test_bad_flag_value_is_usage_error(self, tmp_path, reg_csv):
@@ -626,10 +650,22 @@ STACKED_FOLD_CASES = {
 }
 
 
+def _trained_alone(config, data, head, scale, fold):
+    """The model of one fold trained by the public fits, with the fold's streams."""
+    scaling = None
+    if scale:
+        data, scaling = minmax_scale(data)
+    grid, cov_inv = fit_unsupervised(data.X, config, phase_rng(config.seed, "unsupervised", fold))
+    fit_head = {"regression": fit_regressor, "classification": fit_classifier}.get(head)
+    head_model = None if fit_head is None else fit_head(
+        grid, data.X, data.y, config, phase_rng(config.seed, "supervised", fold), cov_inv)
+    return SomModel(config, grid, cov_inv, scaling, head_model)
+
+
 @pytest.mark.parametrize("case", sorted(STACKED_FOLD_CASES))
 def test_folds_trained_together_equal_folds_trained_alone(tmp_path, monkeypatch, case):
-    """Every fold of crossval's stacked training saves the bytes of
-    ``_train_model`` run on that fold alone."""
+    """Every fold of crossval's stacked training saves the bytes of the public
+    fits run on that fold alone."""
     make_data, head, values, scale = STACKED_FOLD_CASES[case]
     config = SomConfig(n_row=6, n_column=5, n_iter_unsupervised=200,
                        n_iter_supervised=200, seed=5, **values)
@@ -642,13 +678,14 @@ def test_folds_trained_together_equal_folds_trained_alone(tmp_path, monkeypatch,
         return exact(*args, **kwargs)
 
     monkeypatch.setattr(somkit.distances, "_exact", counted_exact)
-    models = _train_folds(config, [train for train, _ in folds], head, scale)
+    models = _train_models(config, [train for train, _ in folds], head, scale,
+                           [(i,) for i in range(len(folds))])
     monkeypatch.undo()
     if case.endswith("-ties"):
         assert reranks
     for i, ((train, _), model) in enumerate(zip(folds, models)):
         save_model(model, tmp_path / "together.json")
-        save_model(_train_model(config, train, head, scale, fold=i), tmp_path / "alone.json")
+        save_model(_trained_alone(config, train, head, scale, i), tmp_path / "alone.json")
         assert (tmp_path / "together.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
 
 
@@ -705,6 +742,14 @@ class TestCrossval:
                    "--head", "classification", "--k", "3", "--output", str(out), *DIVERGING])
         assert rc == 2
         assert capsys.readouterr().err == DIVERGED_ERROR
+        assert not out.exists()
+
+    def test_diverging_regression_head_is_error(self, tmp_path, capsys):
+        data, out = write_sums(tmp_path / "sums.csv"), tmp_path / "cv.txt"
+        rc = main(["crossval", "--data", str(data), "--label-column", "target",
+                   "--k", "3", "--output", str(out), *DIVERGING_HEAD])
+        assert rc == 2
+        assert capsys.readouterr().err == HEAD_DIVERGED_ERROR
         assert not out.exists()
 
     def test_bad_k(self, tmp_path, blob_csv):

@@ -419,9 +419,16 @@ class TestBandMask:
         out = discard_bands(X, [1, 6])
         np.testing.assert_array_equal(out, X[:, 1:5])
 
-    def test_discard_bands_out_of_range(self):
-        with pytest.raises(ValueError):
-            discard_bands(np.ones((2, 3)), [4])
+    # 0 and negative indices are rejected, not read as columns from the end
+    @pytest.mark.parametrize("index", [4, 0, -1, -2])
+    def test_discard_bands_out_of_range(self, index):
+        with pytest.raises(ValueError, match=rf"band index {index} out of range 1\.\.3$"):
+            discard_bands(np.ones((2, 3)), [2, index])
+
+    def test_discard_bands_with_none_or_repeated(self):
+        X = np.arange(12.0).reshape(3, 4)
+        np.testing.assert_array_equal(discard_bands(X, []), X)
+        np.testing.assert_array_equal(discard_bands(X, [3, 3, 1]), X[:, [1, 3]])
 
     def test_mask_parsing_errors(self, tmp_path):
         p = tmp_path / "mask.txt"

@@ -432,7 +432,7 @@ def test_golden_hashes(tmp_path, name):
 def test_tie_case_reranks_during_the_online_fit(tmp_path, monkeypatch):
     """The duplicate-nodes case pins outputs that went through the BMU search's exact re-rank."""
     fitting, reranks = [], []
-    fit, exact = somkit.cli.fit_unsupervised, somkit.distances._exact
+    fit, exact = somkit.cli._fit_maps, somkit.distances._exact
 
     def counted_fit(*args, **kwargs):
         fitting.append(True)
@@ -445,7 +445,7 @@ def test_tie_case_reranks_during_the_online_fit(tmp_path, monkeypatch):
         reranks.extend(fitting)
         return exact(*args, **kwargs)
 
-    monkeypatch.setattr(somkit.cli, "fit_unsupervised", counted_fit)
+    monkeypatch.setattr(somkit.cli, "_fit_maps", counted_fit)
     monkeypatch.setattr(somkit.distances, "_exact", counted_exact)
     name = "duplicate-nodes-online-regression"
     assert _run_case(tmp_path, name) == GOLDEN[name]

@@ -160,6 +160,13 @@ class TestFindBmu:
         with pytest.raises(ValueError):
             find_bmu(grid, (1.0, 2.0))
 
+    def test_tanimoto_checks_x_as_row_0_of_the_data_then_the_weights(self):
+        grid = WeightGrid(np.full((2, 2, 3), 0.5))
+        with pytest.raises(ValueError, match=r"data row index 0 holds 0\.25$"):
+            find_bmu(grid, (1.0, 0.25, 0.0), "tanimoto")
+        with pytest.raises(ValueError, match=r"weights row index 0 holds 0\.5$"):
+            find_bmu(grid, (1.0, 0.0, 0.0), "tanimoto")
+
     def test_matches_brute_force_all_metrics(self):
         rng = np.random.default_rng(42)
         for _ in range(40):
