@@ -187,13 +187,30 @@ def _numbered_rows(path: Path, reader):
         raise DatasetError(f"{path}: row {row_no + 1}: {err}") from None
 
 
+def _numbers(path: Path, row_no: int, header: list[str], row: list[str], columns) -> list:
+    """The cells of ``row`` in ``columns`` as finite floats; the first that is
+    not one raises a DatasetError naming its row and column."""
+    values = []
+    for i in columns:
+        try:
+            value = float(row[i])
+        except ValueError:
+            raise DatasetError(f"{path}: row {row_no}, column {header[i]!r}: "
+                               f"cannot parse {row[i]!r} as a number")
+        if not math.isfinite(value):
+            raise DatasetError(f"{path}: row {row_no}, column {header[i]!r}: "
+                               f"non-finite value {row[i]!r}")
+        values.append(value)
+    return values
+
+
 def _read_rows(path: Path, reader, header: list[str], label_idx: int | None, label_kind: str):
     """(X, y) from the data rows of ``reader``, one cell at a time.
 
     This is the authoritative reader: it raises a :class:`DatasetError`
     naming the row and column of the first malformed cell.
     """
-    label_column = None if label_idx is None else header[label_idx]
+    features = [i for i in range(len(header)) if i != label_idx]
     rows: list[list[float]] = []
     labels: list = []
     for row_no, row in _numbered_rows(path, reader):
@@ -201,42 +218,11 @@ def _read_rows(path: Path, reader, header: list[str], label_idx: int | None, lab
             raise DatasetError(
                 f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}"
             )
-        feats = []
-        for i, cell in enumerate(row):
-            if i == label_idx:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DatasetError(
-                    f"{path}: row {row_no}, column {header[i]!r}: "
-                    f"cannot parse {cell!r} as a number"
-                )
-            if not math.isfinite(value):
-                raise DatasetError(
-                    f"{path}: row {row_no}, column {header[i]!r}: "
-                    f"non-finite value {cell!r}"
-                )
-            feats.append(value)
-        rows.append(feats)
-        if label_idx is not None:
-            cell = row[label_idx]
-            if label_kind == "continuous":
-                try:
-                    label = float(cell)
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}: row {row_no}, column {label_column!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    )
-                if not math.isfinite(label):
-                    raise DatasetError(
-                        f"{path}: row {row_no}, column {label_column!r}: "
-                        f"non-finite value {cell!r}"
-                    )
-                labels.append(label)
-            else:
-                labels.append(cell)
+        rows.append(_numbers(path, row_no, header, row, features))
+        if label_kind == "continuous":
+            labels += _numbers(path, row_no, header, row, [label_idx])
+        elif label_idx is not None:
+            labels.append(row[label_idx])
 
     if not rows:
         raise DatasetError(f"{path}: no data rows")
@@ -323,6 +309,9 @@ class MinMaxRecord:
 
     def apply_to_matrix(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != len(self.mins):
+            raise ValueError(f"data has shape {X.shape}, "
+                             f"the min-max scaling expects dimension {len(self.mins)}")
         scaled = np.zeros_like(X)
         ok = self.ranges > 0
         scaled[:, ok] = (X[:, ok] - self.mins[ok]) / self.ranges[ok]

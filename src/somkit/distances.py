@@ -10,24 +10,24 @@ Each metric's exact distance between two rows is written once, in
 :func:`_exact`, as a function of their differences. :func:`feature_distance`
 (one pair, the oracle of BMU search) and :func:`paired_distances` (row ``i``
 with row ``i``) check their inputs and call it, so they agree bit for bit.
-:func:`_bmu_block` scores a block of rows against all nodes: euclidean and
-mahalanobis (on Cholesky-whitened data) by one matrix product of the rows
-``[-2 x_w | 1]`` with the weights ``[W_w | |w_w|^2]^T``, which gives each
-score whole, then an exact re-rank of the nodes near each row's minimum, for
-the rows whose runner-up score is near it; manhattan exactly from the
-differences, tanimoto from the mismatches of rows and weights that
-:func:`somkit.som.transform`, its one caller for tanimoto, has checked to be
-0/1. :func:`_prepare` builds those weights once per call, for all of its
-blocks. A block's temporaries stay within ``BLOCK_BYTES``.
-:func:`_check_scale` rejects data and weights whose squared distances could
-overflow, once per fit or call, before the first search. :func:`_bmu_row`
-serves only online training: it searches for one row of each of a stack of
-maps, from node-major weights and the differences x - W, which the fit
-computes once per iteration for the search and the pull. Euclidean and
-manhattan score every map's nodes in one pass, in any summation order, and
-re-rank the nodes within a relative rounding bound of each minimum;
-mahalanobis goes to :func:`_bmu_block`, one map at a time. Tanimoto maps
-never train. Both re-ranks re-score with :func:`_exact`. Distances
+BMU search lives here whole: :mod:`somkit.som` calls :func:`_search`, which
+builds a search for given rows and weights and rejects those whose squared
+distances could overflow, :func:`_nearest` and :func:`_bmu_row`.
+:func:`_nearest` checks tanimoto's 0/1 values, prepares the weights once per
+call by :func:`_prepare` and runs :func:`_bmu_block` on blocks whose
+temporaries stay within ``BLOCK_BYTES``. :func:`_bmu_block` scores rows
+against all nodes: euclidean and mahalanobis (on Cholesky-whitened data) by
+one matrix product of the rows ``[-2 x_w | 1]`` with the weights
+``[W_w | |w_w|^2]^T``, which gives each score whole, and an exact re-rank
+for the rows whose runner-up score is near their minimum; manhattan exactly
+from the differences, tanimoto from the mismatches. :func:`_bmu_row` serves
+only online training: one row for each of a stack of maps, from node-major
+weights and the differences x - W, which the fit computes once per iteration
+for the search and the pull. Euclidean and manhattan score every map's
+nodes in one pass, in any summation order, and re-rank the nodes within a
+relative rounding bound of each minimum; mahalanobis goes to the one-row
+:func:`_bmu_block`, map by map. Tanimoto maps never train. Both searches
+re-rank by :func:`_rerank`, which re-scores with :func:`_exact`. Distances
 between map nodes on their grid live in :mod:`somkit.som`, next to the
 neighbourhood kernel.
 """
@@ -158,53 +158,49 @@ def _block_rows(n_nodes: int, n_features: int, metric: str) -> int:
     return max(1, BLOCK_BYTES // (n_nodes * per_node))
 
 
-def _search(metric: str, cov_inv, n: int) -> tuple:
-    """(metric, cov_inv, L, kappa, L_x) for :func:`_bmu_block`, prepared once per fit or call.
+def _search(metric: str, cov_inv, X: np.ndarray, W: np.ndarray) -> tuple:
+    """(metric, cov_inv, L, kappa, L_x) for :func:`_bmu_block`, prepared once
+    per fit or call, for rows ``X`` and weights ``W`` (nodes, n).
 
     For mahalanobis cov_inv is checked, L is the Cholesky factor of
     cov_inv = L L^T, kappa is sum |cov_inv_ij| and L_x is [-2 L | 0], which
     maps a row x to the first n entries of the row [-2 x L | 1] of the
     block search's product; for the other metrics they are None, 1 and None.
-    """
-    check_metric(metric)
-    if metric != "mahalanobis":
-        return metric, cov_inv, None, 1.0, None
-    v_inv = _check_cov_inv(cov_inv, n)
-    if not np.isfinite(v_inv).all():
-        # Cholesky does not raise on NaN; the search would then fail unworded
-        raise ValueError("inverse covariance must be finite")
-    try:
-        # x^T V x only sees the symmetric part of V
-        L = np.linalg.cholesky(0.5 * (v_inv + v_inv.T))
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "mahalanobis needs a symmetric positive definite inverse covariance"
-        ) from None
-    L_x = np.hstack((-2.0 * L, np.zeros((n, 1))))
-    return metric, v_inv, L, float(np.abs(v_inv).sum()), L_x
 
-
-def _check_scale(search: tuple, X: np.ndarray, W: np.ndarray) -> None:
-    """Reject rows ``X`` and weights ``W`` (nodes, n) whose squared distances
-    could overflow under the euclidean or mahalanobis ``search``.
-
-    Callers check once per fit or call, before the first search. In the
-    notation of :func:`_bmu_block`'s rounding bound, every partial sum of a
-    score's product (at most |x_w|^2 + 2 |w_w|^2 in absolute value), every
-    oracle value before its sqrt and the slack stay below 2.05 kappa M, with
+    Euclidean and mahalanobis reject rows and weights whose squared
+    distances could overflow. In the notation of :func:`_bmu_block`'s
+    rounding bound, every partial sum of a score's product (at most
+    |x_w|^2 + 2 |w_w|^2 in absolute value), every oracle value before its
+    sqrt and the slack stay below 2.05 kappa M, with
     M = max |x|^2 + max |w|^2; so a finite 4 kappa M keeps them all finite.
     """
-    metric, _, _, kappa, _ = search
-    if metric not in ("euclidean", "mahalanobis"):
-        return
+    check_metric(metric)
+    if metric in ("manhattan", "tanimoto"):
+        return metric, cov_inv, None, 1.0, None
+    L = L_x = None
+    if metric == "mahalanobis":
+        n = W.shape[1]
+        cov_inv = _check_cov_inv(cov_inv, n)
+        if not np.isfinite(cov_inv).all():
+            # Cholesky does not raise on NaN; the search would then fail unworded
+            raise ValueError("inverse covariance must be finite")
+        try:
+            # x^T V x only sees the symmetric part of V
+            L = np.linalg.cholesky(0.5 * (cov_inv + cov_inv.T))
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                "mahalanobis needs a symmetric positive definite inverse covariance"
+            ) from None
+        L_x = np.hstack((-2.0 * L, np.zeros((n, 1))))
+    kappa = 1.0 if L is None else float(np.abs(cov_inv).sum())
     with np.errstate(over="ignore"):
         M = sum(np.einsum("ij,ij->i", A, A).max(initial=0.0) for A in (np.atleast_2d(X), W))
-        if np.isfinite(4.0 * kappa * M):
-            return
-    raise ValueError(
-        f"the data or node weights are too large for {metric} search: "
-        "their squared distances overflow"
-    )
+        if not np.isfinite(4.0 * kappa * M):
+            raise ValueError(
+                f"the data or node weights are too large for {metric} search: "
+                "their squared distances overflow"
+            )
+    return metric, cov_inv, L, kappa, L_x
 
 
 def _prepare(search: tuple, W: np.ndarray):
@@ -232,17 +228,38 @@ def _prepare(search: tuple, W: np.ndarray):
     return A, norms.max() if L is None else np.einsum("ij,ij->i", W, W).max()
 
 
+def _nearest(W: np.ndarray, X: np.ndarray, metric: str, cov_inv) -> np.ndarray:
+    """Flat index of the nearest row of ``W`` (nodes, n) to each row of ``X``
+    (N, n), by :func:`_bmu_block`, block by block.
+
+    The search with its overflow check, and tanimoto's 0/1 check, run once
+    per call on all rows at once, so a 0/1 error names the first bad row.
+    """
+    search = _search(metric, cov_inv, X, W)
+    if metric == "tanimoto":
+        X, W = _as_boolean(X, "data"), _as_boolean(W, "weights")
+    # the weights side of the search, once per call: each batch-map
+    # iteration calls with new weights
+    prepared = _prepare(search, W)
+    chunk = _block_rows(*W.shape, metric)
+    out = np.empty(len(X), dtype=int)
+    for start in range(0, len(X), chunk):
+        out[start : start + chunk] = _bmu_block(W, X[start : start + chunk], search, prepared)
+    return out
+
+
 def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple, prepared):
     """Flat index of the nearest row of ``W`` (nodes, n) to ``X``.
 
     ``X`` is one row (n,), giving one index, or a block (rows, n), giving
-    one index per row; callers bound the rows by :func:`_block_rows`. The
-    result is what :func:`feature_distance` gives row by row under the
-    metric of ``search`` (from :func:`_search`), ties going to the lowest
-    index. ``prepared`` is :func:`_prepare` of ``search`` and ``W``. Tanimoto
-    needs ``W`` and ``X`` of 0/1 values, which :func:`somkit.som.transform`
-    checks once per call, and euclidean and mahalanobis rows and weights
-    that passed :func:`_check_scale`.
+    one index per row; :func:`_nearest` bounds the rows by
+    :func:`_block_rows`. The one-row mode serves the online mahalanobis
+    search, step by step, with scalar indexing. The result is what
+    :func:`feature_distance` gives row by row under the metric of ``search``
+    (from :func:`_search`, built for the fit's or call's rows and weights),
+    ties going to the lowest index. ``prepared`` is :func:`_prepare` of
+    ``search`` and ``W``. Tanimoto needs ``W`` and ``X`` of 0/1 values, which
+    :func:`_nearest` checks once per call.
 
     The product metrics make three passes over the (rows, nodes) scores: one
     matrix product of the rows ``[-2 x_w | 1]`` with the prepared weights,
@@ -313,15 +330,21 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple, prepared):
     # Some row has more than one node near its minimum: re-score those nodes
     # with the oracle's own arithmetic.
     scores[at] = lowest
-    near = scores <= threshold[..., None]
-    X, near, best = np.atleast_2d(X), np.atleast_2d(near), np.atleast_1d(best)
-    ties = np.flatnonzero(near.sum(axis=1) > 1)
-    r, c = np.nonzero(near[ties])
-    d = _exact(W[c] - X[ties[r]], metric, cov_inv)
-    order = np.lexsort((c, d, r))
-    first = np.r_[True, r[order][1:] != r[order][:-1]]
-    best[ties] = c[order][first]
+    X, near = np.atleast_2d(X), np.atleast_2d(scores <= threshold[..., None])
+    best = _rerank(np.atleast_1d(best), near, lambda r, c: _exact(W[c] - X[r], metric, cov_inv))
     return best if scores.ndim == 2 else best[0]
+
+
+def _rerank(best: np.ndarray, near: np.ndarray, exact) -> np.ndarray:
+    """``best`` (rows,), updated in place: each row for which ``near``
+    (rows, nodes) marks more than one node takes the marked node of least
+    ``exact(r, c)``, the exact distance of row r to node c for index arrays
+    r and c, lowest index on ties."""
+    ties = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+    r, c = np.nonzero(near[ties])
+    order = np.lexsort((c, exact(ties[r], c), r))
+    best[ties] = c[order][np.diff(r[order], prepend=-1) != 0]
+    return best
 
 
 def _bmu_row(W: np.ndarray, x: np.ndarray, D: np.ndarray, searches) -> np.ndarray:
@@ -365,11 +388,8 @@ def _bmu_row(W: np.ndarray, x: np.ndarray, D: np.ndarray, searches) -> np.ndarra
     if np.count_nonzero(near) == len(best):
         return best
     # Some map has several nodes near its minimum: re-score them with the
-    # oracle's own arithmetic, on row-major differences, lowest index on ties.
-    for f in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
-        nodes = np.flatnonzero(near[f])
-        best[f] = nodes[_exact(np.ascontiguousarray(D[f][:, nodes].T), metric).argmin()]
-    return best
+    # oracle's own arithmetic, on row-major differences.
+    return _rerank(best, near, lambda f, c: _exact(np.ascontiguousarray(D[f, :, c]), metric))
 
 
 def estimate_inverse_covariance(X, ridge: float = DEFAULT_COV_RIDGE) -> np.ndarray:

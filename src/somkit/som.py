@@ -18,10 +18,12 @@ run's own elementwise arithmetic, so every run's output is bit for bit that
 of a run of its own. The online maps train node-major, (k, n, nodes), and
 are written back to their grids once at the end.
 
-The online fit searches one row per map and step, by
+The online fit builds each map's search once, by
+:func:`somkit.distances._search`, which checks the map's data and initial
+weights, and then searches one row per map and step, by
 :func:`somkit.distances._bmu_row`. Every other BMU search, :func:`find_bmu`
-included, is :func:`transform`, which checks its rows and the weights once
-per call, tanimoto's 0/1 values among them, and searches block by block.
+included, is :func:`transform`, which checks the shape of its rows and
+leaves the rest of the search to :func:`somkit.distances._nearest`.
 """
 
 from __future__ import annotations
@@ -33,12 +35,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .distances import (
     METRICS,
-    _as_boolean,
-    _block_rows,
-    _bmu_block,
     _bmu_row,
-    _check_scale,
-    _prepare,
+    _nearest,
     _search,
     estimate_inverse_covariance,
     paired_distances,
@@ -299,13 +297,20 @@ def _sampled_loop(config: SomConfig, t_max: int, picks, update) -> None:
         update(arg, alpha, _kernel(neg_d2[rows, columns], sigma, mexican_hat))
 
 
-def _pulling_loop(config: SomConfig, t_max: int, picks, update, values, what: str) -> None:
-    """:func:`_sampled_loop` whose ``update`` pulls ``values`` toward targets.
+def _pulling_loop(config: SomConfig, t_max: int, picks, values, what: str) -> None:
+    """:func:`_sampled_loop` that pulls ``values``, node-major (k, m, nodes),
+    toward each iteration's datapoints by :func:`_pull`: the ``arg`` of each
+    item of ``picks`` is the differences of those datapoints and ``values``.
 
     A kernel with a negative lobe can push values away without bound; one
     check after the loop reports that, naming ``what``, instead of a check
     per iteration.
     """
+    k = len(values)
+
+    def update(delta, alpha, h):
+        _pull(values, delta, alpha * h.reshape(k, 1, -1))
+
     with np.errstate(over="ignore", invalid="ignore"):
         _sampled_loop(config, t_max, picks, update)
     if not np.isfinite(values).all():
@@ -373,9 +378,8 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
     scores exactly, so each map gets the bits of a run of its own.
     """
     k, n = len(grids), grids[0].feature_dim
-    searches = [_search(config.metric, cov_inv, n) for cov_inv in cov_invs]
-    for search, X, grid in zip(searches, Xs, grids):
-        _check_scale(search, X, grid.flat)
+    searches = [_search(config.metric, cov_inv, X, grid.flat)
+                for cov_inv, X, grid in zip(cov_invs, Xs, grids)]
     t_max = config.n_iter_unsupervised
     draws = [rng.integers(len(X), size=t_max) for X, rng in zip(Xs, rngs)]
     W = np.array([grid.flat.T for grid in grids], order="C")
@@ -391,10 +395,7 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
         np.subtract(x[:, :, None], W, out=delta)
         return (*np.divmod(_bmu_row(W, x, delta, searches), config.n_column), delta)
 
-    def update(delta, alpha, h):
-        _pull(W, delta, alpha * h.reshape(k, 1, -1))
-
-    _pulling_loop(config, t_max, map(pick, rows()), update, W, "node weights")
+    _pulling_loop(config, t_max, map(pick, rows()), W, "node weights")
     for grid, weights in zip(grids, W):
         grid.flat[...] = weights.T
 
@@ -406,20 +407,8 @@ def transform(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> n
         raise ValueError(
             f"data has shape {X.shape}, grid expects dimension {grid.feature_dim}"
         )
-    search, W = _search(metric, cov_inv, grid.feature_dim), grid.flat
-    _check_scale(search, X, W)
-    if metric == "tanimoto":
-        # checked once, all rows at once, so an error names a row of X
-        X, W = _as_boolean(X, "data"), _as_boolean(W, "weights")
-    # the weights side of the search, once per call: each batch-map
-    # iteration calls with new weights
-    prepared = _prepare(search, W)
-    chunk = _block_rows(grid.n_row * grid.n_column, grid.feature_dim, metric)
     out = np.empty((X.shape[0], 2), dtype=int)
-    for start in range(0, X.shape[0], chunk):
-        flat_idx = _bmu_block(W, X[start : start + chunk], search, prepared)
-        out[start : start + chunk, 0] = flat_idx // grid.n_column
-        out[start : start + chunk, 1] = flat_idx % grid.n_column
+    np.divmod(_nearest(grid.flat, X, metric, cov_inv), grid.n_column, out=(out[:, 0], out[:, 1]))
     return out
 
 

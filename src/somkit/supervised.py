@@ -107,15 +107,15 @@ def _fit_regressors(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[Re
         bmus = transform(grid, X, config.metric, cov_inv)
         draws = rng.integers(X.shape[0], size=t_max)
         picked.append((*bmus[draws].T, y[draws]))
-    values = np.stack([head.values for head in heads])
-
-    def update(targets, alpha, h):
-        np.add(values, alpha * h * (targets[:, None, None] - values), out=values)
-
+    # node-major, (k, 1, nodes), like the online map's weights
+    values = np.stack([head.values.reshape(1, -1) for head in heads])
+    delta = np.empty_like(values)
     rows, columns, targets = (np.stack(p, axis=1) for p in zip(*picked))
-    _pulling_loop(config, t_max, zip(rows, columns, targets), update, values, "head values")
+    # lazy, so each iteration's differences see the values its predecessor pulled
+    deltas = (np.subtract(t[:, None, None], values, out=delta) for t in targets)
+    _pulling_loop(config, t_max, zip(rows, columns, deltas), values, "head values")
     for head, v in zip(heads, values):
-        head.values = v
+        head.values = v.reshape(head.values.shape)
     return heads
 
 

@@ -88,7 +88,8 @@ def feature_distance(a, b, metric: str = "euclidean", cov_inv=None) -> float:
 def find_bmu(grid: WeightGrid, x, metric: str = "euclidean", cov_inv=None) -> tuple[int, int]:
     """Index of the node closest to ``x``; ties go to the smallest row-major index."""
     x = _check_vector(grid, x)
-    W, search = grid.flat, _search(metric, cov_inv, grid.feature_dim)
+    W = grid.flat
+    search = _search(metric, cov_inv, x, W)
     flat_idx = int(_bmu_block(W, x, search, _prepare(search, W)))
     return divmod(flat_idx, grid.n_column)
 

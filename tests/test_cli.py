@@ -569,6 +569,30 @@ class TestPredict:
         assert capsys.readouterr().err == OVERFLOW_ERROR
 
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "export-maps"])
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_data_of_another_width_is_error(self, tmp_path, capsys, command, scaled, width):
+        model_path = tmp_path / "m.json"
+        assert main(["train", "--data", str(write_features(tmp_path / "train.csv", 1.0)),
+                     "--label-column", "lab", "--head", "classification",
+                     "--minmax-scale" if scaled else "--no-minmax-scale",
+                     "--model", str(model_path), *FAST]) == 0
+        rows = np.random.default_rng(1).random((40, width)).tolist()
+        data = tmp_path / "apply.csv"
+        data.write_text(",".join(f"f{j}" for j in range(width)) + ",lab\n" + "".join(
+            ",".join(map(repr, r)) + f",{i % 2}\n" for i, r in enumerate(rows)))
+        out = {"predict": ["--output", str(tmp_path / "p.csv")],
+               "evaluate": [], "export-maps": ["--out-dir", str(tmp_path / "maps")]}[command]
+        capsys.readouterr()
+        rc = main([command, "--model", str(model_path), "--data", str(data),
+                   "--label-column", "lab", *out])
+        assert rc == 2
+        expects = "the min-max scaling expects" if scaled else "grid expects"
+        assert capsys.readouterr().err == (
+            f"somkit: error: data has shape (40, {width}), {expects} dimension 3\n")
+
+
 class TestEvaluate:
     def test_perfect_fixture_classification(self, tmp_path, blob_csv, capsys):
         model_path = tmp_path / "m.json"

@@ -53,6 +53,23 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="row 2.*'b'"):
             load_csv(p)
 
+    @pytest.mark.parametrize("text, label_column, label_kind, message", [
+        ("a,y,b\n1,2,3\n4,bad,oops\n", "y", "continuous", "row 2, column 'b': cannot parse 'oops' as a number"),
+        ("a,y\n1,inf\n", "y", "continuous", "row 1, column 'y': non-finite value 'inf'"),
+        ("a,y\n1,zz\n", "y", "continuous", "row 1, column 'y': cannot parse 'zz' as a number"),
+        ("a,b\nnan,x\n", None, "none", "row 1, column 'a': non-finite value 'nan'"),
+        ('"a,",y\n1,"1e999"\n', "y", "continuous", "row 1, column 'y': non-finite value '1e999'"),
+        ("y,a\nq,-inf\n", "y", "categorical", "row 1, column 'a': non-finite value '-inf'"),
+    ])
+    def test_first_bad_number_cell_is_named(self, tmp_path, text, label_column, label_kind,
+                                            message):
+        """Features before the label, and a continuous label like a feature."""
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(DatasetError) as err:
+            load_csv(p, label_column, label_kind)
+        assert str(err.value) == f"{p}: {message}"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="no such data file"):
             load_csv(tmp_path / "missing.csv")

@@ -184,7 +184,7 @@ def assert_searches_agree(grid, X, metric, cov_inv, monkeypatch):
         monkeypatch.setattr(distances, "BLOCK_BYTES", block_bytes)
         got = transform(grid, X, metric, cov_inv)
         assert (got[:, 0] * grid.n_column + got[:, 1]).tolist() == expected
-    search = distances._search(metric, cov_inv, X.shape[1])
+    search = distances._search(metric, cov_inv, X, W)
     prepared = distances._prepare(search, W)
     assert [int(distances._bmu_block(W, x, search, prepared)) for x in X] == expected
     node_major = np.ascontiguousarray(W.T)[None]
@@ -311,8 +311,8 @@ class TestVectorizedPaths:
         """The node-major search of one map, and of a stack of maps that each
         hold the nodes in another order, one row per map."""
         rng = np.random.default_rng(n)
-        search = distances._search(metric, None, n)
         for name, W, X in row_search_cases(n, rng):
+            search = distances._search(metric, None, X, W)
             expected = oracle_bmus(W, X, metric, None)
             got = [int(distances._bmu_row(W.T[None], x[None], (x[:, None] - W.T)[None],
                                           [search])[0]) for x in X]
