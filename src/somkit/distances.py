@@ -10,26 +10,25 @@ Each metric's exact distance between two rows is written once, in
 :func:`_exact`, as a function of their differences. :func:`feature_distance`
 (one pair, the oracle of BMU search) and :func:`paired_distances` (row ``i``
 with row ``i``) check their inputs and call it, so they agree bit for bit.
-BMU search lives here whole: :mod:`somkit.som` calls :func:`_search`, which
-builds a search for given rows and weights and rejects those whose squared
-distances could overflow, :func:`_nearest` and :func:`_bmu_row`.
-:func:`_nearest` checks tanimoto's 0/1 values, prepares the weights once per
-call by :func:`_prepare` and runs :func:`_bmu_block` on blocks whose
-temporaries stay within ``BLOCK_BYTES``. :func:`_bmu_block` scores rows
-against all nodes: euclidean and mahalanobis (on Cholesky-whitened data) by
-one matrix product of the rows ``[-2 x_w | 1]`` with the weights
-``[W_w | |w_w|^2]^T``, which gives each score whole, and an exact re-rank
-for the rows whose runner-up score is near their minimum; manhattan exactly
-from the differences, tanimoto from the mismatches. :func:`_bmu_row` serves
-only online training: one row for each of a stack of maps, from node-major
-weights and the differences x - W, which the fit computes once per iteration
-for the search and the pull. Euclidean and manhattan score every map's
-nodes in one pass, in any summation order, and re-rank the nodes within a
-relative rounding bound of each minimum; mahalanobis goes to the one-row
-:func:`_bmu_block`, map by map. Tanimoto maps never train. Both searches
-re-rank by :func:`_rerank`, which re-scores with :func:`_exact`. Distances
-between map nodes on their grid live in :mod:`somkit.som`, next to the
-neighbourhood kernel.
+BMU search lives here whole: :mod:`somkit.som` calls :func:`_nearest`,
+:func:`_row_search` and :func:`_bmu_row`. Both searches are built by
+:func:`_search`, which rejects rows and weights whose squared distances
+could overflow. :func:`_nearest` checks tanimoto's 0/1 values, prepares the
+weights once per call by :func:`_prepare` and runs :func:`_bmu_block` on
+blocks whose temporaries stay within ``BLOCK_BYTES``. :func:`_bmu_block`
+scores rows against all nodes: euclidean and mahalanobis (on
+Cholesky-whitened data) by one matrix product of the rows ``[-2 x_w | 1]``
+with the weights ``[W_w | |w_w|^2]^T``, which gives each score whole, and
+an exact re-rank for the rows whose runner-up score is near their minimum;
+manhattan exactly from the differences, tanimoto from the mismatches.
+:func:`_bmu_row` serves only online training: one row for each of a stack
+of maps, from the differences x - W, which the fit computes once per
+iteration for the search and the pull. It scores every map's nodes in one
+pass, mahalanobis as |d L|^2 with each map's own Cholesky factor, and
+re-ranks the nodes within a rounding bound of each minimum. Tanimoto maps
+never train. Both searches re-rank by :func:`_rerank`, which re-scores with
+:func:`_exact`. Distances between map nodes on their grid live in
+:mod:`somkit.som`, next to the neighbourhood kernel.
 """
 
 from __future__ import annotations
@@ -159,13 +158,13 @@ def _block_rows(n_nodes: int, n_features: int, metric: str) -> int:
 
 
 def _search(metric: str, cov_inv, X: np.ndarray, W: np.ndarray) -> tuple:
-    """(metric, cov_inv, L, kappa, L_x) for :func:`_bmu_block`, prepared once
-    per fit or call, for rows ``X`` and weights ``W`` (nodes, n).
+    """(metric, cov_inv, L, kappa) for :func:`_bmu_block`, built once per call,
+    or per fit and map by :func:`_row_search`, for rows ``X`` and weights
+    ``W`` (nodes, n).
 
     For mahalanobis cov_inv is checked, L is the Cholesky factor of
-    cov_inv = L L^T, kappa is sum |cov_inv_ij| and L_x is [-2 L | 0], which
-    maps a row x to the first n entries of the row [-2 x L | 1] of the
-    block search's product; for the other metrics they are None, 1 and None.
+    cov_inv = L L^T and kappa is sum |cov_inv_ij|; for the other metrics
+    they are None and 1.
 
     Euclidean and mahalanobis reject rows and weights whose squared
     distances could overflow. In the notation of :func:`_bmu_block`'s
@@ -176,8 +175,8 @@ def _search(metric: str, cov_inv, X: np.ndarray, W: np.ndarray) -> tuple:
     """
     check_metric(metric)
     if metric in ("manhattan", "tanimoto"):
-        return metric, cov_inv, None, 1.0, None
-    L = L_x = None
+        return metric, cov_inv, None, 1.0
+    L = None
     if metric == "mahalanobis":
         n = W.shape[1]
         cov_inv = _check_cov_inv(cov_inv, n)
@@ -191,7 +190,6 @@ def _search(metric: str, cov_inv, X: np.ndarray, W: np.ndarray) -> tuple:
             raise ValueError(
                 "mahalanobis needs a symmetric positive definite inverse covariance"
             ) from None
-        L_x = np.hstack((-2.0 * L, np.zeros((n, 1))))
     kappa = 1.0 if L is None else float(np.abs(cov_inv).sum())
     with np.errstate(over="ignore"):
         M = sum(np.einsum("ij,ij->i", A, A).max(initial=0.0) for A in (np.atleast_2d(X), W))
@@ -200,21 +198,19 @@ def _search(metric: str, cov_inv, X: np.ndarray, W: np.ndarray) -> tuple:
                 f"the data or node weights are too large for {metric} search: "
                 "their squared distances overflow"
             )
-    return metric, cov_inv, L, kappa, L_x
+    return metric, cov_inv, L, kappa
 
 
 def _prepare(search: tuple, W: np.ndarray):
     """The weights side of :func:`_bmu_block`'s product for ``W`` (nodes, n),
-    prepared once per call or online step: ``(A, w_bound)``.
+    prepared once per :func:`_nearest` call: ``(A, w_bound)``.
 
     For euclidean and mahalanobis A is ``[W_w | |w_w|^2]^T``, shape
     (n + 1, nodes), with W_w = W L for mahalanobis and W otherwise, and
-    w_bound is max |w|^2 of the unwhitened rows, for the slack. ``W`` may be a
-    view of node-major weights: ``L^T W^T`` then reads them in place and
-    writes into A, with no transposed copy. Manhattan and tanimoto need
-    nothing, so they get None.
+    w_bound is max |w|^2 of the unwhitened rows, for the slack. Manhattan
+    and tanimoto need nothing, so they get None.
     """
-    metric, _, L, _, _ = search
+    metric, _, L, _ = search
     if metric not in ("euclidean", "mahalanobis"):
         return None
     n = W.shape[1]
@@ -249,17 +245,13 @@ def _nearest(W: np.ndarray, X: np.ndarray, metric: str, cov_inv) -> np.ndarray:
 
 
 def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple, prepared):
-    """Flat index of the nearest row of ``W`` (nodes, n) to ``X``.
-
-    ``X`` is one row (n,), giving one index, or a block (rows, n), giving
-    one index per row; :func:`_nearest` bounds the rows by
-    :func:`_block_rows`. The one-row mode serves the online mahalanobis
-    search, step by step, with scalar indexing. The result is what
-    :func:`feature_distance` gives row by row under the metric of ``search``
-    (from :func:`_search`, built for the fit's or call's rows and weights),
-    ties going to the lowest index. ``prepared`` is :func:`_prepare` of
-    ``search`` and ``W``. Tanimoto needs ``W`` and ``X`` of 0/1 values, which
-    :func:`_nearest` checks once per call.
+    """Flat index of the nearest row of ``W`` (nodes, n) to each row of the
+    block ``X`` (rows, n); :func:`_nearest` bounds the rows by
+    :func:`_block_rows`. The result is what :func:`feature_distance` gives
+    row by row under the metric of ``search`` (from :func:`_search`, built
+    for the call's rows and weights), ties going to the lowest index.
+    ``prepared`` is :func:`_prepare` of ``search`` and ``W``. Tanimoto needs
+    ``W`` and ``X`` of 0/1 values, which :func:`_nearest` checks once per call.
 
     The product metrics make three passes over the (rows, nodes) scores: one
     matrix product of the rows ``[-2 x_w | 1]`` with the prepared weights,
@@ -269,25 +261,22 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple, prepared):
     row's minimum does a block build the mask of near nodes and re-score
     them exactly.
     """
-    metric, cov_inv, _, kappa, L_x = search
+    metric, cov_inv, L, kappa = search
     if metric == "tanimoto":
-        return _exact(X[..., None, :] != W, metric).argmin(axis=-1)
+        return _exact(X[:, None] != W, metric).argmin(axis=1)
     if metric == "manhattan":
-        return _exact(X[..., None, :] - W, metric).argmin(axis=-1)
+        return _exact(X[:, None] - W, metric).argmin(axis=1)
 
     A, w_bound = prepared
-    n = X.shape[-1]
+    n = X.shape[1]
     # |x_w - w_w|^2 - |x_w|^2; the row constant |x_w|^2 does not move the
-    # argmin. Scaling by -2 is exact, and cheaper on the X side.
-    if L_x is None:
-        X_a = np.empty(X.shape[:-1] + (n + 1,))
-        np.multiply(X, -2.0, out=X_a[..., :n])
-    else:
-        # (x - w) V (x - w)^T = |x L - w L|^2: the euclidean search on whitened rows
-        X_a = X @ L_x
-    X_a[..., n] = 1.0
+    # argmin. Scaling by -2 is exact, and cheaper on the X side. Mahalanobis
+    # is the euclidean search on whitened rows: (x - w) V (x - w)^T = |x L - w L|^2.
+    X_a = np.empty((len(X), n + 1))
+    np.multiply(X if L is None else X @ L, -2.0, out=X_a[:, :n])
+    X_a[:, n] = 1.0
     scores = X_a @ A
-    best = scores.argmin(axis=-1)
+    best = scores.argmin(axis=1)
 
     # Rounding bound. For one row x and node w let T be the exact
     # (x - w) V (x - w)^T (V = I for euclidean), O the oracle's rounded value
@@ -317,22 +306,21 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple, prepared):
     # errs by up to tau / 2 (tau the smallest subnormal) beyond these bounds:
     # at most 2n tau over S and O per node, 4n tau for j and k, which the
     # slack's 8 (n + 4) tau doubles. Too loose only re-ranks more.
-    slack = (32.0 * (n + 4) * _EPS * kappa) * ((X * X).sum(axis=-1) + w_bound)
+    slack = (32.0 * (n + 4) * _EPS * kappa) * ((X * X).sum(axis=1) + w_bound)
     slack += 8.0 * (n + 4) * _TINY
     # The score at the argmin is the row's min, so the threshold has the
-    # bits of min + slack. A plain scalar index keeps one-row calls cheap.
-    at = best if scores.ndim == 1 else (np.arange(len(best)), best)
+    # bits of min + slack.
+    at = (np.arange(len(best)), best)
     lowest = scores[at]
     threshold = lowest + slack
     scores[at] = np.inf
-    if not (scores.min(axis=-1) <= threshold).any():
+    if not (scores.min(axis=1) <= threshold).any():
         return best
     # Some row has more than one node near its minimum: re-score those nodes
     # with the oracle's own arithmetic.
     scores[at] = lowest
-    X, near = np.atleast_2d(X), np.atleast_2d(scores <= threshold[..., None])
-    best = _rerank(np.atleast_1d(best), near, lambda r, c: _exact(W[c] - X[r], metric, cov_inv))
-    return best if scores.ndim == 2 else best[0]
+    near = scores <= threshold[:, None]
+    return _rerank(best, near, lambda r, c: _exact(W[c] - X[r], metric, cov_inv))
 
 
 def _rerank(best: np.ndarray, near: np.ndarray, exact) -> np.ndarray:
@@ -347,49 +335,110 @@ def _rerank(best: np.ndarray, near: np.ndarray, exact) -> np.ndarray:
     return best
 
 
-def _bmu_row(W: np.ndarray, x: np.ndarray, D: np.ndarray, searches) -> np.ndarray:
-    """Flat index of the nearest node to ``x[f]`` in map ``f``, for each map
-    of a stack; the contract of :func:`_bmu_block`.
-
-    ``W`` holds the maps' weights node-major, (maps, n, nodes), ``x`` one row
-    per map, (maps, n), and ``D`` their differences x[:, :, None] - W, which
-    online training computes once per iteration for the search and the pull.
-    ``searches`` holds each map's :func:`_search`, all of one metric, which
-    is never tanimoto. Euclidean and manhattan score from ``D``; mahalanobis
-    goes to :func:`_bmu_block` with each map's (nodes, n) view.
+def _row_search(metric: str, cov_invs, Xs, Ws) -> tuple:
+    """:func:`_bmu_row`'s search for a stack of maps, built once per fit from
+    map f's :func:`_search` for its rows ``Xs[f]`` and initial weights
+    ``Ws[f]``: (metric, each map's cov_inv, the stacked transposes of their
+    Cholesky factors (maps, n, n) or None, and their kappas (maps, 1)).
     """
-    metric = searches[0][0]
-    if metric not in ("euclidean", "manhattan"):
-        return np.array([_bmu_block(w, r, s, _prepare(s, w))
-                         for w, r, s in zip(W.transpose(0, 2, 1), x, searches)])
-    scores = np.einsum("fin,fin->fn", D, D) if metric == "euclidean" else np.abs(D).sum(axis=1)
+    _, cov_inv, L, kappa = zip(*(_search(metric, c, X, W) for c, X, W in zip(cov_invs, Xs, Ws)))
+    L_t = np.array(L).transpose(0, 2, 1) if metric == "mahalanobis" else None
+    return metric, cov_inv, L_t, np.array(kappa)[:, None]
+
+
+def _bmu_row(D: np.ndarray, search: tuple) -> np.ndarray:
+    """Flat index of the nearest node to row x_f in map f, for each map of a
+    stack; the contract of :func:`_bmu_block`.
+
+    ``D`` holds each map's differences x_f - W_f node-major, (maps, n,
+    nodes), which online training computes once per iteration for the
+    search and the pull; ``search`` is the maps' :func:`_row_search`. Every
+    map's nodes are scored from ``D`` in one pass, in any summation order:
+    euclidean by |d|^2, manhattan by |d|_1 and mahalanobis by |d L|^2, L the
+    map's Cholesky factor. Tanimoto maps never train, but on 0/1 rows their
+    |d|^2 counts the mismatches, which orders them too. The nodes within a
+    rounding bound of each map's minimum are re-ranked by :func:`_rerank`.
+    """
+    metric, cov_inv, L_t, kappa = search
+    n = D.shape[1]
+    Z = D if L_t is None else L_t @ D  # d V d^T = |d L|^2
+    scores = np.abs(D).sum(axis=1) if metric == "manhattan" else np.einsum("fin,fin->fn", Z, Z)
     best = scores.argmin(axis=1)
-    # Rounding bound. D holds the rounded differences d that the oracle
-    # squares (fl(w - x) = -fl(x - w)), so for node j the score S_j and the
-    # oracle's value O_j before its sqrt are both sums of the n products
-    # d_i^2, in some order and fused or not, for the exact T_j = sum d_i^2.
-    # Every term is non-negative, so with u = eps / 2,
-    # gamma_n = n u / (1 - n u) and tau the smallest subnormal, each errs by
-    # at most gamma_n T_j + 0.51 n tau: a product that underflows errs by up
-    # to tau / 2, and sums of subnormals are exact.
-    #  - fl(sqrt(a)) <= fl(sqrt(b)) implies a <= b (1 + 4.01 u): sqrt rounds
-    #    correctly and never returns a subnormal.
-    # So for the oracle's node j and the argmin k of S, with
-    # r = (1 + gamma_n) / (1 - gamma_n),
-    #   S_j <= S_k (1 + 4.01 u) r^2 + 2.04 n tau
-    #       <  S_k (1 + 2.1 (n + 4) eps) + 2.1 (n + 4) tau.
-    # Manhattan's S_j and O_j are sums of the n exact terms |d_i|, which the
-    # same bound covers without the sqrt and the products. The slack doubles
-    # both terms, which covers rounding the slack itself. Too loose only
-    # re-scores more.
-    slack = 4.2 * (D.shape[1] + 4)
     lowest = scores.min(axis=1, keepdims=True)
-    near = scores <= lowest * (1.0 + slack * _EPS) + slack * _TINY
+    if metric == "mahalanobis":
+        # Rounding bound. For one map and node let d be the node's column of
+        # D, the rounded differences that the oracle multiplies too, V the
+        # map's cov_inv, T = d V d^T exact, O the oracle's rounded value
+        # before its sqrt and S the score; u = eps / 2,
+        # gamma_n = n u / (1 - n u), kappa = sum |V_ik| and
+        # K = kappa |d|^2 >= |d| |V| |d|^T. For n < 1e12:
+        #  - O takes two length-n sums, y = d V and then y d^T:
+        #    |O - T| <= gamma_2n K.
+        #  - The symmetrising rounds each V_ik + V_ki once and halves it
+        #    exactly (V_ii is kept), which moves T by at most u K. Cholesky's
+        #    backward error |L L^T - V_s| <= gamma_{n+1} |L| |L^T| gives each
+        #    row of L |L_i|^2 <= V_ii / (1 - gamma_{n+1}), so by
+        #    Cauchy-Schwarz |d| |L| |L^T| |d|^T <= 1.001 |d|^2 trace V
+        #    <= 1.001 K, and L L^T moves T by gamma_{n+1} 1.001 K. Each entry
+        #    of the whitened Z = d L errs by gamma_n (|d| |L|)_i, which moves
+        #    |Z|^2 by gamma_2n 1.001 K, and the sum of squares errs by
+        #    gamma_n |Z|^2: |S - T| <= (4.01 n + 2.01) u K.
+        #  - fl(sqrt(a)) <= fl(sqrt(b)) implies a <= b (1 + 4.01 u), also
+        #    after the oracle's max(O, 0).
+        # So for the oracle's node j and the argmin k of S, with
+        # M = max |d|^2 over the map's nodes,
+        #   S_j <= S_k + (err_S + err_O)(j) + (err_S + err_O)(k) + 4.02 u kappa M
+        #       <= S_k + (12.03 n + 8.04) u kappa M  <  S_k + 6.02 (n + 4) eps kappa M.
+        # A product or quotient that underflows errs by up to tau / 2 more
+        # (tau the smallest subnormal); sums of subnormals are exact. These
+        # errors grow with |d| whatever kappa is: the oracle multiplies the
+        # errors of y by d, and those of L L^T, at most (n + 1.01 sqrt kappa)
+        # tau / 2 an entry since L_kk^2 <= 1.001 V_kk, enter T as d E d^T.
+        # By sum |d_i| <= sqrt(n) |d| and 2ab <= a^2 + b^2 they come to at
+        # most 0.51 (n + 4)^2 tau |d|^2 + 0.76 (n + 4)^2 tau over S and O
+        # per node, besides terms in n tau kappa |d|^2 below 1e-300 of the
+        # ones above. The computed max |d|^2 lies at most gamma_n M + n tau / 2
+        # below M, which adding n tau covers. The slack doubles each term,
+        # which covers rounding it and its sum with the minimum. No value
+        # here overflows while the weights keep within the bound that
+        # _search checks. Too loose only re-ranks more.
+        M = np.einsum("fin,fin->fn", D, D).max(axis=1, keepdims=True) + n * _TINY
+        threshold = (lowest + (n + 4) * (16.0 * _EPS * kappa + 4.0 * (n + 4) * _TINY) * M
+                     + 4.0 * (n + 4) ** 2 * _TINY)
+    else:
+        # Rounding bound. D holds the rounded differences d that the oracle
+        # squares (fl(w - x) = -fl(x - w)), so for node j the score S_j and the
+        # oracle's value O_j before its sqrt are both sums of the n products
+        # d_i^2, in some order and fused or not, for the exact T_j = sum d_i^2.
+        # Every term is non-negative, so with u = eps / 2,
+        # gamma_n = n u / (1 - n u) and tau the smallest subnormal, each errs by
+        # at most gamma_n T_j + 0.51 n tau: a product that underflows errs by up
+        # to tau / 2, and sums of subnormals are exact.
+        #  - fl(sqrt(a)) <= fl(sqrt(b)) implies a <= b (1 + 4.01 u): sqrt rounds
+        #    correctly and never returns a subnormal.
+        # So for the oracle's node j and the argmin k of S, with
+        # r = (1 + gamma_n) / (1 - gamma_n),
+        #   S_j <= S_k (1 + 4.01 u) r^2 + 2.04 n tau
+        #       <  S_k (1 + 2.1 (n + 4) eps) + 2.1 (n + 4) tau.
+        # Manhattan's S_j and O_j are sums of the n exact terms |d_i|, which the
+        # same bound covers without the sqrt and the products. The slack doubles
+        # both terms, which covers rounding the slack itself. Too loose only
+        # re-scores more.
+        slack = 4.2 * (n + 4)
+        threshold = lowest * (1.0 + slack * _EPS) + slack * _TINY
+    near = scores <= threshold
     if np.count_nonzero(near) == len(best):
         return best
-    # Some map has several nodes near its minimum: re-score them with the
-    # oracle's own arithmetic, on row-major differences.
-    return _rerank(best, near, lambda f, c: _exact(np.ascontiguousarray(D[f, :, c]), metric))
+
+    def exact(f, c):
+        # the oracle's own arithmetic on row-major differences, map by map
+        d, out = np.ascontiguousarray(D[f, :, c]), np.empty(len(f))
+        for g in np.unique(f):
+            out[f == g] = _exact(d[f == g], metric, cov_inv[g])
+        return out
+
+    # Some map has several nodes near its minimum: re-score them.
+    return _rerank(best, near, exact)
 
 
 def estimate_inverse_covariance(X, ridge: float = DEFAULT_COV_RIDGE) -> np.ndarray:

@@ -166,6 +166,8 @@ def load_model(path) -> SomModel:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"model file: malformed config: {exc}") from None
     n = _field(payload, "feature_dim", int)
+    if n < 1:
+        raise ValueError(f"model file: 'feature_dim' must be >= 1, got {n}")
     shape = (config.n_row, config.n_column)
     weights = _array(_field(payload, "weights", list), "weights", (*shape, n))
     cov_inv = _field(payload, "cov_inv", (list, type(None)))

@@ -18,12 +18,13 @@ run's own elementwise arithmetic, so every run's output is bit for bit that
 of a run of its own. The online maps train node-major, (k, n, nodes), and
 are written back to their grids once at the end.
 
-The online fit builds each map's search once, by
-:func:`somkit.distances._search`, which checks the map's data and initial
-weights, and then searches one row per map and step, by
-:func:`somkit.distances._bmu_row`. Every other BMU search, :func:`find_bmu`
-included, is :func:`transform`, which checks the shape of its rows and
-leaves the rest of the search to :func:`somkit.distances._nearest`.
+The online fit builds its maps' search once, by
+:func:`somkit.distances._row_search`, which checks each map's data and
+initial weights, and then finds each step's BMUs from the differences x - W
+that the pull needs too, by :func:`somkit.distances._bmu_row`, for every
+trainable metric. Every other BMU search, :func:`find_bmu` included, is
+:func:`transform`, which checks the shape of its rows and leaves the rest of
+the search to :func:`somkit.distances._nearest`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .distances import (
     METRICS,
     _bmu_row,
     _nearest,
-    _search,
+    _row_search,
     estimate_inverse_covariance,
     paired_distances,
 )
@@ -378,8 +379,7 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
     scores exactly, so each map gets the bits of a run of its own.
     """
     k, n = len(grids), grids[0].feature_dim
-    searches = [_search(config.metric, cov_inv, X, grid.flat)
-                for cov_inv, X, grid in zip(cov_invs, Xs, grids)]
+    search = _row_search(config.metric, cov_invs, Xs, [grid.flat for grid in grids])
     t_max = config.n_iter_unsupervised
     draws = [rng.integers(len(X), size=t_max) for X, rng in zip(Xs, rngs)]
     W = np.array([grid.flat.T for grid in grids], order="C")
@@ -393,7 +393,7 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
     def pick(x):
         # one difference array serves the BMU search and the pull
         np.subtract(x[:, :, None], W, out=delta)
-        return (*np.divmod(_bmu_row(W, x, delta, searches), config.n_column), delta)
+        return (*np.divmod(_bmu_row(delta, search), config.n_column), delta)
 
     _pulling_loop(config, t_max, map(pick, rows()), W, "node weights")
     for grid, weights in zip(grids, W):

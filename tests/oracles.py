@@ -2,8 +2,8 @@
 
 Each function is a copy of library code that the library has since
 replaced, with its body unchanged: the distance of one pair of vectors with
-each metric's formula written out, the one-row BMU search through the block
-search, the grid distance and kernel matrices, the per-iteration
+each metric's formula written out, the BMU search of one row as a block of
+one, the grid distance and kernel matrices, the per-iteration
 neighbourhood step, the three sampled training loops
 (the online map and both heads, each with its own loop and its own step
 function), the clamped class-change probability and the class update, and
@@ -90,7 +90,7 @@ def find_bmu(grid: WeightGrid, x, metric: str = "euclidean", cov_inv=None) -> tu
     x = _check_vector(grid, x)
     W = grid.flat
     search = _search(metric, cov_inv, x, W)
-    flat_idx = int(_bmu_block(W, x, search, _prepare(search, W)))
+    flat_idx = int(_bmu_block(W, x[None], search, _prepare(search, W))[0])
     return divmod(flat_idx, grid.n_column)
 
 

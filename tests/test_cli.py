@@ -379,6 +379,7 @@ MALFORMED_MODELS = {
         lambda p: p["scaling"]["ranges"].__setitem__(0, float("inf")), "Infinity"),
     "-Infinity weight": (lambda p: p["weights"].__setitem__(0, -float("inf")), "-Infinity"),
     "NaN head value": (lambda p: p["head"]["values"].__setitem__(0, float("nan")), "NaN"),
+    "negative feature_dim": (lambda p: p.update(feature_dim=-1), "'feature_dim'"),
 }
 
 

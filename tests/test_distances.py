@@ -174,8 +174,8 @@ def pair_cases(metric, n, rng):
 
 
 def assert_searches_agree(grid, X, metric, cov_inv, monkeypatch):
-    """transform in blocks of the default size and of one row, the one-row
-    call of _bmu_block, and the one-row call of online training, on
+    """transform in blocks of the default size and of one row, _bmu_block on
+    blocks of one row, and the one-row call of online training, on
     node-major weights, equal the feature_distance argmin of each row."""
     W = grid.flat
     expected = [int(paired_distances(np.broadcast_to(x, W.shape), W, metric, cov_inv).argmin())
@@ -186,10 +186,11 @@ def assert_searches_agree(grid, X, metric, cov_inv, monkeypatch):
         assert (got[:, 0] * grid.n_column + got[:, 1]).tolist() == expected
     search = distances._search(metric, cov_inv, X, W)
     prepared = distances._prepare(search, W)
-    assert [int(distances._bmu_block(W, x, search, prepared)) for x in X] == expected
+    assert [int(distances._bmu_block(W, x[None], search, prepared)[0]) for x in X] == expected
     node_major = np.ascontiguousarray(W.T)[None]
-    assert [int(distances._bmu_row(node_major, x[None], x[None, :, None] - node_major,
-                                   [search])[0]) for x in X] == expected
+    row_search = distances._row_search(metric, [cov_inv], [X], [W])
+    assert [int(distances._bmu_row(x[None, :, None] - node_major, row_search)[0])
+            for x in X] == expected
 
 
 PRODUCT_CASES = ("offset 1e6, spread 1", "offset 1e6, near twins", "near twins",
@@ -305,22 +306,55 @@ class TestVectorizedPaths:
             got = transform(W, X)
             assert (got[:, 0] * 7 + got[:, 1]).tolist() == oracle_bmus(W.flat, X, "euclidean", None)
 
-    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "mahalanobis"])
     @pytest.mark.parametrize("n", [1, 2, 7, 9, 33, 130, 204, 300])
     def test_row_search_from_differences_is_exact(self, metric, n):
         """The node-major search of one map, and of a stack of maps that each
-        hold the nodes in another order, one row per map."""
+        hold the nodes in another order, one row per map; mahalanobis maps
+        each have their own inverse covariance, as crossval's folds do."""
         rng = np.random.default_rng(n)
         for name, W, X in row_search_cases(n, rng):
-            search = distances._search(metric, None, X, W)
-            expected = oracle_bmus(W, X, metric, None)
-            got = [int(distances._bmu_row(W.T[None], x[None], (x[:, None] - W.T)[None],
-                                          [search])[0]) for x in X]
+            cov_invs = [None] * len(X)
+            if metric == "mahalanobis":
+                cov_invs = [estimate_inverse_covariance(rng.normal(size=(2 * n + 3, n))
+                                                        @ rng.normal(size=(n, n)))
+                            for _ in X]
+            search = distances._row_search(metric, cov_invs[:1], [X], [W])
+            expected = oracle_bmus(W, X, metric, cov_invs[0])
+            got = [int(distances._bmu_row((x[:, None] - W.T)[None], search)[0]) for x in X]
             assert got == expected, name
             maps = np.stack([np.roll(W, f, axis=0).T for f in range(len(X))])
-            expected = [oracle_bmus(w.T, x[None], metric, None)[0] for w, x in zip(maps, X)]
-            got = distances._bmu_row(maps, X, X[:, :, None] - maps, [search] * len(X))
+            expected = [oracle_bmus(w.T, x[None], metric, c)[0]
+                        for w, x, c in zip(maps, X, cov_invs)]
+            search = distances._row_search(metric, cov_invs, [X] * len(X), [W] * len(X))
+            got = distances._bmu_row(X[:, :, None] - maps, search)
             assert got.tolist() == expected, name
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_row_search_under_subnormal_inverse_covariances(self, n):
+        """Each map's cov_inv has entries near the smallest subnormal, and its
+        nodes lie close together far from the row. The oracle's products
+        d V underflow, and it multiplies their errors by d, so they grow with
+        |d| however small V is: the slack's tau term must grow with max |d|^2."""
+        rng = np.random.default_rng(n)
+        cov_invs, W, X = [], [], []
+        while len(W) < 400:
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            V = (Q * np.geomspace(1.0, 10.0 ** rng.uniform(0, 3), n)) @ Q.T
+            V *= 10.0 ** rng.uniform(-323.3, -316)
+            try:
+                np.linalg.cholesky(0.5 * (V + V.T))
+            except np.linalg.LinAlgError:  # rounded away from positive definite
+                continue
+            scale = 10.0 ** rng.uniform(1, 8)
+            base = scale * rng.normal(size=n)
+            X.append(base + scale * rng.normal(size=n))
+            W.append(base + scale * 10.0 ** rng.uniform(-8, -3) * rng.normal(size=(16, n)))
+            cov_invs.append(V)
+        X, W = np.array(X), np.array(W)
+        expected = [oracle_bmus(w, x[None], "mahalanobis", V)[0] for w, x, V in zip(W, X, cov_invs)]
+        search = distances._row_search("mahalanobis", cov_invs, X[:, None], W)
+        assert distances._bmu_row(X[:, :, None] - W.transpose(0, 2, 1), search).tolist() == expected
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_exact_block_search_over_many_blocks(self, metric, monkeypatch):

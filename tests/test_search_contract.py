@@ -3,8 +3,9 @@
 Each search returns, for every row, the node that the argmin of
 :func:`somkit.distances.paired_distances` finds, ties going to the lowest
 index: ``transform`` at its default block size and in many small blocks,
-the one-row block search, and the online fit's row search over a stack of
-maps that hold the nodes in permuted orders. The cases plant what a fast
+the block search on blocks of one row, and the online fit's row search over
+a stack of maps that hold the nodes in permuted orders, each mahalanobis map
+with its own inverse covariance. The cases plant what a fast
 search gets wrong: near twins at relative gaps of 1e-16 to 1e-12, exact
 duplicates, rows equidistant from two nodes, an offset near 1e6 with a
 spread of 1, scales from 1e-160 up to just inside the overflow check, and
@@ -67,7 +68,8 @@ def plant(W, X, trouble, rng):
 
 @st.composite
 def real_cases(draw):
-    """(metric, grid shape, W (nodes, n), X, cov_inv, block bytes, permutations)."""
+    """(metric, grid shape, W (nodes, n), X, cov_invs, block bytes, permutations):
+    one cov_inv per permutation, all of one kappa, or None for each."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     metric = draw(st.sampled_from(["euclidean", "manhattan", "mahalanobis"]))
     n = draw(st.sampled_from([1, 2, 3, 5, 8, 17, 33]))
@@ -86,7 +88,13 @@ def real_cases(draw):
     W, X = plant(*place(W, X, placement, kappa, rng), trouble, rng)
     block_bytes = draw(st.sampled_from([1, 512, 4096]))
     perms = [rng.permutation(nodes) for _ in range(draw(st.integers(1, 3)))]
-    return metric, shape, W, X, cov_inv, block_bytes, perms
+    cov_invs = [cov_inv] * len(perms)
+    if metric == "mahalanobis":
+        # the later maps' own matrices, scaled to the first one's kappa,
+        # which the placements keep inside the overflow check
+        others = [random_spd(n, rng) for _ in perms[1:]]
+        cov_invs[1:] = [V * (kappa / np.abs(V).sum()) for V in others]
+    return metric, shape, W, X, cov_invs, block_bytes, perms
 
 
 @st.composite
@@ -114,8 +122,8 @@ def oracle_distances(W, X, metric, cov_inv):
 
 def assert_transform_and_block_search_agree(shape, W, X, metric, cov_inv, block_bytes):
     """transform at the default block size and at ``block_bytes``, and the
-    one-row block search, give the oracle's BMU of every row; returns the
-    oracle's distances."""
+    block search on blocks of one row, give the oracle's BMU of every row;
+    returns the oracle's distances."""
     d = oracle_distances(W, X, metric, cov_inv)
     expected = d.argmin(axis=1).tolist()
     grid = WeightGrid(W.reshape(*shape, W.shape[1]))
@@ -126,24 +134,25 @@ def assert_transform_and_block_search_agree(shape, W, X, metric, cov_inv, block_
     assert flat.tolist() == expected
     search = distances._search(metric, cov_inv, X, W)
     prepared = distances._prepare(search, W)
-    assert [int(distances._bmu_block(W, x, search, prepared)) for x in X] == expected
+    assert [int(distances._bmu_block(W, x[None], search, prepared)[0]) for x in X] == expected
     return d
 
 
 @CONTRACT
 @given(real_cases())
 def test_every_search_finds_the_oracle_bmu(case):
-    metric, shape, W, X, cov_inv, block_bytes, perms = case
-    d = assert_transform_and_block_search_agree(shape, W, X, metric, cov_inv, block_bytes)
-    # the online row search: map f holds the nodes in the order perms[f] and
-    # searches for row i + f
+    metric, shape, W, X, cov_invs, block_bytes, perms = case
+    d = [assert_transform_and_block_search_agree(shape, W, X, metric, c, block_bytes)
+         for c in (cov_invs if metric == "mahalanobis" else cov_invs[:1])]
+    d *= len(perms) // len(d)  # the other metrics' maps share one oracle
+    # the online row search: map f holds the nodes in the order perms[f],
+    # with the inverse covariance cov_invs[f], and searches for row i + f
     maps = np.stack([np.ascontiguousarray(W[p].T) for p in perms])
-    searches = [distances._search(metric, cov_inv, X, W)] * len(perms)
+    search = distances._row_search(metric, cov_invs, [X] * len(perms), [W] * len(perms))
     for i in range(len(X)):
         at = (i + np.arange(len(perms))) % len(X)
-        x = X[at]
-        got = distances._bmu_row(maps, x, x[:, :, None] - maps, searches)
-        assert got.tolist() == [int(d[j, p].argmin()) for j, p in zip(at, perms)]
+        got = distances._bmu_row(X[at][:, :, None] - maps, search)
+        assert got.tolist() == [int(d_f[j, p].argmin()) for d_f, j, p in zip(d, at, perms)]
 
 
 @st.composite
