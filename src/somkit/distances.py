@@ -191,14 +191,23 @@ def _search(metric: str, cov_inv, X: np.ndarray, W: np.ndarray) -> tuple:
                 "mahalanobis needs a symmetric positive definite inverse covariance"
             ) from None
     kappa = 1.0 if L is None else float(np.abs(cov_inv).sum())
-    with np.errstate(over="ignore"):
-        M = sum(np.einsum("ij,ij->i", A, A).max(initial=0.0) for A in (np.atleast_2d(X), W))
-        if not np.isfinite(4.0 * kappa * M):
-            raise ValueError(
-                f"the data or node weights are too large for {metric} search: "
-                "their squared distances overflow"
-            )
+    if _overflows(metric, kappa, np.atleast_2d(X), W):
+        raise ValueError(
+            f"the data or node weights are too large for {metric} search: "
+            "their squared distances overflow"
+        )
     return metric, cov_inv, L, kappa
+
+
+def _overflows(metric: str, kappa: float, X: np.ndarray, W: np.ndarray) -> bool:
+    """Whether the squared distances between rows of ``X`` and of ``W`` could
+    overflow in a ``metric`` search with this kappa: the bound that
+    :func:`_search` checks, which only euclidean and mahalanobis need."""
+    if metric not in ("euclidean", "mahalanobis"):
+        return False
+    with np.errstate(over="ignore"):
+        M = sum(np.einsum("ij,ij->i", A, A).max(initial=0.0) for A in (X, W))
+        return not np.isfinite(4.0 * kappa * M)
 
 
 def _prepare(search: tuple, W: np.ndarray):
@@ -303,10 +312,26 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple, prepared):
     #       <= S_k + (26.6n + 29.0) u kappa M  <  S_k + 16 (n + 4) eps kappa M.
     # The slack doubles that, which covers rounding the slack and the sum
     # below and blocked Cholesky's larger constant. A product that underflows
-    # errs by up to tau / 2 (tau the smallest subnormal) beyond these bounds:
-    # at most 2n tau over S and O per node, 4n tau for j and k, which the
-    # slack's 8 (n + 4) tau doubles. Too loose only re-ranks more.
-    slack = (32.0 * (n + 4) * _EPS * kappa) * ((X * X).sum(axis=1) + w_bound)
+    # errs by up to tau / 2 more (tau the smallest subnormal); sums of
+    # subnormals are exact.
+    #  - Euclidean: at most 2n tau over S and O per node, 4n tau for j and k,
+    #    which the slack's 8 (n + 4) tau doubles.
+    #  - Mahalanobis: these errors grow with |d| however small V is, as in
+    #    _bmu_row's bound. The oracle multiplies the errors of y = d V, n tau / 2
+    #    an entry, by d; those of L L^T, at most (n + 1.01 sqrt kappa) tau / 2
+    #    an entry, enter T as d E d^T. By sum |d_i| <= sqrt(n) |d|,
+    #    |d|^2 <= 2P and 2ab <= a^2 + b^2 they come to 0.5 n^2 tau P + 0.75 n tau
+    #    in O and (n^2 + 1.01 n) tau P in S. The score's 2n products add n tau.
+    #    Each whitened entry errs by up to n tau / 2, which moves the score by
+    #    at most 2 |d L| n^1.5 tau <= eps kappa |d|^2 + n^3 tau^2 / eps: the
+    #    first part the eps term's margin covers, the second is below
+    #    1e-300 tau. So j and k need at most 3 (n + 1)^2 tau M + 3.5 n tau,
+    #    which the slack's 8 (n + 4)^2 tau M and 8 (n + 4) tau double.
+    # Too loose only re-ranks more.
+    M = (X * X).sum(axis=1) + w_bound
+    slack = (32.0 * (n + 4) * _EPS * kappa) * M
+    if L is not None:
+        slack += (8.0 * (n + 4) ** 2 * _TINY) * M
     slack += 8.0 * (n + 4) * _TINY
     # The score at the argmin is the row's min, so the threshold has the
     # bits of min + slack.

@@ -6,8 +6,9 @@ each metric's formula written out, the BMU search of one row as a block of
 one, the grid distance and kernel matrices, the per-iteration
 neighbourhood step, the three sampled training loops
 (the online map and both heads, each with its own loop and its own step
-function), the clamped class-change probability and the class update, and
-the batch update with per-node sums by ``np.add.at``. Seeded runs of the
+function), the clamped class-change probability and the class update, the
+stacked classifier head that ran one iteration at a time through the shared
+sampled loop, and the batch update with per-node sums by ``np.add.at``. Seeded runs of the
 library must give the same bits as these.
 """
 
@@ -25,11 +26,14 @@ from somkit.distances import (
     check_metric,
     estimate_inverse_covariance,
 )
-from somkit.schedules import learning_rate, neighborhood_radius
+from somkit.schedules import _learning_rate_of, _radius_of, learning_rate, neighborhood_radius
 from somkit.som import (
     SomConfig,
     WeightGrid,
+    _check_kernel,
     _check_vector,
+    _kernel,
+    _neg_squared_distances,
     _node_pairs,
     _offset_distances,
     batch_update,
@@ -246,6 +250,62 @@ def fit_classifier(
         P = class_change_probability(code_weights[code], *step(t, *bmus[j]))
         apply_class_update(head, P, code, rng)
     return head
+
+
+def sampled_loop(config: SomConfig, t_max: int, picks, update) -> None:
+    """The sampled loop as the classifier head ran it: ``update(arg, alpha, h)``
+    for each item (rows, columns, arg) of ``picks``, with the (k, n_row,
+    n_column) kernel h around each run's BMU."""
+    _check_kernel(config.kernel)
+    mexican_hat = config.kernel == "mexican-hat"
+    horizon = max(t_max, 1)
+    alphas = map(_learning_rate_of(replace(config.lr_schedule, t_max=horizon)), range(t_max))
+    sigmas = map(_radius_of(replace(config.radius_schedule, t_max=horizon)), range(t_max))
+    neg_d2 = _neg_squared_distances(config.grid_shape)
+    # picks come last, so that zip never takes an item past the t_max-th
+    for alpha, sigma, (rows, columns, arg) in zip(alphas, sigmas, picks):
+        update(arg, alpha, _kernel(neg_d2[rows, columns], sigma, mexican_hat))
+
+
+def fit_classifiers(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[ClassificationHead]:
+    """:func:`fit_classifier` on each grid with its own data, generator and
+    cov_inv; the heads train together in one loop, with the outputs of
+    separate runs."""
+    heads, sizes, per_row = [], [], []
+    for grid, X, y, rng, cov_inv in zip(grids, Xs, ys, rngs, cov_invs):
+        X, y = _check_labeled(grid, X, y)
+        bmus = transform(grid, X, config.metric, cov_inv)
+        heads.append(init_classifier(grid, X, y, config.metric, rng, cov_inv, bmus=bmus))
+        class_set, y_codes = encode_classes(y)
+        weight_by_label = class_weights(y, config.class_weighting)
+        code_weights = np.array([weight_by_label[cls] for cls in class_set.tolist()])
+        sizes.append(X.shape[0])
+        per_row.append((bmus[:, 0], bmus[:, 1], y_codes, code_weights[y_codes]))
+    # run f's rows follow those of the runs before it
+    offsets = np.cumsum([0, *sizes[:-1]]).tolist()
+    rows, columns, y_codes, row_weights = map(np.concatenate, zip(*per_row))
+    codes = np.stack([head.codes for head in heads])
+    u = np.empty(codes.shape)
+
+    def picks():
+        # update draws uniforms between the indices, so each index is drawn when picked
+        for _ in range(config.n_iter_supervised):
+            j = np.array([rng.integers(n) + at for rng, n, at in zip(rngs, sizes, offsets)])
+            yield rows[j], columns[j], j
+
+    def update(j, alpha, h):
+        # A node flips where a uniform draw u lands below P = class weight x
+        # alpha x h. P leaves [0, 1] but needs no clamp: u in [0, 1) is below
+        # P exactly when it is below clip(P, 0, 1).
+        for rng, u_f in zip(rngs, u):
+            rng.random(out=u_f)
+        flips = u < row_weights[j][:, None, None] * alpha * h
+        np.copyto(codes, y_codes[j][:, None, None], where=flips)
+
+    sampled_loop(config, config.n_iter_supervised, picks(), update)
+    for head, c in zip(heads, codes):
+        head.codes = c
+    return heads
 
 
 def add_at_batch_update(weights, X, bmus, sigma, kind):

@@ -78,6 +78,9 @@ DIVERGING_HEAD = ["--head", "regression", "--kernel", "mexican-hat", "--n-row", 
                   "--n-column", "10", "--n-iter-unsupervised", "2000",
                   "--n-iter-supervised", "40000", "--seed", "1"]
 HEAD_DIVERGED_ERROR = DIVERGED_ERROR.replace("node weights", "head values")
+# at 12000 iterations the same map stays finite, with weights up to about
+# 3e229, but their squared distances overflow, so its last searches were not exact
+DIVERGING_FINITE = [*DIVERGING[:6], "--n-iter-unsupervised", "12000", *DIVERGING[8:]]
 
 
 def write_sums(path):
@@ -177,6 +180,15 @@ class TestTrain:
         model = tmp_path / "m.json"
         rc = main(["train", "--data", str(data), "--label-column", "lab", "--head", head,
                    "--model", str(model), *DIVERGING])
+        assert rc == 2
+        assert capsys.readouterr().err == DIVERGED_ERROR
+        assert not model.exists() and not (tmp_path / "m.resolved.json").exists()
+
+    def test_online_training_past_the_search_range_is_error(self, tmp_path, capsys):
+        data = write_features(tmp_path / "unit.csv", 1.0)
+        model = tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--label-column", "lab", "--head", "none",
+                   "--model", str(model), *DIVERGING_FINITE])
         assert rc == 2
         assert capsys.readouterr().err == DIVERGED_ERROR
         assert not model.exists() and not (tmp_path / "m.resolved.json").exists()

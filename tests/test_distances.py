@@ -356,6 +356,32 @@ class TestVectorizedPaths:
         search = distances._row_search("mahalanobis", cov_invs, X[:, None], W)
         assert distances._bmu_row(X[:, :, None] - W.transpose(0, 2, 1), search).tolist() == expected
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_block_search_under_subnormal_inverse_covariances(self, n):
+        """The block search's tau term must grow with |x|^2 + max |w|^2, as the
+        row search's grows with max |d|^2: ``transform`` of one row and of
+        several rows, each case with a cov_inv of entries near the smallest
+        subnormal and 16 nodes close together far from the rows."""
+        rng = np.random.default_rng([n, 1])
+        cases = 0
+        while cases < 300:
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            V = (Q * np.geomspace(1.0, 10.0 ** rng.uniform(0, 3), n)) @ Q.T
+            V *= 10.0 ** rng.uniform(-323.3, -316)
+            try:
+                np.linalg.cholesky(0.5 * (V + V.T))
+            except np.linalg.LinAlgError:  # rounded away from positive definite
+                continue
+            scale = 10.0 ** rng.uniform(1, 8)
+            base = scale * rng.normal(size=n)
+            X = base + scale * rng.normal(size=(6, n))
+            W = base + scale * 10.0 ** rng.uniform(-8, -3) * rng.normal(size=(16, n))
+            grid, expected = WeightGrid(W.reshape(4, 4, n)), oracle_bmus(W, X, "mahalanobis", V)
+            for rows in (X, X[:1]):
+                bmus = transform(grid, rows, "mahalanobis", V)
+                assert (4 * bmus[:, 0] + bmus[:, 1]).tolist() == expected[: len(rows)]
+            cases += 1
+
     @pytest.mark.parametrize("metric", METRICS)
     def test_exact_block_search_over_many_blocks(self, metric, monkeypatch):
         rng = np.random.default_rng(15)

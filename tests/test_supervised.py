@@ -1,10 +1,20 @@
+import tracemalloc
 from itertools import repeat
 
 import numpy as np
 import pytest
 
+import oracles
+from somkit import supervised
 from somkit.schedules import ScheduleSpec
-from somkit.som import SomConfig, WeightGrid, _sampled_loop, fit_unsupervised, transform
+from somkit.som import (
+    SomConfig,
+    WeightGrid,
+    _neighbourhood,
+    _sampled_loop,
+    fit_unsupervised,
+    transform,
+)
 from somkit.supervised import (
     class_weights,
     fit_classifier,
@@ -373,6 +383,86 @@ class TestFitClassifier:
         cfg, grid, _ = trained_grid(X, seed=19, class_weighting=True)
         head = fit_classifier(grid, X, y, cfg, np.random.default_rng(20))
         assert set(np.unique(head.classes)) <= set(np.unique(y))
+
+
+def stacked_classifier_data(k):
+    """k runs' 6x5 grids, rows and labels of 3 imbalanced classes; run f has
+    30 + 7f rows."""
+    rng = np.random.default_rng(k)
+    grids, Xs, ys = [], [], []
+    for f in range(k):
+        labels = rng.choice(3, size=30 + 7 * f, p=[0.6, 0.3, 0.1])
+        Xs.append(rng.normal(size=(len(labels), 2)) + 3.0 * labels[:, None])
+        ys.append(np.array(["a", "b", "c"])[labels])
+        grids.append(WeightGrid(3.0 + 3.0 * rng.normal(size=(6, 5, 2))))
+    return grids, Xs, ys
+
+
+class TestChunkedClassifier:
+    """The classifier draws iteration by iteration and flips a chunk of
+    iterations at a time. It gives the codes and the generator states of the
+    loop that ran one iteration at a time, kept in ``oracles``."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])  # iterations a chunk; None: the default
+    @pytest.mark.parametrize("n_iter", [0, 1, 37, 300])
+    @pytest.mark.parametrize("class_weighting", [False, True])
+    @pytest.mark.parametrize("kernel", ["gaussian", "mexican-hat"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_equals_iteration_by_iteration(self, k, kernel, class_weighting, n_iter, chunk,
+                                           monkeypatch):
+        grids, Xs, ys = stacked_classifier_data(k)
+        if chunk is not None:
+            monkeypatch.setattr(supervised, "_HEAD_CHUNK_BYTES", chunk * 8 * k * 30)
+        cfg = SomConfig(n_row=6, n_column=5, n_iter_supervised=n_iter, kernel=kernel,
+                        class_weighting=class_weighting, lr_schedule=ScheduleSpec("linear", 0.9),
+                        radius_schedule=ScheduleSpec("exponential", 3.0))
+        runs = []
+        for fit in (supervised._fit_classifiers, oracles.fit_classifiers):
+            rngs = [np.random.default_rng([k, f]) for f in range(k)]
+            heads = fit(grids, Xs, ys, cfg, rngs, [None] * k)
+            runs.append(([h.codes.tobytes() for h in heads], [r.bit_generator.state for r in rngs]))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "mexican-hat"])
+    def test_chunk_kernel_and_probabilities_equal_per_iteration_ones(self, kernel):
+        t_max, k = 64, 3
+        cfg = SomConfig(n_row=40, n_column=20, n_iter_supervised=t_max, kernel=kernel)
+        rng = np.random.default_rng(8)
+        rows, columns = rng.integers(40, size=(t_max, k)), rng.integers(20, size=(t_max, k))
+        weights = rng.uniform(0.2, 5.0, size=(t_max, k))
+        alphas, sigmas, kernel_of = _neighbourhood(cfg, t_max)
+        h = kernel_of(rows, columns, sigmas[:, None, None, None], np.empty((t_max, k, 40, 20)))
+        P = (weights * alphas[:, None])[:, :, None, None] * h
+        steps = []
+        oracles.sampled_loop(cfg, t_max, zip(rows, columns, weights),
+                             lambda w, alpha, h_t: steps.append((w[:, None, None] * alpha * h_t, h_t)))
+        assert len(steps) == t_max and len(set(sigmas.tolist())) == t_max
+        for t, (P_t, h_t) in enumerate(steps):
+            assert h[t].tobytes() == h_t.tobytes()
+            assert P[t].tobytes() == P_t.tobytes()
+
+    def test_memory_does_not_grow_with_the_iterations(self):
+        # aim: bounded memory. The uniforms, probabilities and flips are kept
+        # for one chunk of iterations; only the schedules, two floats per
+        # iteration, grow with n_iter_supervised.
+        rng = np.random.default_rng(21)
+        grid = WeightGrid(rng.normal(size=(40, 20, 2)))
+        X, y = rng.normal(size=(20, 2)), rng.choice(["a", "b", "c"], size=20)
+        peaks = {}
+        for n_iter in (200, 4000):
+            cfg = SomConfig(n_row=40, n_column=20, n_iter_supervised=n_iter)
+            fit_classifier(grid, X, y, cfg, np.random.default_rng(0))  # warm caches
+            tracemalloc.start()
+            try:
+                fit_classifier(grid, X, y, cfg, np.random.default_rng(0))
+                peaks[n_iter] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the schedules and a few bytes of small objects
+        assert peaks[4000] - peaks[200] <= 2 * 8 * (4000 - 200) + 256
+        # the chunk's uniforms, probabilities and kernel gather, its flips and
+        # the schedules
+        assert peaks[4000] <= 4 * supervised._HEAD_CHUNK_BYTES + 2 * 8 * 4000
 
 
 class TestPredictClassification:
