@@ -12,14 +12,14 @@ cost does not grow with the number of datapoints beyond one pass over them.
 
 Online training and both supervised heads train a stack of k runs that
 share a :class:`SomConfig`: one run for :func:`fit_unsupervised` and the
-CLI's ``train``, the k folds of ``crossval``. The online map and the
-regression head share one sampled loop; the classification head evaluates
-its kernels a chunk of iterations at a time. All three take their schedules
-and kernel from one per-fit set-up. Each run keeps its own generator and draw
-order, and each step does every run's own elementwise arithmetic, so every
-run's output is bit for bit that of a run of its own. The online maps train
-node-major, (k, n, nodes), and are written back to their grids once at the
-end.
+CLI's ``train``, the k folds of ``crossval``. The online map's loop is
+:func:`_fit_online`; the heads share one loop in :mod:`somkit.supervised`.
+All of them take their schedules and kernel from one per-fit set-up,
+:func:`_neighbourhood`, and report divergence by :func:`_diverged`. Each run
+keeps its own generator and draw order, and each step does every run's own
+elementwise arithmetic, so every run's output is bit for bit that of a run
+of its own. The online maps train node-major, (k, n, nodes), and are written
+back to their grids once at the end.
 
 The online fit builds its maps' search once, by
 :func:`somkit.distances._row_search`, which checks each map's data and
@@ -87,10 +87,9 @@ class SomConfig:
         check_fields(self)
         if self.n_row < 1 or self.n_column < 1:
             raise ValueError("grid must have at least one node")
-        if self.n_iter_unsupervised < 1:
-            raise ValueError("n_iter_unsupervised must be >= 1")
-        if self.n_iter_supervised < 0:
-            raise ValueError("n_iter_supervised must be >= 0")
+        for name, least in (("n_iter_unsupervised", 1), ("n_iter_supervised", 0), ("seed", 0)):
+            if (value := getattr(self, name)) < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.lr_schedule is None:
             self.lr_schedule = ScheduleSpec(
                 "start-end", 0.5, 0.05, self.n_iter_unsupervised
@@ -278,11 +277,12 @@ def batch_update(
 
 
 def _neighbourhood(config: SomConfig, t_max: int):
-    """The per-fit set-up of the sampled training loops: the learning rates
-    and the radii of iterations 0..t_max-1 as float arrays, the schedules
-    running over ``max(t_max, 1)`` iterations, and ``kernel(rows, columns,
-    sigma, out=None)``, the kernel around BMUs (rows, columns) at radius
-    sigma, for index arrays and radii that broadcast together.
+    """The per-fit set-up of the online map and of both heads: the learning
+    rates and the radii of iterations 0..t_max-1 as float arrays, the
+    schedules running over ``max(t_max, 1)`` iterations, and ``kernel(rows,
+    columns, sigma, out=None)``, the kernel around BMUs (rows, columns) at
+    radius sigma, for index arrays and radii that broadcast together. Batch
+    maps take their radii from it too.
     """
     _check_kernel(config.kernel)
     mexican_hat = config.kernel == "mexican-hat"
@@ -295,50 +295,17 @@ def _neighbourhood(config: SomConfig, t_max: int):
         neg_d2[rows, columns], sigma, mexican_hat, out)
 
 
-def _sampled_loop(config: SomConfig, t_max: int, picks, update) -> None:
-    """The training loop of the online map and of the regression head, for a
-    stack of k runs that share ``config``.
-
-    Iteration t takes the next item (rows, columns, arg) of ``picks``: the
-    BMU (rows[f], columns[f]) of that iteration's datapoint in each run f,
-    and what ``update`` needs of them. It then calls ``update(arg, alpha, h)``
-    with the learning rate alpha(t) and the (k, n_row, n_column) kernel h,
-    whose entry f is run f's kernel around its BMU at radius sigma(t), both
-    from :func:`_neighbourhood`. The loop draws nothing: callers draw each
-    run's datapoints before it, by one ``rng.integers(n, size=t_max)`` call,
-    which gives the values and the generator state of ``t_max`` scalar calls.
-    """
-    alphas, sigmas, kernel = _neighbourhood(config, t_max)
-    # picks come last, so that zip never takes an item past the t_max-th
-    for alpha, sigma, (rows, columns, arg) in zip(alphas.tolist(), sigmas.tolist(), picks):
-        update(arg, alpha, kernel(rows, columns, sigma))
-
-
-def _pulling_loop(config: SomConfig, t_max: int, picks, values, what: str,
-                  overflows=lambda values: False) -> None:
-    """:func:`_sampled_loop` that pulls ``values``, node-major (k, m, nodes),
-    toward each iteration's datapoints by :func:`_pull`: the ``arg`` of each
-    item of ``picks`` is the differences of those datapoints and ``values``.
-
-    A kernel with a negative lobe can push values away without bound; one
-    check after the loop reports that, naming ``what``, instead of a check
-    per iteration: values that are not finite, or for which
-    ``overflows(values)`` holds.
-    """
-    k = len(values)
-
-    def update(delta, alpha, h):
-        _pull(values, delta, alpha * h.reshape(k, 1, -1))
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        _sampled_loop(config, t_max, picks, update)
-    if not np.isfinite(values).all() or overflows(values):
-        lr = config.lr_schedule
-        raise ValueError(
-            f"online training diverged: the {what} overflowed with the "
-            f"{config.kernel} kernel and the {lr.kind} learning rate from {lr.start}; "
-            "a smaller learning rate or the gaussian kernel keeps them finite"
-        )
+def _diverged(config: SomConfig, what: str) -> ValueError:
+    """The error of an online fit in which ``what`` happened. A kernel with a
+    negative lobe, or a learning rate above 1, can push values away without
+    bound; the fits check once, after their loop, not at every iteration."""
+    lr = config.lr_schedule
+    remedy = " or the gaussian kernel" if config.kernel == "mexican-hat" else ""
+    return ValueError(
+        f"online training diverged with the {config.kernel} kernel and the {lr.kind} "
+        f"learning rate from {lr.start}: {what}; a smaller learning rate{remedy} keeps "
+        "them bounded"
+    )
 
 
 def fit_unsupervised(
@@ -374,17 +341,16 @@ def _fit_maps(Xs, config: SomConfig, rngs, cov_invs) -> list[tuple[WeightGrid, n
         _fit_online(grids, Xs, config, rngs, cov_invs)
     else:
         # batch maps have no sampled loop to share, so they train one by one
-        t_max = config.n_iter_unsupervised
-        radii = list(map(_radius_of(replace(config.radius_schedule, t_max=t_max)), range(t_max)))
+        _, radii, _ = _neighbourhood(config, config.n_iter_unsupervised)
         for grid, X, cov_inv in zip(grids, Xs, cov_invs):
-            for sigma in radii:
+            for sigma in radii.tolist():
                 bmus = transform(grid, X, config.metric, cov_inv)
                 batch_update(grid, X, bmus, sigma, config.kernel)
     return list(zip(grids, cov_invs))
 
 
-# Bytes of the sampled rows the online fit gathers at once: a long fit
-# never holds every sampled row.
+# Bytes of the sampled rows the online fit draws and gathers at once: a long
+# fit never holds every drawn index or sampled row.
 _ROW_CHUNK_BYTES = 2**16
 
 
@@ -392,38 +358,40 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
     """Online training of a stack of maps, map f on rows of ``Xs[f]`` drawn
     by ``rngs[f]``; updates the grids in place.
 
-    The maps train node-major, (k, n, nodes), and are written back once at
-    the end. Every step is elementwise, and the BMU search re-ranks its
-    scores exactly, so each map gets the bits of a run of its own.
+    Each map draws a chunk's rows by one ``integers(n, size=m)`` call, with
+    the values and generator state of m scalar draws. The maps train
+    node-major, (k, n, nodes), and are written back once at the end. Every
+    step is elementwise, and the BMU search re-ranks its scores exactly, so
+    each map gets the bits of a run of its own.
     """
     k, n = len(grids), grids[0].feature_dim
     search = _row_search(config.metric, cov_invs, Xs, [grid.flat for grid in grids])
     t_max = config.n_iter_unsupervised
-    draws = [rng.integers(len(X), size=t_max) for X, rng in zip(Xs, rngs)]
+    alphas, sigmas, kernel = _neighbourhood(config, t_max)
     W = np.array([grid.flat.T for grid in grids], order="C")
     delta = np.empty_like(W)
     chunk = max(1, _ROW_CHUNK_BYTES // (8 * k * n))
-
-    def rows():
+    # One difference array serves the BMU search and the pull. A copy and
+    # then a subtraction beat one subtraction that broadcasts x along the
+    # contiguous node axis: 116-147 against 182-187 us at 800 nodes x 204
+    # features, 39-45 against 60-69 us at 5 maps of 400 x 32, and the same at
+    # 400 x 2 (best of 7, 2 cores).
+    with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, t_max, chunk):
-            yield from np.stack([X[d[start : start + chunk]] for X, d in zip(Xs, draws)], axis=1)
-
-    def pick(x):
-        # One difference array serves the BMU search and the pull. A copy
-        # and then a subtraction beat one subtraction that broadcasts x along
-        # the contiguous node axis: 116-147 against 182-187 us at 800 nodes x
-        # 204 features, 39-45 against 60-69 us at 5 maps of 400 x 32, and
-        # the same at 400 x 2 (best of 7, 2 cores).
-        np.copyto(delta, x[:, :, None])
-        np.subtract(delta, W, out=delta)
-        return (*np.divmod(_bmu_row(delta, search), config.n_column), delta)
-
-    def overflows(W):
-        # the search is exact only while its squared distances stay finite
-        return any(_overflows(config.metric, kappa, X, w.T)
-                   for kappa, X, w in zip(search[3][:, 0], Xs, W))
-
-    _pulling_loop(config, t_max, map(pick, rows()), W, "node weights", overflows)
+            t = slice(start, min(start + chunk, t_max))
+            rows = np.stack([X[rng.integers(len(X), size=t.stop - start)]
+                             for X, rng in zip(Xs, rngs)], axis=1)
+            for x, alpha, sigma in zip(rows, alphas[t].tolist(), sigmas[t].tolist()):
+                np.copyto(delta, x[:, :, None])
+                np.subtract(delta, W, out=delta)
+                bmus = np.divmod(_bmu_row(delta, search), config.n_column)
+                _pull(W, delta, alpha * kernel(*bmus, sigma).reshape(k, 1, -1))
+    if not np.isfinite(W).all():
+        raise _diverged(config, "the node weights overflowed")
+    if any(_overflows(config.metric, kappa, X, w.T)
+           for kappa, X, w in zip(search[3][:, 0], Xs, W)):
+        raise _diverged(config, "the node weights left the range where the BMU search is "
+                                "exact, as their squared distances to the data overflow")
     for grid, weights in zip(grids, W):
         grid.flat[...] = weights.T
 

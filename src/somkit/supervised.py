@@ -8,12 +8,14 @@ weights move toward datapoints. Classification nodes flip to the sampled
 label stochastically, with probability learning-rate x kernel x optional
 class weight.
 
-The classification head draws each iteration's datapoint and then its
-uniforms, iteration by iteration, as a loop one iteration at a time would.
-It evaluates kernels, flip probabilities and flips for a chunk of iterations
-at once, within ``_HEAD_CHUNK_BYTES`` a buffer. Because the probabilities do
-not depend on the codes, a node's last flip in a chunk sets its code, and
-the codes and generator states are those of the loop one iteration at a time.
+Both heads train by one loop, :func:`_head_chunks`, which evaluates the
+kernels and steps of a chunk of iterations at once. The regression head
+draws a chunk's indices in one call and pulls its values iteration by
+iteration. The classification head draws each iteration's index and then
+its uniforms, and flips the chunk's nodes at once: the flip probabilities do
+not depend on the codes, so a node's last flip in a chunk sets its code.
+Either way the heads and generator states are those of the loop one
+iteration at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .som import SomConfig, WeightGrid, _neighbourhood, _pulling_loop, transform
+from .som import SomConfig, WeightGrid, _diverged, _neighbourhood, _pull, transform
 
 
 @dataclass
@@ -103,8 +105,7 @@ def _fit_regressors(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[Re
             "regression head update needs a learning-rate start <= 1, "
             f"got {config.lr_schedule.start}"
         )
-    t_max = config.n_iter_supervised
-    heads, picked = [], []
+    heads, per_run = [], []
     for grid, (X, y), rng, cov_inv in zip(grids, labeled, rngs, cov_invs):
         y = y.astype(float)
         heads.append(RegressionHead(
@@ -112,18 +113,17 @@ def _fit_regressors(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[Re
         # The unsupervised grid is fully trained, so each datapoint's BMU is
         # fixed; compute them once.
         bmus = transform(grid, X, config.metric, cov_inv)
-        draws = rng.integers(X.shape[0], size=t_max)
-        picked.append((*bmus[draws].T, y[draws]))
-    # node-major, (k, 1, nodes), like the online map's weights
-    values = np.stack([head.values.reshape(1, -1) for head in heads])
+        per_run.append((*bmus.T, y, np.ones(len(y))))
+    values = np.stack([head.values for head in heads])
     delta = np.empty_like(values)
-    rows, columns, targets = (np.stack(p, axis=1) for p in zip(*picked))
-    # lazy, so each iteration's differences see the values its predecessor pulled
-    deltas = (np.subtract(t[:, None, None], values, out=delta) for t in targets)
-    _pulling_loop(config, t_max, zip(rows, columns, deltas), values, "head values")
-    for head, v in zip(heads, values):
-        head.values = v.reshape(head.values.shape)
-    return heads
+    with np.errstate(over="ignore", invalid="ignore"):
+        for targets, steps, _ in _head_chunks(config, rngs, per_run, uniforms=False):
+            for target, step in zip(targets, steps):
+                np.subtract(target[:, None, None], values, out=delta)
+                _pull(values, delta, step)
+    if not np.isfinite(values).all():
+        raise _diverged(config, "the head values overflowed")
+    return [RegressionHead(v) for v in values]
 
 
 def predict_regression(
@@ -193,17 +193,58 @@ def class_weights(y, enabled: bool) -> dict:
     }
 
 
-# Bytes of each (iterations, k, n_row, n_column) float64 buffer of the
-# classifier's chunk: the uniforms, the flip probabilities and the kernel
-# gather. The draws cost the same at any size; a larger chunk spreads the
-# numpy calls of the rest over more iterations and adds to the peak RSS.
-# In-process, 2 cores, best of 9 interleaved fits at 128 KB, 256 KB, 512 KB
-# and 1 MB: 4000 iterations on 40x20 with k = 1 took 56.9, 52.5, 52.2 and
-# 53.1 ms (81.3 ms one iteration at a time); 2500 on 20x20 with k = 5 took
-# 99.6, 90.5, 84.5 and 84.5 ms (101.2 ms). The peak RSS of a CLI crossval of
-# 5 folds there, against 39.0-39.3 MB one iteration at a time: 39.2-39.3 MB
-# at 256 KB, 39.8-39.9 at 512 KB and 40.6-40.8 at 1 MB.
+# Bytes of each (iterations, k, n_row, n_column) float64 buffer of a head's
+# chunk: the step P, the kernel gather and the classifier's uniforms. The
+# draws cost the same at any size; a larger chunk spreads the numpy calls of
+# the rest over more iterations and adds to the peak RSS. In-process, 2
+# cores, best of 9 interleaved classifier fits at 128 KB, 256 KB, 512 KB and
+# 1 MB: 4000 iterations on 40x20 with k = 1 took 56.9, 52.5, 52.2 and 53.1 ms
+# (81.3 ms one iteration at a time); 2500 on 20x20 with k = 5 took 99.6,
+# 90.5, 84.5 and 84.5 ms (101.2 ms). The peak RSS of a CLI crossval of 5
+# folds there, against 39.0-39.3 MB one iteration at a time: 39.2-39.3 MB at
+# 256 KB, 39.8-39.9 at 512 KB and 40.6-40.8 at 1 MB.
 _HEAD_CHUNK_BYTES = 2**18
+
+
+def _head_chunks(config: SomConfig, rngs, per_run, uniforms: bool):
+    """The training loop of both heads, for a stack of k runs that share
+    ``config``, a chunk of m iterations at a time.
+
+    ``per_run[f]`` holds run f's datapoints: their BMUs' rows and columns,
+    their targets and their weights. Each chunk yields the picked targets,
+    (m, k), the steps P = weight x alpha x h, (m, k, n_row, n_column), h the
+    kernel around the picked BMU, and, with ``uniforms``, the uniforms each
+    run draws after its index, iteration by iteration. Without, each run
+    draws the chunk's indices in one ``integers(n, size=m)`` call, with the
+    values and generator state of m scalar draws, and None comes third. Each
+    buffer holds at most ``_HEAD_CHUNK_BYTES``; the next chunk overwrites it.
+    """
+    sizes = [len(rows) for rows, *_ in per_run]
+    # run f's rows follow those of the runs before it
+    offsets = np.cumsum([0, *sizes[:-1]]).tolist()
+    rows, columns, targets, weights = map(np.concatenate, zip(*per_run))
+    t_max = config.n_iter_supervised
+    alphas, sigmas, kernel = _neighbourhood(config, t_max)
+    shape = (len(rngs), *config.grid_shape)
+    chunk = max(1, min(t_max, _HEAD_CHUNK_BYTES // (8 * int(np.prod(shape)))))
+    J = np.empty((chunk, len(rngs)), dtype=int)
+    P = np.empty((chunk, *shape))
+    U = np.empty_like(P) if uniforms else None
+    for start in range(0, t_max, chunk):
+        t = slice(start, min(start + chunk, t_max))
+        m = t.stop - start
+        j, p, u = J[:m], P[:m], U[:m] if uniforms else None
+        if uniforms:
+            # iteration by iteration, each run draws its index, then its uniforms
+            for j_i, u_i in zip(j, u):
+                j_i[:] = [rng.integers(n) + at for rng, n, at in zip(rngs, sizes, offsets)]
+                for rng, u_f in zip(rngs, u_i):
+                    rng.random(out=u_f)
+        else:
+            j[:] = np.column_stack([r.integers(n, size=m) for r, n in zip(rngs, sizes)]) + offsets
+        kernel(rows[j], columns[j], sigmas[t, None, None, None], p)
+        np.multiply((weights[j] * alphas[t, None])[:, :, None, None], p, out=p)
+        yield targets[j], p, u
 
 
 def fit_classifier(
@@ -218,7 +259,7 @@ def _fit_classifiers(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[C
     """:func:`fit_classifier` on each grid with its own data, generator and
     cov_inv; the heads train together in one loop, with the outputs of
     separate runs."""
-    heads, sizes, per_row = [], [], []
+    heads, per_run = [], []
     for grid, X, y, rng, cov_inv in zip(grids, Xs, ys, rngs, cov_invs):
         X, y = _check_labeled(grid, X, y)
         bmus = transform(grid, X, config.metric, cov_inv)
@@ -226,41 +267,19 @@ def _fit_classifiers(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[C
         class_set, y_codes = encode_classes(y)
         weight_by_label = class_weights(y, config.class_weighting)
         code_weights = np.array([weight_by_label[cls] for cls in class_set.tolist()])
-        sizes.append(X.shape[0])
-        per_row.append((bmus[:, 0], bmus[:, 1], y_codes, code_weights[y_codes]))
-    # run f's rows follow those of the runs before it
-    offsets = np.cumsum([0, *sizes[:-1]]).tolist()
-    rows, columns, y_codes, row_weights = map(np.concatenate, zip(*per_row))
+        per_run.append((*bmus.T, y_codes, code_weights[y_codes]))
     codes = np.stack([head.codes for head in heads])
-    t_max = config.n_iter_supervised
-    alphas, sigmas, kernel = _neighbourhood(config, t_max)
-    chunk = max(1, min(t_max, _HEAD_CHUNK_BYTES // (8 * codes.size)))
-    J = np.empty((chunk, len(codes)), dtype=int)
-    U, P = np.empty((2, chunk, *codes.shape))
-    flips = np.empty(U.shape, dtype=bool)
-    for start in range(0, t_max, chunk):
-        t = slice(start, min(start + chunk, t_max))
-        m = t.stop - start
-        j, u, p, flip = J[:m], U[:m], P[:m], flips[:m]
-        # iteration by iteration, each run draws its index, then its uniforms
-        for j_i, u_i in zip(j, u):
-            j_i[:] = [rng.integers(n) + at for rng, n, at in zip(rngs, sizes, offsets)]
-            for rng, u_f in zip(rngs, u_i):
-                rng.random(out=u_f)
+    for targets, P, U in _head_chunks(config, rngs, per_run, uniforms=True):
         # A node flips where a uniform draw u lands below P = class weight x
         # alpha x h. P leaves [0, 1] but needs no clamp: u in [0, 1) is below
         # P exactly when it is below clip(P, 0, 1).
-        kernel(rows[j], columns[j], sigmas[t, None, None, None], p)
-        np.multiply((row_weights[j] * alphas[t, None])[:, :, None, None], p, out=p)
-        np.less(u, p, out=flip)
+        flip = U < P
         # P does not read the codes, so a node's last flip in the chunk sets
         # its code, as the iterations one by one would
-        last = m - 1 - flip[::-1].argmax(axis=0)
+        last = len(flip) - 1 - flip[::-1].argmax(axis=0)
         hit = np.nonzero(flip.any(axis=0))
-        codes[hit] = y_codes[j[last[hit], hit[0]]]
-    for head, c in zip(heads, codes):
-        head.codes = c
-    return heads
+        codes[hit] = targets[last[hit], hit[0]]
+    return [ClassificationHead(c, head.class_set) for c, head in zip(codes, heads)]
 
 
 def predict_classification(

@@ -4,12 +4,14 @@ Each function is a copy of library code that the library has since
 replaced, with its body unchanged: the distance of one pair of vectors with
 each metric's formula written out, the BMU search of one row as a block of
 one, the grid distance and kernel matrices, the per-iteration
-neighbourhood step, the three sampled training loops
-(the online map and both heads, each with its own loop and its own step
+neighbourhood step, the three training loops one iteration at a time (the
+online map and both heads, each with its own loop and its own step
 function), the clamped class-change probability and the class update, the
-stacked classifier head that ran one iteration at a time through the shared
-sampled loop, and the batch update with per-node sums by ``np.add.at``. Seeded runs of the
-library must give the same bits as these.
+stacked classifier head that ran one iteration at a time through a sampled
+loop of callbacks, that loop, and the batch update with per-node sums by
+``np.add.at``. Seeded runs of the library must give the same bits as these:
+its online map and its two heads, which share one loop of chunks of
+iterations, give those of the three loops, run by run.
 """
 
 from dataclasses import replace

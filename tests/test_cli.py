@@ -69,9 +69,9 @@ OVERFLOW_ERROR = ("somkit: error: the data or node weights are too large for euc
 # iterations on uniform data in [0, 1]^3 the weights overflow
 DIVERGING = ["--kernel", "mexican-hat", "--n-row", "10", "--n-column", "10",
              "--n-iter-unsupervised", "20000", "--n-iter-supervised", "10", "--seed", "1"]
-DIVERGED_ERROR = ("somkit: error: online training diverged: the node weights overflowed "
-                  "with the mexican-hat kernel and the start-end learning rate from 0.5; "
-                  "a smaller learning rate or the gaussian kernel keeps them finite\n")
+DIVERGED_ERROR = ("somkit: error: online training diverged with the mexican-hat kernel and the "
+                  "start-end learning rate from 0.5: the node weights overflowed; a smaller "
+                  "learning rate or the gaussian kernel keeps them bounded\n")
 # the regression head diverges in the same way: with a map that stays finite,
 # 40000 head iterations on 200 rows in [0, 1]^3 make its values overflow
 DIVERGING_HEAD = ["--head", "regression", "--kernel", "mexican-hat", "--n-row", "10",
@@ -81,6 +81,15 @@ HEAD_DIVERGED_ERROR = DIVERGED_ERROR.replace("node weights", "head values")
 # at 12000 iterations the same map stays finite, with weights up to about
 # 3e229, but their squared distances overflow, so its last searches were not exact
 DIVERGING_FINITE = [*DIVERGING[:6], "--n-iter-unsupervised", "12000", *DIVERGING[8:]]
+OUT_OF_RANGE_ERROR = DIVERGED_ERROR.replace(
+    "the node weights overflowed", "the node weights left the range where the BMU search is "
+    "exact, as their squared distances to the data overflow")
+# the gaussian kernel keeps the weights between the datapoints only at learning
+# rates up to 1: from 1e308 the first steps overflow them
+DIVERGING_GAUSSIAN = ["--lr-schedule", "inverse", "--lr-start", "1e308", *FAST]
+GAUSSIAN_DIVERGED_ERROR = ("somkit: error: online training diverged with the gaussian kernel "
+                           "and the inverse learning rate from 1e+308: the node weights "
+                           "overflowed; a smaller learning rate keeps them bounded\n")
 
 
 def write_sums(path):
@@ -190,7 +199,15 @@ class TestTrain:
         rc = main(["train", "--data", str(data), "--label-column", "lab", "--head", "none",
                    "--model", str(model), *DIVERGING_FINITE])
         assert rc == 2
-        assert capsys.readouterr().err == DIVERGED_ERROR
+        assert capsys.readouterr().err == OUT_OF_RANGE_ERROR
+        assert not model.exists() and not (tmp_path / "m.resolved.json").exists()
+
+    def test_diverging_gaussian_training_is_error(self, tmp_path, capsys):
+        data = write_features(tmp_path / "unit.csv", 1.0)
+        model = tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--model", str(model), *DIVERGING_GAUSSIAN])
+        assert rc == 2
+        assert capsys.readouterr().err == GAUSSIAN_DIVERGED_ERROR
         assert not model.exists() and not (tmp_path / "m.resolved.json").exists()
 
     def test_diverging_regression_head_is_error(self, tmp_path, capsys):
@@ -201,10 +218,24 @@ class TestTrain:
         assert capsys.readouterr().err == HEAD_DIVERGED_ERROR
         assert not model.exists() and not (tmp_path / "m.resolved.json").exists()
 
-    def test_bad_flag_value_is_usage_error(self, tmp_path, reg_csv):
-        rc = main(["train", "--data", str(reg_csv), "--model", str(tmp_path / "m.json"),
-                   "--lr-start", "-0.5", *FAST])
+    @pytest.mark.parametrize("key, value, error", [
+        ("lr_start", -0.5, "lr_schedule: schedule start must be positive, got -0.5"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, reg_csv, capsys, source, key, value,
+                                           error):
+        if source == "flag":
+            given = ["--" + key.replace("_", "-"), str(value)]
+        else:
+            cfg_file = tmp_path / "run.json"
+            cfg_file.write_text(json.dumps({key: value}))
+            given = ["--config", str(cfg_file)]
+        model = tmp_path / "m.json"
+        rc = main(["train", "--data", str(reg_csv), "--model", str(model), *given, *FAST])
         assert rc == 1
+        assert capsys.readouterr().err == f"somkit: error: {error}\n"
+        assert not model.exists()
 
     def test_unknown_flag(self, tmp_path, reg_csv):
         rc = main(["train", "--data", str(reg_csv), "--model", str(tmp_path / "m.json"),
@@ -392,6 +423,7 @@ MALFORMED_MODELS = {
     "-Infinity weight": (lambda p: p["weights"].__setitem__(0, -float("inf")), "-Infinity"),
     "NaN head value": (lambda p: p["head"]["values"].__setitem__(0, float("nan")), "NaN"),
     "negative feature_dim": (lambda p: p.update(feature_dim=-1), "'feature_dim'"),
+    "negative seed": (lambda p: p["config"].update(seed=-1), "malformed config"),
 }
 
 
@@ -789,10 +821,15 @@ class TestCrossval:
         assert capsys.readouterr().err == HEAD_DIVERGED_ERROR
         assert not out.exists()
 
-    def test_bad_k(self, tmp_path, blob_csv):
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--k", "1", "k must be >= 2, got 1"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+    ])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, blob_csv, capsys, flag, value, error):
         rc = main(["crossval", "--data", str(blob_csv), "--label-column", "label",
-                   "--head", "classification", "--k", "1", *FAST])
+                   "--head", "classification", "--k", "3", flag, value, *FAST])
         assert rc == 1
+        assert capsys.readouterr().err == f"somkit: error: {error}\n"
 
 
 class TestExportMaps:

@@ -1,11 +1,14 @@
 """Every name that a module of the package imports is used in that module,
-and every docstring reference to a name names something.
+every private module-level name is read somewhere in the package, and every
+docstring reference to a name names something.
 
-No linter is a dependency of the package; the first check walks each
-module's syntax tree with the standard ``ast`` module. ``__init__.py``
+No linter is a dependency of the package; the first two checks walk the
+modules' syntax trees with the standard ``ast`` module. ``__init__.py``
 imports names to re-export them, and ``__future__`` imports are switches, so
-both are left out. The second looks up the target of each ``:func:``,
-``:class:``, ``:data:`` and ``:mod:`` reference in the imported module.
+both are left out of the first. The second counts only reads in the
+package's own modules, so code kept for the tests alone fails it. The third
+looks up the target of each ``:func:``, ``:class:``, ``:data:`` and
+``:mod:`` reference in the imported module.
 """
 
 import ast
@@ -57,6 +60,58 @@ def test_the_package_has_modules():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private functions, classes and constants that the modules of
+    ``sources`` (module name -> source) define at module level and none of
+    them reads, as "module.name", sorted. A read is a name loaded, an
+    attribute of that name, or an import of it by another module."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_the_check_finds_unread_private_names():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "_unused: int = 4\n"
+            "__version__ = '1'\n"
+            "def _helper(x):\n"
+            "    return x + _LIMIT\n"
+            "def _kept_for_tests():\n"
+            "    return 1\n"
+            "class _Gone:\n"
+            "    pass\n"
+        ),
+        "b": "from .a import _helper\nimport a\nprint(a._LIMIT)\n",
+    }
+    assert unread_private_names(sources) == ["a._Gone", "a._kept_for_tests", "a._unused"]
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {name.removesuffix(".py"): (SRC / name).read_text(encoding="utf-8")
+               for name in SOURCES}
+    assert unread_private_names(sources) == []
 
 
 def unresolved_references(source: str, module) -> list[str]:

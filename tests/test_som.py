@@ -17,7 +17,7 @@ from somkit.som import (
     SomConfig,
     WeightGrid,
     _neg_squared_distances,
-    _sampled_loop,
+    _neighbourhood,
     batch_update,
     bmu_histogram,
     find_bmu,
@@ -221,15 +221,14 @@ class TestKernelMatrix:
             kernel_matrix((0, 0), 1e-9, "gaussian", (3, 3))
 
 
-def run_loop(cfg, t_max, bmus, n=7, seed=0):
-    """(j, alpha, h) of each iteration of the sampled loop run on a stack of
-    one, whose BMU at iteration t is ``bmus[t]``, and the generator that drew
-    the datapoints j before the loop, as the online map and the regression
-    head do."""
-    rng, steps = np.random.default_rng(seed), []
-    picks = (([r], [c], j) for (r, c), j in zip(bmus, rng.integers(n, size=t_max).tolist()))
-    _sampled_loop(cfg, t_max, picks, lambda j, alpha, h: steps.append((j, alpha, h[0].copy())))
-    return steps, rng
+def run_loop(cfg, t_max, bmus):
+    """(alpha, h) of each iteration on a stack of one, whose BMU at iteration
+    t is ``bmus[t]``, as the training loops take them from
+    :func:`somkit.som._neighbourhood`."""
+    alphas, sigmas, kernel = _neighbourhood(cfg, t_max)
+    assert len(alphas) == len(sigmas) == t_max
+    return [(alpha, kernel([r], [c], sigma)[0])
+            for (r, c), alpha, sigma in zip(bmus, alphas.tolist(), sigmas.tolist())]
 
 
 class TestNeighbourhoodStep:
@@ -247,47 +246,40 @@ class TestNeighbourhoodStep:
         cfg = SomConfig(n_row=6, n_column=4, kernel=kind, lr_schedule=lr, radius_schedule=radius)
         picks = np.random.default_rng(1).integers(24, size=28)
         bmus = [(0, 0), (5, 3)] + [divmod(k, 4) for k in picks]
-        steps, rng = run_loop(cfg, 30, bmus)
+        steps = run_loop(cfg, 30, bmus)
         lr, radius = replace(lr, t_max=30), replace(radius, t_max=30)
-        replay = np.random.default_rng(0)
         assert len(steps) == 30
-        for t, (bmu, (j, alpha, h)) in enumerate(zip(bmus, steps)):
+        for t, (bmu, (alpha, h)) in enumerate(zip(bmus, steps)):
             expected = kernel_matrix(bmu, neighborhood_radius(t, radius), kind, (6, 4))
-            assert j == replay.integers(7)
             assert alpha == learning_rate(t, lr)
             assert h.tobytes() == expected.tobytes() and h.shape == (6, 4)
-        assert rng.bit_generator.state == replay.bit_generator.state
 
     @pytest.mark.parametrize("kind", ["gaussian", "mexican-hat"])
     def test_stacked_runs_step_as_separate_runs(self, kind):
         cfg = SomConfig(n_row=5, n_column=3, kernel=kind)
         draws = np.random.default_rng(2).integers(15, size=(3, 40))
         bmus = [[divmod(int(k), 3) for k in run] for run in draws]
-        separate = [run_loop(cfg, 40, run)[0] for run in bmus]
-        steps = []
-        picks = ((*np.array(bmu).T, None) for bmu in zip(*bmus))
-        _sampled_loop(cfg, 40, picks, lambda _, alpha, h: steps.append((alpha, h.copy())))
-        assert len(steps) == 40
-        for t, (alpha, h) in enumerate(steps):
+        separate = [run_loop(cfg, 40, run) for run in bmus]
+        _, sigmas, kernel = _neighbourhood(cfg, 40)
+        for t, bmu in enumerate(zip(*bmus)):
+            h = kernel(*np.array(bmu).T, sigmas[t])
             assert h.shape == (3, 5, 3)
             for f, run in enumerate(separate):
-                assert alpha == run[t][1]
-                assert h[f].tobytes() == run[t][2].tobytes()
+                assert h[f].tobytes() == run[t][1].tobytes()
 
     def test_zero_iterations_still_define_schedules(self):
         cfg = SomConfig(n_iter_supervised=0)
-        steps, rng = run_loop(cfg, 0, [])
-        assert steps == []
-        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
-        ((_, alpha, h),), _ = run_loop(cfg, 1, [(0, 0)])
+        assert run_loop(cfg, 0, []) == []
+        ((alpha, h),) = run_loop(cfg, 1, [(0, 0)])
         assert alpha == 0.5 and h.shape == (10, 10)
 
 
 class TestDrawsBeforeTheLoop:
     """One ``integers(n, size=T)`` call gives the values and the final
     generator state of T scalar ``integers(n)`` calls. The online map and the
-    regression head draw their datapoints that way before the sampled loop,
-    so a numpy release that broke this would change their outputs."""
+    regression head draw the datapoints of each chunk of iterations that way
+    before its steps, so a numpy release that broke this would change their
+    outputs."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 600, 2**20, 2**31 + 5, 3 * 10**9])
     @pytest.mark.parametrize("T", [0, 1, 2, 7, 300])
@@ -510,9 +502,10 @@ def _loop_data(kind):
     return X, X.sum(axis=1), np.array(["a", "b", "c"])[labels]
 
 
-class TestSampledLoopMatchesReplacedLoops:
-    """The one sampled loop gives the bits and the generator state of the
-    three loops it replaced, kept in ``oracles``."""
+class TestFitsMatchReplacedLoops:
+    """The online map and both heads give the bits and the generator states
+    of the three loops one iteration at a time that they replaced, kept in
+    ``oracles``."""
 
     @staticmethod
     def fits(fit_map, fit_reg, fit_cls, X, y, labels, cfg, cov_inv):

@@ -1,5 +1,4 @@
 import tracemalloc
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from somkit.som import (
     SomConfig,
     WeightGrid,
     _neighbourhood,
-    _sampled_loop,
     fit_unsupervised,
     transform,
 )
@@ -270,12 +268,12 @@ class TestClassChangeProbability:
 
     @staticmethod
     def probability(cfg, bmu, t, w_y):
-        """Raw flip probability w_y x alpha x h at iteration ``t`` of the sampled
-        loop, run on a stack of one."""
-        steps = []
-        _sampled_loop(cfg, cfg.n_iter_supervised, repeat(([bmu[0]], [bmu[1]], None)),
-                      lambda _, alpha, h: steps.append(w_y * alpha * h[0]))
-        return steps[t]
+        """Raw flip probability w_y x alpha x h at iteration ``t`` of the heads'
+        loop, run on a stack of one whose only datapoint has its BMU at ``bmu``
+        and weight ``w_y``."""
+        per_run = [([bmu[0]], [bmu[1]], [0], [w_y])]
+        chunks = supervised._head_chunks(cfg, [np.random.default_rng(0)], per_run, uniforms=False)
+        return np.concatenate([P[:, 0].copy() for _, P, _ in chunks])[t]
 
     def test_product_at_bmu(self):
         cfg = self.make_config(lr_start=0.5)
@@ -385,9 +383,9 @@ class TestFitClassifier:
         assert set(np.unique(head.classes)) <= set(np.unique(y))
 
 
-def stacked_classifier_data(k):
-    """k runs' 6x5 grids, rows and labels of 3 imbalanced classes; run f has
-    30 + 7f rows."""
+def stacked_head_data(k):
+    """k runs' 6x5 grids, rows, labels of 3 imbalanced classes and targets,
+    each row's feature sum; run f has 30 + 7f rows."""
     rng = np.random.default_rng(k)
     grids, Xs, ys = [], [], []
     for f in range(k):
@@ -395,32 +393,46 @@ def stacked_classifier_data(k):
         Xs.append(rng.normal(size=(len(labels), 2)) + 3.0 * labels[:, None])
         ys.append(np.array(["a", "b", "c"])[labels])
         grids.append(WeightGrid(3.0 + 3.0 * rng.normal(size=(6, 5, 2))))
-    return grids, Xs, ys
+    return grids, Xs, ys, [X.sum(axis=1) for X in Xs]
 
 
-class TestChunkedClassifier:
-    """The classifier draws iteration by iteration and flips a chunk of
-    iterations at a time. It gives the codes and the generator states of the
-    loop that ran one iteration at a time, kept in ``oracles``."""
+def regressors_one_by_one(grids, Xs, ys, cfg, rngs, cov_invs):
+    """``oracles.fit_regressor`` of each run on its own, one iteration at a time."""
+    return [oracles.fit_regressor(*run, cfg, rng, cov_inv)
+            for *run, rng, cov_inv in zip(grids, Xs, ys, rngs, cov_invs)]
+
+
+class TestChunkedHeads:
+    """Both heads train by one loop, a chunk of iterations at a time. The
+    classifier draws iteration by iteration and flips a chunk at once; the
+    regression head draws a chunk's indices at once and pulls iteration by
+    iteration. They give the heads and the generator states of the loops
+    that ran one iteration at a time, kept in ``oracles``."""
 
     @pytest.mark.parametrize("chunk", [1, 7, None])  # iterations a chunk; None: the default
     @pytest.mark.parametrize("n_iter", [0, 1, 37, 300])
     @pytest.mark.parametrize("class_weighting", [False, True])
     @pytest.mark.parametrize("kernel", ["gaussian", "mexican-hat"])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_equals_iteration_by_iteration(self, k, kernel, class_weighting, n_iter, chunk,
+    @pytest.mark.parametrize("head", ["classification", "regression"])
+    def test_equals_iteration_by_iteration(self, head, k, kernel, class_weighting, n_iter, chunk,
                                            monkeypatch):
-        grids, Xs, ys = stacked_classifier_data(k)
+        grids, Xs, ys, targets = stacked_head_data(k)
         if chunk is not None:
             monkeypatch.setattr(supervised, "_HEAD_CHUNK_BYTES", chunk * 8 * k * 30)
         cfg = SomConfig(n_row=6, n_column=5, n_iter_supervised=n_iter, kernel=kernel,
                         class_weighting=class_weighting, lr_schedule=ScheduleSpec("linear", 0.9),
                         radius_schedule=ScheduleSpec("exponential", 3.0))
+        fits, labels = {
+            "classification": ((supervised._fit_classifiers, oracles.fit_classifiers), ys),
+            "regression": ((supervised._fit_regressors, regressors_one_by_one), targets),
+        }[head]
         runs = []
-        for fit in (supervised._fit_classifiers, oracles.fit_classifiers):
+        for fit in fits:
             rngs = [np.random.default_rng([k, f]) for f in range(k)]
-            heads = fit(grids, Xs, ys, cfg, rngs, [None] * k)
-            runs.append(([h.codes.tobytes() for h in heads], [r.bit_generator.state for r in rngs]))
+            heads = fit(grids, Xs, labels, cfg, rngs, [None] * k)
+            values = [(h.codes if head == "classification" else h.values).tobytes() for h in heads]
+            runs.append((values, [r.bit_generator.state for r in rngs]))
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("kernel", ["gaussian", "mexican-hat"])
@@ -441,27 +453,29 @@ class TestChunkedClassifier:
             assert h[t].tobytes() == h_t.tobytes()
             assert P[t].tobytes() == P_t.tobytes()
 
-    def test_memory_does_not_grow_with_the_iterations(self):
-        # aim: bounded memory. The uniforms, probabilities and flips are kept
-        # for one chunk of iterations; only the schedules, two floats per
-        # iteration, grow with n_iter_supervised.
+    @pytest.mark.parametrize("fit", [fit_classifier, fit_regressor])
+    def test_memory_does_not_grow_with_the_iterations(self, fit):
+        # aim: bounded memory. The steps, the uniforms, the flips and the
+        # drawn indices are kept for one chunk of iterations; only the
+        # schedules, two floats per iteration, grow with n_iter_supervised.
         rng = np.random.default_rng(21)
         grid = WeightGrid(rng.normal(size=(40, 20, 2)))
-        X, y = rng.normal(size=(20, 2)), rng.choice(["a", "b", "c"], size=20)
+        X = rng.normal(size=(20, 2))
+        y = rng.choice(["a", "b", "c"], size=20) if fit is fit_classifier else X.sum(axis=1)
         peaks = {}
         for n_iter in (200, 4000):
             cfg = SomConfig(n_row=40, n_column=20, n_iter_supervised=n_iter)
-            fit_classifier(grid, X, y, cfg, np.random.default_rng(0))  # warm caches
+            fit(grid, X, y, cfg, np.random.default_rng(0))  # warm caches
             tracemalloc.start()
             try:
-                fit_classifier(grid, X, y, cfg, np.random.default_rng(0))
+                fit(grid, X, y, cfg, np.random.default_rng(0))
                 peaks[n_iter] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         # the schedules and a few bytes of small objects
         assert peaks[4000] - peaks[200] <= 2 * 8 * (4000 - 200) + 256
-        # the chunk's uniforms, probabilities and kernel gather, its flips and
-        # the schedules
+        # the chunk's steps, kernel gather and uniforms, its flips and the
+        # schedules
         assert peaks[4000] <= 4 * supervised._HEAD_CHUNK_BYTES + 2 * 8 * 4000
 
 
