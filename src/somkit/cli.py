@@ -41,7 +41,9 @@ from .som import SomConfig, _fit_maps, bmu_histogram
 from .supervised import _fit_classifiers, _fit_regressors
 from .seeding import PHASES, SEED_SCHEME, phase_rng
 
-HEAD_KINDS = ("none", "regression", "classification")
+# each head kind, and the kind of labels its runs read
+_LABEL_KINDS = {"none": "none", "regression": "continuous", "classification": "categorical"}
+HEAD_KINDS = tuple(_LABEL_KINDS)
 
 
 def _schedule_keys(name: str) -> dict[str, str]:
@@ -140,34 +142,47 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise UsageError(f"missing required value(s): {flags}")
 
 
+def _config_of(**values) -> tuple[bool, SomConfig]:
+    """The minmax_scale switch and the SomConfig of configuration ``values``."""
+    scale = values.pop("minmax_scale", False)
+    schedules = {
+        f.name: {attr: values.pop(key)
+                 for key, attr in _schedule_keys(f.name).items() if key in values}
+        for f in fields(SomConfig) if "kinds" in f.metadata
+    }
+    config = SomConfig(**values)
+    for name, parts in schedules.items():
+        try:
+            schedules[name] = replace(getattr(config, name), **parts)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return scale, replace(config, **schedules)
+
+
 def _validated_config(args: argparse.Namespace) -> tuple[bool, SomConfig]:
     """The minmax_scale switch and the SomConfig of the configuration values.
 
     Each flag left out takes the config file's value, if it has one; an
     absent value takes SomConfig's default. A value SomConfig rejects is a
-    usage error.
+    usage error, which names the config file if the flags alone are accepted.
     """
+    def given():
+        return {key: getattr(args, key) for key in _CONFIG_OPTIONS
+                if getattr(args, key, None) is not None}
+
+    flags = given()
     for key, value in _read_config_file(args).items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
-    values = {key: getattr(args, key) for key in _CONFIG_OPTIONS
-              if getattr(args, key, None) is not None}
     try:
-        scale = values.pop("minmax_scale", False)
-        schedules = {
-            f.name: {attr: values.pop(key)
-                     for key, attr in _schedule_keys(f.name).items() if key in values}
-            for f in fields(SomConfig) if "kinds" in f.metadata
-        }
-        config = SomConfig(**values)
-        for name, parts in schedules.items():
-            try:
-                schedules[name] = replace(getattr(config, name), **parts)
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
-        return scale, replace(config, **schedules)
+        return _config_of(**given())
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        error = exc
+    try:
+        _config_of(**flags)
+    except ValueError:
+        raise UsageError(str(error)) from error
+    raise UsageError(f"{Path(args.config)}: {error}") from error
 
 
 def _resolved_record(args: argparse.Namespace, config: SomConfig,
@@ -197,16 +212,12 @@ def _resolved_line(record: dict) -> str:
 
 
 def _load_for_model(path: str, label_column: str | None, head_kind: str) -> LabeledDataset:
-    if head_kind != "none":
-        if not label_column:
-            raise UsageError(f"a {head_kind} head needs --label-column")
-        return load_csv(path, label_column,
-                        "continuous" if head_kind == "regression" else "categorical")
-    if label_column:
-        # Column present in the file but unused; load it so it is not
-        # mistaken for a feature.
-        return load_csv(path, label_column, "categorical")
-    return load_csv(path)
+    """The data file's features and the labels a ``head_kind`` head reads;
+    without a head, a label column is left out of the features unread."""
+    label_kind = _LABEL_KINDS[head_kind]
+    if label_kind != "none" and not label_column:
+        raise UsageError(f"a {head_kind} head needs --label-column")
+    return load_csv(path, label_column or None, label_kind)
 
 
 def _train_models(config: SomConfig, datasets: list[LabeledDataset], head_kind: str,
@@ -354,11 +365,10 @@ def cmd_export_maps(args: argparse.Namespace) -> int:
         model.grid, model.prepare(data.X), model.config.metric, model.cov_inv
     )
     _write_csv(out_dir / "bmu_histogram.csv", ["row", "column", "count"], counts)
-    if model.head_kind == "none":
+    if model.head is None:
         print("model has no supervised head; skipped output_map.csv", file=sys.stderr)
     else:
-        values = model.head.values if model.head_kind == "regression" else model.head.classes
-        _write_csv(out_dir / "output_map.csv", ["row", "column", "value"], values)
+        _write_csv(out_dir / "output_map.csv", ["row", "column", "value"], model.head.labels)
     _write_resolved(_resolved_record(args, model.config),
                     _resolved_path(args.resolved_config, out_dir / "maps"))
     return 0

@@ -24,6 +24,8 @@ from pathlib import Path
 import numpy as np
 
 LABEL_KINDS = ("none", "continuous", "categorical")
+# the dtype of each kind of labels that is read
+_LABEL_DTYPES = {"continuous": float, "categorical": str}
 
 
 class DatasetError(ValueError):
@@ -76,13 +78,14 @@ def load_csv(path, label_column: str | None = None, label_kind: str = "none") ->
     """Load a headed CSV file into a :class:`LabeledDataset`.
 
     All columns except ``label_column`` are parsed as float features.
-    Continuous labels are parsed as float; categorical labels stay strings.
+    Continuous labels are parsed as float; categorical labels stay strings;
+    under label kind "none" the label column is dropped unread and y is None.
     Row numbers in error messages are 1-based data rows (header excluded).
     """
     if label_kind not in LABEL_KINDS:
         raise ValueError(f"label_kind must be one of {LABEL_KINDS}")
-    if (label_column is None) != (label_kind == "none"):
-        raise ValueError("label_column must be given exactly when label_kind is not 'none'")
+    if label_column is None and label_kind != "none":
+        raise ValueError(f"{label_kind} labels need a label_column")
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"no such data file: {path}")
@@ -95,12 +98,9 @@ def load_csv(path, label_column: str | None = None, label_kind: str = "none") ->
             raise DatasetError(f"{path}: file is empty, expected a header row")
         except csv.Error as err:  # a cell over csv.field_size_limit()
             raise DatasetError(f"{path}: header row: {err}") from None
-        if label_column is not None:
-            if label_column not in header:
-                raise DatasetError(f"{path}: no column named {label_column!r} in header")
-            label_idx = header.index(label_column)
-        else:
-            label_idx = None
+        if label_column is not None and label_column not in header:
+            raise DatasetError(f"{path}: no column named {label_column!r} in header")
+        label_idx = None if label_column is None else header.index(label_column)
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
         if not feature_names:
             raise DatasetError(f"{path}: no feature columns in header")
@@ -165,10 +165,10 @@ def _read_columns(path: Path, n_fields: int, label_idx: int | None, label_kind: 
             X = np.loadtxt(path, usecols=features, ndmin=2, **options)
             if X.shape[0] != lines - 1 or not np.isfinite(X).all():
                 return None
-            if label_idx is None:
+            if label_kind == "none":
                 return X, None
             y = np.loadtxt(path, usecols=label_idx, ndmin=1, **options,
-                           dtype=float if label_kind == "continuous" else str)
+                           dtype=_LABEL_DTYPES[label_kind])
     except Exception:  # whatever the reader cannot parse, the row loop decides and words
         return None
     if y.shape != X.shape[:1] or y.dtype == float and not np.isfinite(y).all():
@@ -221,18 +221,13 @@ def _read_rows(path: Path, reader, header: list[str], label_idx: int | None, lab
         rows.append(_numbers(path, row_no, header, row, features))
         if label_kind == "continuous":
             labels += _numbers(path, row_no, header, row, [label_idx])
-        elif label_idx is not None:
+        elif label_kind == "categorical":
             labels.append(row[label_idx])
 
     if not rows:
         raise DatasetError(f"{path}: no data rows")
-    X = np.array(rows, dtype=float)
-    y = None
-    if label_kind == "continuous":
-        y = np.array(labels, dtype=float)
-    elif label_kind == "categorical":
-        y = np.array(labels)
-    return X, y
+    y = None if label_kind == "none" else np.array(labels, dtype=_LABEL_DTYPES[label_kind])
+    return np.array(rows, dtype=float), y
 
 
 def save_csv(data: LabeledDataset, path, label_column: str = "label") -> None:

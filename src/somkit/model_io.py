@@ -3,8 +3,8 @@
 One format holds an unsupervised-only map or a map plus supervised head:
 format version, full config, feature dimension, row-major weights, and,
 when present, the inverse covariance matrix of the mahalanobis metric, the
-min-max scaling record, and the head (kind tag "regression" or
-"classification", classification including its class set).
+min-max scaling record, and the head: its kind tag, "regression" or
+"classification", and each of its fields as a row-major list.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ import numpy as np
 from .datasets import MinMaxRecord
 from .schedules import ScheduleSpec
 from .som import SomConfig, WeightGrid
-from .supervised import (
-    ClassificationHead,
-    RegressionHead,
-    predict_classification,
-    predict_regression,
-)
+from .supervised import ClassificationHead, RegressionHead, _predict
 
 FORMAT_VERSION = 1
 
@@ -40,9 +35,7 @@ class SomModel:
 
     @property
     def head_kind(self) -> str:
-        if self.head is None:
-            return "none"
-        return "regression" if isinstance(self.head, RegressionHead) else "classification"
+        return "none" if self.head is None else self.head.kind
 
     def prepare(self, X) -> np.ndarray:
         """Apply the stored feature scaling, if any."""
@@ -52,10 +45,7 @@ class SomModel:
     def predict(self, X) -> np.ndarray:
         if self.head is None:
             raise ValueError("model has no supervised head, nothing to predict")
-        X = self.prepare(X)
-        if isinstance(self.head, RegressionHead):
-            return predict_regression(self.grid, self.head, X, self.config.metric, self.cov_inv)
-        return predict_classification(self.grid, self.head, X, self.config.metric, self.cov_inv)
+        return _predict(self.grid, self.head, self.prepare(X), self.config.metric, self.cov_inv)
 
 
 def _from_dict(cls, d: dict):
@@ -69,16 +59,11 @@ def _from_dict(cls, d: dict):
     })
 
 
-def _head_to_dict(head) -> dict | None:
-    if head is None:
+def _lists(record) -> dict | None:
+    """Each dataclass field of ``record`` as a flat list, or None for no record."""
+    if record is None:
         return None
-    if isinstance(head, RegressionHead):
-        return {"kind": "regression", "values": head.values.ravel().tolist()}
-    return {
-        "kind": "classification",
-        "codes": head.codes.ravel().tolist(),
-        "class_set": head.class_set.tolist(),
-    }
+    return {f.name: getattr(record, f.name).ravel().tolist() for f in fields(record)}
 
 
 def _field(d, key: str, kinds, where: str = "model file"):
@@ -133,13 +118,8 @@ def save_model(model: SomModel, path) -> None:
         "feature_dim": grid.feature_dim,
         "weights": grid.weights.ravel().tolist(),
         "cov_inv": None if model.cov_inv is None else np.asarray(model.cov_inv).tolist(),
-        "scaling": None
-        if model.scaling is None
-        else {
-            "mins": model.scaling.mins.tolist(),
-            "ranges": model.scaling.ranges.tolist(),
-        },
-        "head": _head_to_dict(model.head),
+        "scaling": _lists(model.scaling),
+        "head": None if model.head is None else {"kind": model.head.kind, **_lists(model.head)},
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 

@@ -21,6 +21,7 @@ iteration at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,8 +30,10 @@ from .som import SomConfig, WeightGrid, _diverged, _neighbourhood, _pull, transf
 
 @dataclass
 class RegressionHead:
-    """Per-node continuous target values, shape (n_row, n_column)."""
+    """Per-node continuous target values, shape (n_row, n_column), which are
+    also its node ``labels``. ``kind`` tags the head in model files."""
 
+    kind: ClassVar[str] = "regression"
     values: np.ndarray
 
     def __post_init__(self):
@@ -40,15 +43,21 @@ class RegressionHead:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("head values must be finite")
 
+    @property
+    def labels(self) -> np.ndarray:
+        return self.values
+
 
 @dataclass
 class ClassificationHead:
     """Per-node class assignment.
 
     ``codes`` holds indices into ``class_set`` (the sorted distinct training
-    classes), shape (n_row, n_column).
+    classes), shape (n_row, n_column); the node ``labels``, also named
+    ``classes``, are ``class_set[codes]``. ``kind`` tags the head in model files.
     """
 
+    kind: ClassVar[str] = "classification"
     codes: np.ndarray
     class_set: np.ndarray
 
@@ -63,9 +72,10 @@ class ClassificationHead:
             raise ValueError("node class codes must index into class_set")
 
     @property
-    def classes(self) -> np.ndarray:
-        """Node classes as labels, shape (n_row, n_column)."""
+    def labels(self) -> np.ndarray:
         return self.class_set[self.codes]
+
+    classes = labels
 
 
 def _check_labeled(unsup: WeightGrid, X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -108,8 +118,11 @@ def _fit_regressors(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[Re
     heads, per_run = [], []
     for grid, (X, y), rng, cov_inv in zip(grids, labeled, rngs, cov_invs):
         y = y.astype(float)
-        heads.append(RegressionHead(
-            rng.uniform(y.min(), y.max(), size=(grid.n_row, grid.n_column))))
+        low, high = y.min().item(), y.max().item()
+        if not np.isfinite(high - low):  # the range the initial values are drawn from
+            raise ValueError(f"regression labels from {low:g} to {high:g} span more than "
+                             "the float range; scale them down")
+        heads.append(RegressionHead(rng.uniform(low, high, size=(grid.n_row, grid.n_column))))
         # The unsupervised grid is fully trained, so each datapoint's BMU is
         # fixed; compute them once.
         bmus = transform(grid, X, config.metric, cov_inv)
@@ -126,12 +139,17 @@ def _fit_regressors(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[Re
     return [RegressionHead(v) for v in values]
 
 
+def _predict(unsup: WeightGrid, head, X, metric: str, cov_inv) -> np.ndarray:
+    """The head's node label at each row's BMU, for either head."""
+    bmus = transform(unsup, X, metric, cov_inv)
+    return head.labels[bmus[:, 0], bmus[:, 1]]
+
+
 def predict_regression(
     unsup: WeightGrid, head: RegressionHead, X, metric: str = "euclidean", cov_inv=None
 ) -> np.ndarray:
-    """Head value at each row's BMU."""
-    bmus = transform(unsup, X, metric, cov_inv)
-    return head.values[bmus[:, 0], bmus[:, 1]]
+    """Head value at each row's BMU: the head's ``labels`` there."""
+    return _predict(unsup, head, X, metric, cov_inv)
 
 
 def encode_classes(y) -> tuple[np.ndarray, np.ndarray]:
@@ -283,12 +301,8 @@ def _fit_classifiers(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[C
 
 
 def predict_classification(
-    unsup: WeightGrid,
-    head: ClassificationHead,
-    X,
-    metric: str = "euclidean",
-    cov_inv=None,
+    unsup: WeightGrid, head: ClassificationHead, X, metric: str = "euclidean", cov_inv=None
 ) -> np.ndarray:
-    """Head class at each row's BMU, as labels from the training class set."""
-    bmus = transform(unsup, X, metric, cov_inv)
-    return head.class_set[head.codes[bmus[:, 0], bmus[:, 1]]]
+    """Head class at each row's BMU: the head's ``labels`` there, from the
+    training class set."""
+    return _predict(unsup, head, X, metric, cov_inv)

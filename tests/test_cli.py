@@ -92,6 +92,20 @@ GAUSSIAN_DIVERGED_ERROR = ("somkit: error: online training diverged with the gau
                            "overflowed; a smaller learning rate keeps them bounded\n")
 
 
+def write_wide_targets(path, copies):
+    """``copies`` rows each of the targets 1e308, -1e308, 0 and 1, whose
+    range overflows, with 3 uniform features, "target" last."""
+    rows = np.random.default_rng(0).random((4 * copies, 3))
+    targets = [1e308, -1e308, 0.0, 1.0] * copies
+    path.write_text("a,b,c,target\n" + "".join(
+        ",".join(map(repr, [*r, t])) + "\n" for r, t in zip(rows.tolist(), targets)))
+    return path
+
+
+WIDE_TARGETS_ERROR = ("somkit: error: regression labels from -1e+308 to 1e+308 span more "
+                      "than the float range; scale them down\n")
+
+
 def write_sums(path):
     """200 rows of 3 uniform features and their sum, "target"."""
     rows = np.random.default_rng(0).random((200, 3))
@@ -218,23 +232,51 @@ class TestTrain:
         assert capsys.readouterr().err == HEAD_DIVERGED_ERROR
         assert not model.exists() and not (tmp_path / "m.resolved.json").exists()
 
+    def test_regression_labels_past_the_float_range_are_error(self, tmp_path, capsys):
+        data, model = write_wide_targets(tmp_path / "wide.csv", 1), tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--label-column", "target",
+                   "--head", "regression", "--model", str(model),
+                   "--n-row", "3", "--n-column", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == WIDE_TARGETS_ERROR
+        assert not model.exists() and not (tmp_path / "m.resolved.json").exists()
+
     @pytest.mark.parametrize("key, value, error", [
         ("lr_start", -0.5, "lr_schedule: schedule start must be positive, got -0.5"),
         ("seed", -1, "seed must be >= 0, got -1"),
+        ("n_row", 0, "grid must have at least one node"),
     ])
     @pytest.mark.parametrize("source", ["flag", "config file"])
     def test_bad_flag_value_is_usage_error(self, tmp_path, reg_csv, capsys, source, key, value,
                                            error):
+        """A value SomConfig rejects is worded alike from a flag and from a
+        config file, which the message then names."""
+        flag = "--" + key.replace("_", "-")
+        # FAST without the flag of ``key``, which would override the file
+        fast = [v for pair in zip(FAST[::2], FAST[1::2]) if pair[0] != flag for v in pair]
         if source == "flag":
-            given = ["--" + key.replace("_", "-"), str(value)]
+            given = [flag, str(value)]
         else:
             cfg_file = tmp_path / "run.json"
             cfg_file.write_text(json.dumps({key: value}))
             given = ["--config", str(cfg_file)]
+            error = f"{cfg_file}: {error}"
         model = tmp_path / "m.json"
-        rc = main(["train", "--data", str(reg_csv), "--model", str(model), *given, *FAST])
+        rc = main(["train", "--data", str(reg_csv), "--model", str(model), *given, *fast])
         assert rc == 1
         assert capsys.readouterr().err == f"somkit: error: {error}\n"
+        assert not model.exists()
+
+    def test_config_file_value_rejected_with_a_bad_flag_is_not_named(self, tmp_path, reg_csv,
+                                                                     capsys):
+        """The file is named only where the flags alone are accepted."""
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"n_row": 0}))
+        model = tmp_path / "m.json"
+        rc = main(["train", "--data", str(reg_csv), "--model", str(model),
+                   "--config", str(cfg_file), "--seed", "-1", "--n-column", "5"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("somkit: error: grid must")
         assert not model.exists()
 
     def test_unknown_flag(self, tmp_path, reg_csv):
@@ -558,6 +600,28 @@ class TestPredict:
         assert len(rows) - 1 == 90
         assert set(r[0] for r in rows[1:]) <= {"0", "1", "2"}
 
+    @pytest.mark.parametrize("command", ["train", "predict", "export-maps"])
+    def test_a_run_without_a_head_reads_no_label_column(self, tmp_path, reg_csv, monkeypatch,
+                                                        command):
+        """The label column is left out of the features unread: numpy's reader
+        makes one pass over the file, for the features."""
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(reg_csv), "--label-column", "target",
+                     "--head", "regression", "--model", str(model), *FAST]) == 0
+        outputs = {"train": ["--model", str(tmp_path / "headless.json"), *FAST],
+                   "predict": ["--model", str(model), "--output", str(tmp_path / "p.csv")],
+                   "export-maps": ["--model", str(model), "--out-dir", str(tmp_path / "maps")]}
+        columns, loadtxt = [], np.loadtxt
+
+        def spy(*args, **kwargs):
+            columns.append(kwargs["usecols"])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        assert main([command, "--data", str(reg_csv), "--label-column", "target",
+                     *outputs[command]]) == 0
+        assert columns == [[0, 1]]
+
     @pytest.mark.parametrize("text, label, row", [
         ("f0\n\n", [], 1),  # numpy's reader warns that it found no data
         ("f0\n1\n\n2\n", [], 2),
@@ -819,6 +883,15 @@ class TestCrossval:
                    "--k", "3", "--output", str(out), *DIVERGING_HEAD])
         assert rc == 2
         assert capsys.readouterr().err == HEAD_DIVERGED_ERROR
+        assert not out.exists()
+
+    def test_regression_labels_past_the_float_range_are_error(self, tmp_path, capsys):
+        # each training fold holds at least 4 of the 5 rows of 1e308 and of -1e308
+        data, out = write_wide_targets(tmp_path / "wide.csv", 5), tmp_path / "cv.txt"
+        rc = main(["crossval", "--data", str(data), "--label-column", "target",
+                   "--head", "regression", "--k", "5", "--output", str(out), *FAST])
+        assert rc == 2
+        assert capsys.readouterr().err == WIDE_TARGETS_ERROR
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, error", [

@@ -24,6 +24,17 @@ from somkit.datasets import (
 from somkit.metrics import r_squared
 
 
+# (file text, label column, label kind, error after the file's path)
+BAD_NUMBER_CASES = [
+    ("a,y,b\n1,2,3\n4,bad,oops\n", "y", "continuous", "row 2, column 'b': cannot parse 'oops' as a number"),
+    ("a,y\n1,inf\n", "y", "continuous", "row 1, column 'y': non-finite value 'inf'"),
+    ("a,y\n1,zz\n", "y", "continuous", "row 1, column 'y': cannot parse 'zz' as a number"),
+    ("a,b\nnan,x\n", None, "none", "row 1, column 'a': non-finite value 'nan'"),
+    ('"a,",y\n1,"1e999"\n', "y", "continuous", "row 1, column 'y': non-finite value '1e999'"),
+    ("y,a\nq,-inf\n", "y", "categorical", "row 1, column 'a': non-finite value '-inf'"),
+]
+
+
 class TestLoadCsv:
     def test_unlabeled(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -53,14 +64,7 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="row 2.*'b'"):
             load_csv(p)
 
-    @pytest.mark.parametrize("text, label_column, label_kind, message", [
-        ("a,y,b\n1,2,3\n4,bad,oops\n", "y", "continuous", "row 2, column 'b': cannot parse 'oops' as a number"),
-        ("a,y\n1,inf\n", "y", "continuous", "row 1, column 'y': non-finite value 'inf'"),
-        ("a,y\n1,zz\n", "y", "continuous", "row 1, column 'y': cannot parse 'zz' as a number"),
-        ("a,b\nnan,x\n", None, "none", "row 1, column 'a': non-finite value 'nan'"),
-        ('"a,",y\n1,"1e999"\n', "y", "continuous", "row 1, column 'y': non-finite value '1e999'"),
-        ("y,a\nq,-inf\n", "y", "categorical", "row 1, column 'a': non-finite value '-inf'"),
-    ])
+    @pytest.mark.parametrize("text, label_column, label_kind, message", BAD_NUMBER_CASES)
     def test_first_bad_number_cell_is_named(self, tmp_path, text, label_column, label_kind,
                                             message):
         """Features before the label, and a continuous label like a feature."""
@@ -300,6 +304,79 @@ def test_fast_path_matches_row_loop_on_generated_files(tmp_path_factory, file):
     got, _ = _load(path, label_column, label_kind)
     expected, _ = _load(path, label_column, label_kind, fast=False)
     _assert_same(got, expected)
+
+
+def _labeled_files():
+    """Each case above that has a label column: its name, file text and label column."""
+    limit = csv.field_size_limit()
+    cases = {
+        **{name: case[:2] for name, case in INGEST_CASES.items()},
+        **{f"bad number {i}": case[:2] for i, case in enumerate(BAD_NUMBER_CASES)},
+        "feature over the field limit": (f"a,y\n2,p\n0.{'0' * (limit - 1)},q\n", "y"),
+        "label over the field limit": (f"a,y\n2,p\n1,{'p' * (limit + 1)}\n", "y"),
+        "blank line before a row": ("a,b,y\n1,2,p\n\n3,4,q\n", "y"),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items() if case[1] is not None]
+
+
+def _assert_dropped_reads_as_categorical(path, label_column, fast):
+    """The read that drops ``label_column`` gives the categorical read's
+    DatasetError text, or its X and feature names without labels."""
+    dropped, _ = _load(path, label_column, "none", fast)
+    categorical, _ = _load(path, label_column, "categorical", fast)
+    if not isinstance(categorical, str):
+        categorical = LabeledDataset(categorical.X, None, categorical.feature_names)
+    _assert_same(dropped, categorical)
+
+
+class TestDroppedLabelColumn:
+    """A label column read with label kind "none" is left out of the
+    features unread: X and every error are those of a categorical read."""
+
+    def test_dropped_column_gives_the_features_alone(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,y,b\n1,p,2\n3,q,4\n")
+        for fast in (True, False):
+            data, stood = _load(path, "y", "none", fast)
+            assert stood == fast
+            assert data.y is None and data.label_kind == "none"
+            assert data.feature_names == ["a", "b"]
+            np.testing.assert_array_equal(data.X, [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "row loop"])
+    @pytest.mark.parametrize("text, label_column", _labeled_files())
+    def test_same_features_and_errors_as_a_categorical_read(self, tmp_path, text,
+                                                            label_column, fast):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        _assert_dropped_reads_as_categorical(path, label_column, fast)
+
+    @pytest.mark.parametrize("label_kind, passes", [("none", 1), ("categorical", 2)])
+    def test_fast_path_reads_the_file_once_without_labels(self, tmp_path, label_kind, passes):
+        path = tmp_path / "d.csv"
+        path.write_text("a,y,b\n1,p,2\n3,q,4\n")
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            load_csv(path, "y", label_kind)
+        assert loadtxt.call_count == passes
+
+    def test_labels_without_a_column_are_refused(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError, match="categorical labels need a label_column"):
+            load_csv(path, None, "categorical")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_files())
+def test_dropped_label_column_matches_categorical_read_on_generated_files(tmp_path_factory,
+                                                                          file):
+    text, label_column, _ = file
+    if label_column is None:
+        return
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for fast in (True, False):
+        _assert_dropped_reads_as_categorical(path, label_column, fast)
 
 
 class TestSplit:

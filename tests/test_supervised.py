@@ -84,6 +84,16 @@ class TestFitRegressor:
         with pytest.raises(ValueError):
             fit_regressor(grid, X, y, cfg, np.random.default_rng(0))
 
+    def test_rejects_labels_past_the_float_range_before_drawing(self):
+        X, _ = two_blob_data()
+        y = np.resize([1e308, -1e308, 0.0, 1.0], len(X))
+        cfg = SomConfig(n_row=3, n_column=3, n_iter_unsupervised=10)
+        grid, _ = fit_unsupervised(X, cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match="regression labels from -1e"):
+            fit_regressor(grid, X, y, cfg, rng)
+        assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+
     def test_freezes_unsupervised_grid(self):
         X, y = two_blob_data(seed=8)
         cfg, grid, _ = trained_grid(X, seed=9)
@@ -113,6 +123,36 @@ class TestPredictRegression:
         head = RegressionHead(np.arange(9.0).reshape(3, 3))
         X = np.random.default_rng(3).normal(size=(17, 2))
         assert predict_regression(grid, head, X).shape == (17,)
+
+
+class TestHeadLabels:
+    """Each head carries its kind tag and its node labels, which both
+    predict functions read at the BMUs."""
+
+    def test_kinds_and_labels(self):
+        values = np.arange(6.0).reshape(2, 3)
+        regression = RegressionHead(values)
+        assert regression.kind == "regression"
+        assert regression.labels is regression.values
+        codes = np.array([[1, 0, 1], [2, 2, 0]])
+        classification = ClassificationHead(codes, np.array(["a", "b", "c"]))
+        assert classification.kind == "classification"
+        assert classification.labels.tolist() == [["b", "a", "b"], ["c", "c", "a"]]
+        np.testing.assert_array_equal(classification.classes, classification.labels)
+
+    @pytest.mark.parametrize("class_set", [np.array(["x", "yy", "z"]), np.array([3, 7, 9]),
+                                           np.array([0.5, 1.5, 2.5])])
+    @pytest.mark.parametrize("rows", [0, 1, 25])
+    def test_classes_at_the_bmus_as_the_codes_read_there(self, class_set, rows):
+        rng = np.random.default_rng(rows)
+        grid = WeightGrid(rng.normal(size=(3, 4, 2)))
+        head = ClassificationHead(rng.integers(3, size=(3, 4)), class_set)
+        X = rng.normal(size=(rows, 2))
+        bmus = transform(grid, X)
+        expected = head.class_set[head.codes[bmus[:, 0], bmus[:, 1]]]
+        got = predict_classification(grid, head, X)
+        assert (got.dtype, got.shape, got.tolist()) == (
+            expected.dtype, expected.shape, expected.tolist())
 
 
 class TestInitClassifier:
