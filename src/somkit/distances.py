@@ -458,7 +458,7 @@ def _bmu_row(D: np.ndarray, search: tuple) -> np.ndarray:
     def exact(f, c):
         # the oracle's own arithmetic on row-major differences, map by map
         d, out = np.ascontiguousarray(D[f, :, c]), np.empty(len(f))
-        for g in np.unique(f):
+        for g in np.flatnonzero(np.bincount(f)):  # the maps in f, not importing numpy.ma
             out[f == g] = _exact(d[f == g], metric, cov_inv[g])
         return out
 

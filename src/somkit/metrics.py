@@ -57,13 +57,11 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape or y_true.ndim != 1 or y_true.size == 0:
         raise ValueError("confusion needs two equal-length nonempty vectors")
-    class_set = np.unique(np.concatenate([y_true, y_pred]))
-    t_codes = np.searchsorted(class_set, y_true)
-    p_codes = np.searchsorted(class_set, y_pred)
+    # the codes come with the classes: np.unique without them would import numpy.ma
+    class_set, codes = np.unique(np.concatenate([y_true, y_pred]), return_inverse=True)
     k = class_set.size
-    counts = np.zeros((k, k), dtype=int)
-    np.add.at(counts, (t_codes, p_codes), 1)
-    return ConfusionMatrix(counts, class_set.tolist())
+    pairs = codes[: y_true.size] * k + codes[y_true.size:]
+    return ConfusionMatrix(np.bincount(pairs, minlength=k * k).reshape(k, k), class_set.tolist())
 
 
 def overall_accuracy(cm: ConfusionMatrix) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import somkit.distances
+import somkit.model_io
 from somkit.cli import _train_models, main
 from somkit.datasets import (
     LabeledDataset,
@@ -435,6 +436,10 @@ class TestTrain:
             assert config.n_row in (35, 40)
 
 
+# an edit that sets an entry to this string writes the literal 1e999, which
+# JSON reads as infinity
+OVERFLOWING = "1e999"
+
 # case -> (edit of a mahalanobis regression model's JSON, expected error text)
 MALFORMED_MODELS = {
     "missing config": (lambda p: p.pop("config"), "no 'config'"),
@@ -466,6 +471,17 @@ MALFORMED_MODELS = {
     "NaN head value": (lambda p: p["head"]["values"].__setitem__(0, float("nan")), "NaN"),
     "negative feature_dim": (lambda p: p.update(feature_dim=-1), "'feature_dim'"),
     "negative seed": (lambda p: p["config"].update(seed=-1), "malformed config"),
+    "overflowing weight": (lambda p: p["weights"].__setitem__(0, OVERFLOWING),
+                           "'weights' holds a number outside the float64 range"),
+    "overflowing cov_inv entry": (lambda p: p["cov_inv"][0].__setitem__(0, OVERFLOWING),
+                                  "'cov_inv' holds a number outside the float64 range"),
+    "overflowing scaling min": (lambda p: p["scaling"]["mins"].__setitem__(0, OVERFLOWING),
+                                "'mins' holds a number outside the float64 range"),
+    "overflowing scaling range": (
+        lambda p: p["scaling"]["ranges"].__setitem__(0, OVERFLOWING),
+        "'ranges' holds a number outside the float64 range"),
+    "overflowing head value": (lambda p: p["head"]["values"].__setitem__(0, OVERFLOWING),
+                               "'values' holds a number outside the float64 range"),
 }
 
 
@@ -475,18 +491,28 @@ MALFORMED_CLASSIFICATION_MODELS = {
     "fractional class code": (lambda p: p["head"]["codes"].__setitem__(0, 1.5), "'codes'"),
     "boolean class code": (lambda p: p["head"]["codes"].__setitem__(0, True), "'codes'"),
     "boolean feature_dim": (lambda p: p.update(feature_dim=True), "'feature_dim'"),
+    "class code past int64": (lambda p: p["head"]["codes"].__setitem__(0, 2**70),
+                              "'codes' holds a number outside the int64 range"),
+    "null class": (lambda p: p["head"]["class_set"].__setitem__(0, None),
+                   "'class_set' must hold strings or numbers"),
 }
 
 
 class TestMalformedModel:
+    @pytest.fixture(autouse=True)
+    def every_model_gets_a_companion(self, monkeypatch):
+        monkeypatch.setattr(somkit.model_io, "_COMPANION_BYTES", 0)
+
     def _predict_edited(self, tmp_path, capsys, data, train_flags, mutate):
-        """Exit code and stderr of predict with a trained model edited by ``mutate``."""
+        """Exit code and stderr of predict with a trained model edited by
+        ``mutate``; the edit leaves the companion that train wrote in place."""
         model_path = tmp_path / "m.json"
         assert main(["train", "--data", str(data), "--label-column", "target", *train_flags,
                      "--model", str(model_path), *FAST]) == 0
+        assert (tmp_path / "m.json.arrays").is_file()
         payload = json.loads(model_path.read_text())
         mutate(payload)
-        model_path.write_text(json.dumps(payload))
+        model_path.write_text(json.dumps(payload).replace(json.dumps(OVERFLOWING), OVERFLOWING))
         capsys.readouterr()
         rc = main(["predict", "--model", str(model_path), "--data", str(data),
                    "--label-column", "target", "--output", str(tmp_path / "p.csv")])
@@ -729,6 +755,25 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "== test ==" in out and "== train ==" in out
         assert out.count("r_squared") == 2
+
+    @pytest.mark.parametrize("command", ["evaluate", "crossval"])
+    def test_classification_reports_do_not_import_numpy_ma(self, tmp_path, blob_csv, command):
+        """numpy.ma costs every process that imports it about 16 ms."""
+        model_path = tmp_path / "m.json"
+        assert main(["train", "--data", str(blob_csv), "--label-column", "label",
+                     "--head", "classification", "--model", str(model_path), *FAST]) == 0
+        args = {
+            "evaluate": ["evaluate", "--model", str(model_path)],
+            "crossval": ["crossval", "--head", "classification", "--k", "3", *FAST],
+        }[command]
+        args += ["--data", str(blob_csv), "--label-column", "label",
+                 "--output", str(tmp_path / "report.txt")]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys\nfrom somkit.cli import main\n"
+                f"rc = main({args!r})\nprint(rc, 'numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert (proc.stdout, proc.stderr) == ("0 False\n", "")
 
     def test_report_file_output(self, tmp_path, reg_csv):
         model_path = tmp_path / "m.json"

@@ -41,11 +41,13 @@ import pytest
 
 import somkit.cli
 import somkit.distances
+import somkit.model_io
 from somkit import seeding
 from somkit.cli import main
 from somkit.schedules import learning_rate, neighborhood_radius
 from somkit.som import SomConfig, kernel_values
 from somkit.supervised import class_weights
+from test_model_io import assert_same_model, from_companion, from_json
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -291,6 +293,56 @@ GOLDEN = {
         "92b4a4d8fb7605262e53543329b2a4ec0c877edf6fd7c630b5c7a80ba2af4df5"),
 }
 
+# name -> sha256 of the companion that train writes next to model.json
+GOLDEN_COMPANION = {
+    "class-weighting-classification":
+        "7371414a5d56705ef318f085b06b1fa57c558a2be92735d2107b983f3a9fe737",
+    "class-weighting-config-classification":
+        "f45ac2fbeedfe7aedfa9f949a482d7fb3b27362d4b6c31d05bbbfcf382156ce0",
+    "duplicate-nodes-online-regression":
+        "8801b868552df1f5cb017c41d58e478fb05a54c37e3fa12fce66c4cafded2caf",
+    "euclidean-batch-classification":
+        "650ecf245214e1c6ea4adc91d2747e831b9414dbf089149ec516c7307a5bdc11",
+    "euclidean-online-regression":
+        "a2fae4b40e6a388b0ea79fb162718a4685be0ed718d8b756d4f8d0bed5f92a03",
+    "lr-exponential-classification":
+        "7cc63b2ff8367481d3d61ac119ad87a819d9fab6d40e657b109eb41d82dde647",
+    "lr-inverse-regression":
+        "efe6d6a895b993a89f29feb272223a70d138aaf26bdaf9fbf104cfe2714af7bd",
+    "lr-linear-regression":
+        "561ea49eab903101a47255353eb99efab8232d234c67ab16f0741d2438d6a444",
+    "lr-power-classification":
+        "8f952888f5623bc2916b599be6b267bfed14aedec97ef1a7ae2d0b76f4c030f2",
+    "mahalanobis-batch-classification":
+        "7253dbb942044c079c8f454a958b57a8cfa95f2e624e0eb09f96de8685719304",
+    "mahalanobis-online-regression":
+        "df4bc980d9259a8e1f7b0fbdc90520d4eec6d27276c82477eb0f4ec8312fec16",
+    "manhattan-batch-regression":
+        "7af3b4891a3c2f4aec34410491be51b3b792291e3a73171191048972752f1fff",
+    "manhattan-online-classification":
+        "9508bd5d6bce3db75af416c7c54ad61c06f86120247163d7967c287af4ac6bb7",
+    "mexican-hat-batch-classification":
+        "db19e9d170f7688a27bcb425fee60463854c9bc31c23c780d4f93cbc922b6c0e",
+    "mexican-hat-class-weighting-classification":
+        "90d75c7fe8e887b434184d187be9aa3277bdd5d65bebf160c64630f6a2a43c20",
+    "mexican-hat-online-regression":
+        "92ff7c4689eee8643bb672c677a32e74f60de61c6d930af2ee752376a744286b",
+    "no-supervised-iterations-classification":
+        "0227ce6e051a168a9fae0a3515ba0588dfbd4b4a95a837cfa28fd360257579b5",
+    "no-supervised-iterations-regression":
+        "043e248b5ae0c4e38239616b88495de99387c1cc2e9942649315dff92a80a17d",
+    "radius-exponential-regression":
+        "5642aa825af13c05fba55161ab909e2363a813ec53699c109fee5f09646c5607",
+    "radius-start-end-classification":
+        "bd9bea0a75859c9c6255e5456902d862f25878a0854b669266bb1261afb0cf0b",
+    "radius-start-end-config-regression":
+        "3ac7b5b6e8e338ab07c841f51e35852dc02bb2e826a9b0de8c49eb3afbf1e844",
+    "tanimoto-predict-classification":
+        "68b1dd16228195b43cda9c9cbd3b85aa3484eeb8ca1f4fea7f2649c0a5e404f5",
+    "ties-online-regression":
+        "a167f27732e6e22ee096b606adb6025867aba13c85952deb019fedf222e6fc38",
+}
+
 # name -> (data, head, CLI flags, --config file values or None) of a
 # ``crossval --k 3`` run; 200 rows make folds of 67, 67 and 66
 CROSSVAL_CASES = {
@@ -408,13 +460,21 @@ def _record_sha256(record, *paths):
     return _sha256(json.dumps(record, sort_keys=True).encode())
 
 
-def _run_case(tmp_path, name):
-    make_data, head, flags, config, post = CASES[name]
+def _train_case(tmp_path, name):
+    """Train ``name``'s model; its data and model paths."""
+    make_data, head, flags, config, _ = CASES[name]
     data = _data_csv(tmp_path, make_data)
-    model, pred = tmp_path / "model.json", tmp_path / "pred.csv"
+    model = tmp_path / "model.json"
     assert main(["train", "--data", str(data), "--label-column", "label", "--head", head,
                  "--model", str(model), *COMMON, *flags,
                  *_config_flags(tmp_path, config)]) == 0
+    return data, model
+
+
+def _run_case(tmp_path, name):
+    post = CASES[name][4]
+    data, model = _train_case(tmp_path, name)
+    pred = tmp_path / "pred.csv"
     sidecar = json.loads((tmp_path / "model.resolved.json").read_text(encoding="utf-8"))
     if post is not None:
         post(model)
@@ -427,6 +487,17 @@ def _run_case(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_hashes(tmp_path, name):
     assert _run_case(tmp_path, name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_companion(tmp_path, monkeypatch, name):
+    """train's companion, written here for models of any size, has pinned
+    bytes, and the model built from it alone has the bits of the model
+    loaded from the JSON alone."""
+    monkeypatch.setattr(somkit.model_io, "_COMPANION_BYTES", 0)
+    _, model = _train_case(tmp_path, name)
+    assert _sha256((tmp_path / "model.json.arrays").read_bytes()) == GOLDEN_COMPANION[name]
+    assert_same_model(from_companion(model), from_json(model, tmp_path))
 
 
 def test_tie_case_reranks_during_the_online_fit(tmp_path, monkeypatch):

@@ -13,7 +13,10 @@ looks up the target of each ``:func:``, ``:class:``, ``:data:`` and
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 import types
 from functools import reduce
 from pathlib import Path
@@ -141,3 +144,12 @@ def test_docstring_references_name_something(source):
     stem = source.removesuffix(".py")
     module = importlib.import_module("somkit" if stem == "__init__" else f"somkit.{stem}")
     assert unresolved_references((SRC / source).read_text(encoding="utf-8"), module) == []
+
+
+def test_start_up_imports_neither_hashlib_nor_numpy_ma():
+    """Every process pays for what ``import somkit.cli`` imports: hashlib
+    about 4 ms, which only model files need, and numpy.ma about 16 ms."""
+    code = "import sys, somkit.cli\nprint('hashlib' in sys.modules, 'numpy.ma' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=120)
+    assert (proc.stdout, proc.stderr) == ("False False\n", "")
