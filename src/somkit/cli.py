@@ -85,10 +85,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract wants 1."""
+    """argparse exits with 2 on usage errors, under the prog of the
+    subcommand; the contract wants 1, and every error line led by ``somkit:``."""
 
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"somkit: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -307,9 +307,12 @@ class MinMaxRecord:
         if X.ndim != 2 or X.shape[1] != len(self.mins):
             raise ValueError(f"data has shape {X.shape}, "
                              f"the min-max scaling expects dimension {len(self.mins)}")
-        scaled = np.zeros_like(X)
+        # elementwise into one array: the bits of (X - mins) / ranges, with one
+        # temporary of the data's size
         ok = self.ranges > 0
-        scaled[:, ok] = (X[:, ok] - self.mins[ok]) / self.ranges[ok]
+        scaled = np.subtract(X, self.mins)
+        np.divide(scaled, self.ranges, out=scaled, where=ok)
+        scaled[:, ~ok] = 0.0
         return scaled
 
 

@@ -13,22 +13,22 @@ with row ``i``) check their inputs and call it, so they agree bit for bit.
 BMU search lives here whole: :mod:`somkit.som` calls :func:`_nearest`,
 :func:`_row_search` and :func:`_bmu_row`. Both searches are built by
 :func:`_search`, which rejects rows and weights whose squared distances
-could overflow. :func:`_nearest` checks tanimoto's 0/1 values, prepares the
-weights once per call by :func:`_prepare` and runs :func:`_bmu_block` on
-blocks whose temporaries stay within ``BLOCK_BYTES``. :func:`_bmu_block`
-scores rows against all nodes: euclidean and mahalanobis (on
-Cholesky-whitened data) by one matrix product of the rows ``[-2 x_w | 1]``
-with the weights ``[W_w | |w_w|^2]^T``, which gives each score whole, and
-an exact re-rank for the rows whose runner-up score is near their minimum;
-manhattan exactly from the differences, tanimoto from the mismatches.
-:func:`_bmu_row` serves only online training: one row for each of a stack
-of maps, from the differences x - W, which the fit computes once per
-iteration for the search and the pull. It scores every map's nodes in one
-pass, mahalanobis as |d L|^2 with each map's own Cholesky factor, and
-re-ranks the nodes within a rounding bound of each minimum. Tanimoto maps
-never train. Both searches re-rank by :func:`_rerank`, which re-scores with
-:func:`_exact`. Distances between map nodes on their grid live in
-:mod:`somkit.som`, next to the neighbourhood kernel.
+could overflow, and checks tanimoto's 0/1 rows and searches them as
+euclidean, which finds the same nodes. :func:`_nearest` prepares the weights
+once per call by :func:`_prepare` and runs :func:`_bmu_block` on blocks
+whose temporaries stay within ``BLOCK_BYTES``. :func:`_bmu_block` scores
+rows against all nodes: euclidean and mahalanobis (on Cholesky-whitened
+data) by one matrix product of the rows ``[-2 x_w | 1]`` with the weights
+``[W_w | |w_w|^2]^T``, which gives each score whole, and an exact re-rank
+for the rows whose runner-up score is near their minimum; manhattan exactly
+from the differences. :func:`_bmu_row` serves only online training: one row
+for each of a stack of maps, from the differences x - W, which the fit
+computes once per iteration for the search and the pull. It scores every
+map's nodes in one pass, mahalanobis as |d L|^2 with each map's own Cholesky
+factor, and re-ranks the nodes within a rounding bound of each minimum.
+Tanimoto maps never train. Both searches re-rank by :func:`_rerank`, which
+re-scores with :func:`_exact`. Distances between map nodes on their grid
+live in :mod:`somkit.som`, next to the neighbourhood kernel.
 """
 
 from __future__ import annotations
@@ -105,9 +105,8 @@ def _differences(a, b, metric: str, cov_inv, ndim: int) -> tuple[np.ndarray, np.
 def _exact(D: np.ndarray, metric: str, cov_inv=None) -> np.ndarray:
     """Distance of each pair of rows from their differences ``D`` (..., n).
 
-    The one place each metric's formula is written. Tanimoto needs 0/1 rows,
-    whose mismatches ``a != b`` may stand for ``D``, and mahalanobis a checked
-    ``cov_inv``; the callers see to both.
+    The one place each metric's formula is written. Tanimoto needs 0/1 rows
+    and mahalanobis a checked ``cov_inv``; the callers see to both.
     The stacked matrix product gives each row the bits of the 1-d
     ``d @ cov_inv @ d``, whatever the number of rows.
     """
@@ -150,10 +149,9 @@ def paired_distances(A, B, metric: str = "euclidean", cov_inv=None) -> np.ndarra
 
 def _block_rows(n_nodes: int, n_features: int, metric: str) -> int:
     """Rows of X per :func:`_bmu_block` call, so its largest temporary stays
-    within ``BLOCK_BYTES``: the float64 (rows, nodes) scores, manhattan's
-    float64 (rows, nodes, n) differences, or tanimoto's 1-byte (rows, nodes, n)
-    mismatches and 8-byte (rows, nodes) counts."""
-    per_node = {"manhattan": 8 * n_features, "tanimoto": max(n_features, 8)}.get(metric, 8)
+    within ``BLOCK_BYTES``: the float64 (rows, nodes) scores, or manhattan's
+    float64 (rows, nodes, n) differences."""
+    per_node = 8 * n_features if metric == "manhattan" else 8
     return max(1, BLOCK_BYTES // (n_nodes * per_node))
 
 
@@ -164,7 +162,8 @@ def _search(metric: str, cov_inv, X: np.ndarray, W: np.ndarray) -> tuple:
 
     For mahalanobis cov_inv is checked, L is the Cholesky factor of
     cov_inv = L L^T and kappa is sum |cov_inv_ij|; for the other metrics
-    they are None and 1.
+    they are None and 1. Tanimoto checks the rows, then the weights, for 0/1
+    values and is then searched as euclidean.
 
     Euclidean and mahalanobis reject rows and weights whose squared
     distances could overflow. In the notation of :func:`_bmu_block`'s
@@ -174,18 +173,26 @@ def _search(metric: str, cov_inv, X: np.ndarray, W: np.ndarray) -> tuple:
     M = max |x|^2 + max |w|^2; so a finite 4 kappa M keeps them all finite.
     """
     check_metric(metric)
-    if metric in ("manhattan", "tanimoto"):
-        return metric, cov_inv, None, 1.0
+    if metric == "tanimoto":
+        _as_boolean(X, "data")
+        _as_boolean(W, "weights")
+        # Each difference is -1, 0 or 1, so |x - w|^2 counts the m mismatches and
+        # the score |w|^2 - 2 x . w = m - |x|^2 is an exact integer (below 2^53).
+        # The oracles' sqrt(m) and 2m / (n + m) strictly increase with m in floating
+        # point (steps of at least 1 / (2n + 1) relative); ties go low in both.
+        metric = "euclidean"
     L = None
     if metric == "mahalanobis":
         n = W.shape[1]
         cov_inv = _check_cov_inv(cov_inv, n)
-        if not np.isfinite(cov_inv).all():
-            # Cholesky does not raise on NaN; the search would then fail unworded
-            raise ValueError("inverse covariance must be finite")
-        try:
+        with np.errstate(over="ignore", invalid="ignore"):
             # x^T V x only sees the symmetric part of V
-            L = np.linalg.cholesky(0.5 * (cov_inv + cov_inv.T))
+            V_s = 0.5 * (cov_inv + cov_inv.T)
+        if not np.isfinite(V_s).all():
+            # Cholesky does not raise on NaN or inf; the search would then fail unworded
+            raise ValueError("inverse covariance must be finite, and so must V + V^T")
+        try:
+            L = np.linalg.cholesky(V_s)
         except np.linalg.LinAlgError:
             raise ValueError(
                 "mahalanobis needs a symmetric positive definite inverse covariance"
@@ -217,7 +224,7 @@ def _prepare(search: tuple, W: np.ndarray):
     For euclidean and mahalanobis A is ``[W_w | |w_w|^2]^T``, shape
     (n + 1, nodes), with W_w = W L for mahalanobis and W otherwise, and
     w_bound is max |w|^2 of the unwhitened rows, for the slack. Manhattan
-    and tanimoto need nothing, so they get None.
+    needs nothing, so it gets None.
     """
     metric, _, L, _ = search
     if metric not in ("euclidean", "mahalanobis"):
@@ -235,18 +242,14 @@ def _prepare(search: tuple, W: np.ndarray):
 
 def _nearest(W: np.ndarray, X: np.ndarray, metric: str, cov_inv) -> np.ndarray:
     """Flat index of the nearest row of ``W`` (nodes, n) to each row of ``X``
-    (N, n), by :func:`_bmu_block`, block by block.
-
-    The search with its overflow check, and tanimoto's 0/1 check, run once
-    per call on all rows at once, so a 0/1 error names the first bad row.
+    (N, n), by :func:`_bmu_block`, block by block. The search and its checks
+    are built once per call, so a 0/1 error names the first bad row of all.
     """
     search = _search(metric, cov_inv, X, W)
-    if metric == "tanimoto":
-        X, W = _as_boolean(X, "data"), _as_boolean(W, "weights")
     # the weights side of the search, once per call: each batch-map
     # iteration calls with new weights
     prepared = _prepare(search, W)
-    chunk = _block_rows(*W.shape, metric)
+    chunk = _block_rows(*W.shape, search[0])
     out = np.empty(len(X), dtype=int)
     for start in range(0, len(X), chunk):
         out[start : start + chunk] = _bmu_block(W, X[start : start + chunk], search, prepared)
@@ -259,8 +262,7 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple, prepared):
     :func:`_block_rows`. The result is what :func:`feature_distance` gives
     row by row under the metric of ``search`` (from :func:`_search`, built
     for the call's rows and weights), ties going to the lowest index.
-    ``prepared`` is :func:`_prepare` of ``search`` and ``W``. Tanimoto needs
-    ``W`` and ``X`` of 0/1 values, which :func:`_nearest` checks once per call.
+    ``prepared`` is :func:`_prepare` of ``search`` and ``W``.
 
     The product metrics make three passes over the (rows, nodes) scores: one
     matrix product of the rows ``[-2 x_w | 1]`` with the prepared weights,
@@ -271,8 +273,6 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple, prepared):
     them exactly.
     """
     metric, cov_inv, L, kappa = search
-    if metric == "tanimoto":
-        return _exact(X[:, None] != W, metric).argmin(axis=1)
     if metric == "manhattan":
         return _exact(X[:, None] - W, metric).argmin(axis=1)
 
@@ -380,8 +380,7 @@ def _bmu_row(D: np.ndarray, search: tuple) -> np.ndarray:
     search and the pull; ``search`` is the maps' :func:`_row_search`. Every
     map's nodes are scored from ``D`` in one pass, in any summation order:
     euclidean by |d|^2, manhattan by |d|_1 and mahalanobis by |d L|^2, L the
-    map's Cholesky factor. Tanimoto maps never train, but on 0/1 rows their
-    |d|^2 counts the mismatches, which orders them too. The nodes within a
+    map's Cholesky factor; tanimoto maps never train. The nodes within a
     rounding bound of each map's minimum are re-ranked by :func:`_rerank`.
     """
     metric, cov_inv, L_t, kappa = search

@@ -44,10 +44,14 @@ def r_squared(y_true, y_pred) -> float:
     y_pred = np.asarray(y_pred, dtype=float)
     if y_true.shape != y_pred.shape or y_true.ndim != 1 or y_true.size == 0:
         raise ValueError("r_squared needs two equal-length nonempty vectors")
-    ss_tot = float(((y_true - y_true.mean()) ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        ss_tot = float(((y_true - y_true.mean()) ** 2).sum())
+        ss_res = float(((y_true - y_pred) ** 2).sum())
+    if not np.isfinite([ss_tot, ss_res]).all():
+        raise ValueError("r_squared: the squared differences of the labels or predictions "
+                         "overflow; scale the labels down")
     if ss_tot == 0.0:
         raise UndefinedMetricError("r_squared is undefined for constant y_true")
-    ss_res = float(((y_true - y_pred) ** 2).sum())
     return 1.0 - ss_res / ss_tot
 
 

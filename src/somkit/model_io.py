@@ -138,6 +138,8 @@ def _head_from_dict(d: dict | None, shape: tuple[int, int]):
         class_set = _field(d, "class_set", list, "head")
         if not all(isinstance(c, (str, int, float)) for c in class_set):
             raise ValueError("model file: 'class_set' must hold strings or numbers")
+        if any(isinstance(c, int) and not -(2**63) <= c < 2**63 for c in class_set):
+            raise ValueError("model file: 'class_set' holds a number outside the int64 range")
         return ClassificationHead(
             _array(_field(d, "codes", _LIST, "head"), "codes", shape, int), np.array(class_set)
         )

@@ -9,6 +9,7 @@ are zero-based; training evaluates schedules on ``t in [0, t_max)``, but
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from functools import cache
 from typing import get_type_hints
@@ -27,9 +28,13 @@ _field_types = cache(get_type_hints)
 
 
 def has_type(value, expected: type) -> bool:
-    """Whether ``value`` is an ``expected``; an int counts as a float, a bool as neither."""
+    """Whether ``value`` is an ``expected``; an int counts as a float if it
+    converts to one, a bool as neither."""
     kind = {float: numbers.Real, int: numbers.Integral}.get(expected, expected)
-    return isinstance(value, bool) is (expected is bool) and isinstance(value, kind)
+    if isinstance(value, bool) is not (expected is bool) or not isinstance(value, kind):
+        return False
+    # a JSON int past the float range would raise OverflowError in arithmetic
+    return expected is not float or isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def check_fields(obj) -> None:
@@ -61,7 +66,7 @@ class ScheduleSpec:
 
     def __post_init__(self):
         check_fields(self)
-        if self.start <= 0:
+        if not self.start > 0:  # NaN too
             raise ValueError(f"schedule start must be positive, got {self.start}")
         if self.kind == "start-end" and not 0 < self.end <= self.start:
             raise ValueError(

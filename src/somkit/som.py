@@ -87,9 +87,16 @@ class SomConfig:
         check_fields(self)
         if self.n_row < 1 or self.n_column < 1:
             raise ValueError("grid must have at least one node")
-        for name, least in (("n_iter_unsupervised", 1), ("n_iter_supervised", 0), ("seed", 0)):
+        # grids hold an entry per node and schedules one per iteration, so
+        # their sizes must fit an index
+        index = int(np.iinfo(np.intp).max)
+        for name, least, most in (("n_row", 1, index), ("n_column", 1, index),
+                                  ("n_iter_unsupervised", 1, index),
+                                  ("n_iter_supervised", 0, index), ("seed", 0, None)):
             if (value := getattr(self, name)) < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+            if most is not None and value > most:
+                raise ValueError(f"{name} must be <= {most}, got {value}")
         if self.lr_schedule is None:
             self.lr_schedule = ScheduleSpec(
                 "start-end", 0.5, 0.05, self.n_iter_unsupervised
@@ -105,6 +112,10 @@ class SomConfig:
             kinds = f.metadata.get("kinds")
             if kinds and (kind := getattr(self, f.name).kind) not in kinds:
                 raise ValueError(f"{f.name} kind must be one of {kinds}, got {kind!r}")
+        # every radius schedule decreases from its start
+        if not np.isfinite(2.0 * (start := self.radius_schedule.start) * start):
+            raise ValueError(f"radius_schedule: start {start} is too large, "
+                             "as the kernel's 2 sigma^2 overflows")
 
     @property
     def grid_shape(self) -> tuple[int, int]:

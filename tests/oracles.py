@@ -8,8 +8,8 @@ neighbourhood step, the three training loops one iteration at a time (the
 online map and both heads, each with its own loop and its own step
 function), the clamped class-change probability and the class update, the
 stacked classifier head that ran one iteration at a time through a sampled
-loop of callbacks, that loop, and the batch update with per-node sums by
-``np.add.at``. Seeded runs of the library must give the same bits as these:
+loop of callbacks, that loop, the batch update with per-node sums by
+``np.add.at``, and min-max scaling through a boolean column mask. Seeded runs of the library must give the same bits as these:
 its online map and its two heads, which share one loop of chunks of
 iterations, give those of the three loops, run by run.
 """
@@ -327,3 +327,13 @@ def add_at_batch_update(weights, X, bmus, sigma, kind):
     ok = mass > 0
     new[ok] = updated[ok] / mass[ok, None]
     return new.reshape(weights.shape)
+
+
+def minmax_apply(record, X):
+    """``MinMaxRecord.apply_to_matrix`` that gathered and scattered the
+    columns of positive range: the oracle of the elementwise form."""
+    X = np.asarray(X, dtype=float)
+    scaled = np.zeros_like(X)
+    ok = record.ranges > 0
+    scaled[:, ok] = (X[:, ok] - record.mins[ok]) / record.ranges[ok]
+    return scaled

@@ -244,6 +244,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("key, value, error", [
         ("lr_start", -0.5, "lr_schedule: schedule start must be positive, got -0.5"),
+        ("radius_start", float("nan"),
+         "radius_schedule: schedule start must be positive, got nan"),
         ("seed", -1, "seed must be >= 0, got -1"),
         ("n_row", 0, "grid must have at least one node"),
     ])
@@ -267,6 +269,50 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err == f"somkit: error: {error}\n"
         assert not model.exists()
+
+    @pytest.mark.parametrize("key, value, error", [
+        *[(key, 2**70, f"{key} must be <= {np.iinfo(np.intp).max}, got {2**70}")
+          for key in ("n_iter_unsupervised", "n_iter_supervised", "n_row", "n_column")],
+        ("n_row", 2**1100, f"n_row must be <= {np.iinfo(np.intp).max}, got {2**1100}"),
+        ("radius_start", 1e200, "radius_schedule: start 1e+200 is too large, as the "
+                                "kernel's 2 sigma^2 overflows"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    @pytest.mark.parametrize("command", ["train", "crossval"])
+    def test_size_past_an_index_is_usage_error(self, tmp_path, blob_csv, capsys, command,
+                                               source, key, value, error):
+        """Grid sides and iteration counts past an index, and radii whose
+        square overflows, are usage errors, not tracebacks or numpy warnings
+        from the schedules, the grid or the kernel."""
+        flag = "--" + key.replace("_", "-")
+        if source == "flag":
+            given = [flag, str(value)]
+        else:
+            cfg_file = tmp_path / "run.json"
+            cfg_file.write_text(json.dumps({key: value}))
+            given, error = ["--config", str(cfg_file)], f"{cfg_file}: {error}"
+        small = [v for pair in [("--n-row", "2"), ("--n-column", "2"),
+                                ("--n-iter-unsupervised", "20"), ("--n-iter-supervised", "20")]
+                 if pair[0] != flag for v in pair]
+        model, out = tmp_path / "m.json", tmp_path / "cv.txt"
+        run = {"train": ["--model", str(model)], "crossval": ["--k", "2", "--output", str(out)]}
+        rc = main([command, "--data", str(blob_csv), "--label-column", "label",
+                   "--head", "classification", *run[command], *given, *small])
+        assert rc == 1
+        assert capsys.readouterr().err == f"somkit: error: {error}\n"
+        assert not model.exists() and not out.exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--n-row", "1.5"], "argument --n-row: invalid int value: '1.5'"),
+        (["--metric", "cosine"], "argument --metric: invalid choice: 'cosine' (choose from "
+                                 "'euclidean', 'manhattan', 'tanimoto', 'mahalanobis')"),
+        (["--seed", "-1e+308"], "argument --seed: expected one argument"),
+        (["--warp-speed", "9"], "unrecognized arguments: --warp-speed 9"),
+    ])
+    def test_flag_parse_error_is_one_somkit_line(self, tmp_path, reg_csv, capsys, argv, error):
+        rc = main(["train", "--data", str(reg_csv), "--model", str(tmp_path / "m.json"), *argv])
+        assert rc == 1
+        assert capsys.readouterr().err == f"somkit: error: {error}\n"
 
     def test_config_file_value_rejected_with_a_bad_flag_is_not_named(self, tmp_path, reg_csv,
                                                                      capsys):
@@ -312,6 +358,8 @@ class TestTrain:
         {"minmax_scale": "yes"}, {"class_weighting": 1}, {"lr_end": None},
         {"metric": "cosine"}, {"radius_schedule": "inverse"},
         {"head": "bogus", "label_column": "target"},
+        # ints past the float range, which arithmetic would not convert
+        {"lr_end": 2**1100}, {"radius_start": -(2**1100)},
     ])
     def test_mistyped_config_file_value_is_usage_error(self, tmp_path, reg_csv, capsys,
                                                         values):
@@ -471,6 +519,9 @@ MALFORMED_MODELS = {
     "NaN head value": (lambda p: p["head"]["values"].__setitem__(0, float("nan")), "NaN"),
     "negative feature_dim": (lambda p: p.update(feature_dim=-1), "'feature_dim'"),
     "negative seed": (lambda p: p["config"].update(seed=-1), "malformed config"),
+    "iteration count past an index": (
+        lambda p: p["config"].update(n_iter_supervised=2**70),
+        f"malformed config: n_iter_supervised must be <= {np.iinfo(np.intp).max}"),
     "overflowing weight": (lambda p: p["weights"].__setitem__(0, OVERFLOWING),
                            "'weights' holds a number outside the float64 range"),
     "overflowing cov_inv entry": (lambda p: p["cov_inv"][0].__setitem__(0, OVERFLOWING),
@@ -482,6 +533,9 @@ MALFORMED_MODELS = {
         "'ranges' holds a number outside the float64 range"),
     "overflowing head value": (lambda p: p["head"]["values"].__setitem__(0, OVERFLOWING),
                                "'values' holds a number outside the float64 range"),
+    "cov_inv whose symmetric part overflows": (
+        lambda p: p["cov_inv"][0].__setitem__(0, 1e308),
+        "inverse covariance must be finite, and so must V + V^T"),
 }
 
 
@@ -491,6 +545,8 @@ MALFORMED_CLASSIFICATION_MODELS = {
     "fractional class code": (lambda p: p["head"]["codes"].__setitem__(0, 1.5), "'codes'"),
     "boolean class code": (lambda p: p["head"]["codes"].__setitem__(0, True), "'codes'"),
     "boolean feature_dim": (lambda p: p.update(feature_dim=True), "'feature_dim'"),
+    "class past int64": (lambda p: p["head"]["class_set"].__setitem__(0, 2**70),
+                         "'class_set' holds a number outside the int64 range"),
     "class code past int64": (lambda p: p["head"]["codes"].__setitem__(0, 2**70),
                               "'codes' holds a number outside the int64 range"),
     "null class": (lambda p: p["head"]["class_set"].__setitem__(0, None),
@@ -755,6 +811,25 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "== test ==" in out and "== train ==" in out
         assert out.count("r_squared") == 2
+
+    def test_predictions_whose_squared_errors_overflow_are_error(self, tmp_path, reg_csv,
+                                                                  capsys):
+        """Head values of 1e308 overflow r_squared's sum of squares: a worded
+        error, not numpy's RuntimeWarning and a report of -inf."""
+        model_path = tmp_path / "m.json"
+        assert main(["train", "--data", str(reg_csv), "--label-column", "target",
+                     "--head", "regression", "--model", str(model_path), *FAST]) == 0
+        payload = json.loads(model_path.read_text())
+        payload["head"]["values"][0] = 1e308
+        model_path.write_text(json.dumps(payload))
+        report = tmp_path / "report.txt"
+        rc = main(["evaluate", "--model", str(model_path), "--data", str(reg_csv),
+                   "--label-column", "target", "--output", str(report)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "somkit: error: r_squared: the squared differences of the labels or predictions "
+            "overflow; scale the labels down\n")
+        assert not report.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "crossval"])
     def test_classification_reports_do_not_import_numpy_ma(self, tmp_path, blob_csv, command):

@@ -1,0 +1,128 @@
+"""The exit-code contract of the CLI, as a property test.
+
+Every run returns 0, 1 or 2 and lets no exception out, and a run that fails
+prints exactly one line on stderr, led by ``somkit:``. The runs go through
+:func:`somkit.cli.main` in-process, on valid inputs with one value changed:
+
+- model files: a regression model (mahalanobis, with min-max scaling) or a
+  classification model, with one JSON path set to a probe value, through
+  ``predict``, ``export-maps`` and ``evaluate``;
+- configuration values: one configuration key set to a probe value, through
+  a config file and through its flag, in ``train`` and ``crossval`` on a
+  dataset of 12 rows.
+
+The probe values are null, the booleans, 0, -1, 1.5, +-1e308, 2^70, a
+string, a list and an object. Grid sides and iteration counts are fixed and
+small; a fuzzed size takes only the probe values, none of them a large valid
+size, which would allocate or run for long. Under the test settings a numpy
+RuntimeWarning is an error, so a warning that reaches the user fails here too.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from somkit.cli import _CONFIG_OPTIONS, main
+from somkit.datasets import save_csv, synthetic_blobs, synthetic_regression
+
+FUZZ = settings(derandomize=True, deadline=None, database=None)
+
+PROBES = [None, True, False, 0, -1, 1.5, 1e308, -1e308, 2**70, "x", [], [0.5], {}, {"a": 1}]
+
+SMALL = {"n_row": "2", "n_column": "3", "n_iter_unsupervised": "20", "n_iter_supervised": "20"}
+
+
+def run(argv):
+    """``main(argv)``, checked against the contract."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc:
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("somkit:"), (argv, err.getvalue())
+
+
+def json_paths(value, path=()):
+    """Every path into ``value``; of a list only its first and last entries."""
+    yield path
+    if isinstance(value, dict):
+        for key, entry in value.items():
+            yield from json_paths(entry, (*path, key))
+    elif isinstance(value, list) and value:
+        for i in sorted({0, len(value) - 1}):
+            yield from json_paths(value[i], (*path, i))
+
+
+@pytest.fixture(scope="module")
+def setting(tmp_path_factory):
+    """The datasets, and each head's valid model as JSON with the paths into it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data = {"regression": (root / "r.csv", "target"), "classification": (root / "c.csv", "label")}
+    save_csv(synthetic_regression(12, 0.05, np.random.default_rng(0)), data["regression"][0],
+             label_column="target")
+    save_csv(synthetic_blobs(12, 3, 8.0, np.random.default_rng(0)), data["classification"][0],
+             label_column="label")
+    small = [v for key, value in SMALL.items() for v in ("--" + key.replace("_", "-"), value)]
+    models = {}
+    for head, flags in (("regression", ["--metric", "mahalanobis", "--minmax-scale"]),
+                        ("classification", [])):
+        path, label = data[head]
+        model = root / f"{head}.json"
+        assert main(["train", "--data", str(path), "--label-column", label, "--head", head,
+                     "--model", str(model), *flags, *small]) == 0
+        payload = json.loads(model.read_text())
+        models[head] = payload, list(json_paths(payload))[1:]
+    return data, models
+
+
+@settings(FUZZ, max_examples=250)
+@given(st.data())
+def test_a_model_file_with_one_value_changed_keeps_the_contract(setting, draw):
+    data, models = setting
+    head = draw.draw(st.sampled_from(sorted(models)))
+    payload, paths = models[head]
+    path = draw.draw(st.sampled_from(paths))
+    payload = copy.deepcopy(payload)
+    entry = payload
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = draw.draw(st.sampled_from(PROBES))
+    csv, label = (str(v) for v in data[head])
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.json"
+        model.write_text(json.dumps(payload))
+        given_ = ["--model", str(model), "--data", csv, "--label-column", label]
+        run(["predict", *given_, "--output", str(Path(tmp) / "pred.csv")])
+        run(["export-maps", *given_, "--out-dir", str(Path(tmp) / "maps")])
+        run(["evaluate", *given_, "--output", str(Path(tmp) / "report.txt")])
+
+
+@settings(FUZZ, max_examples=120)
+@given(st.sampled_from(sorted(_CONFIG_OPTIONS)), st.sampled_from(PROBES))
+def test_a_configuration_value_keeps_the_contract(setting, key, value):
+    data, _ = setting
+    flag = "--" + key.replace("_", "-")
+    # the other sizes fixed; a flag would beat the file's value
+    small = [v for k, size in SMALL.items() if k != key
+             for v in ("--" + k.replace("_", "-"), size)]
+    text = value if isinstance(value, str) else json.dumps(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.json"
+        config.write_text(json.dumps({key: value}))
+        commands = [
+            (["train", "--head", "regression", "--model", str(Path(tmp) / "m.json")],
+             data["regression"]),
+            (["crossval", "--head", "classification", "--k", "2",
+              "--output", str(Path(tmp) / "report.txt")], data["classification"]),
+        ]
+        for command, (csv, label) in commands:
+            for given_ in (["--config", str(config)], [flag, text]):
+                run([*command, "--data", str(csv), "--label-column", label, *given_, *small])

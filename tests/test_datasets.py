@@ -1,5 +1,6 @@
 import csv
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from somkit.datasets import (
     synthetic_regression,
     train_test_split,
 )
+from oracles import minmax_apply
 from somkit.metrics import r_squared
 
 
@@ -470,6 +472,36 @@ class TestMinMaxScale:
         data = LabeledDataset(np.array([[0.0], [10.0]]))
         _, record = minmax_scale(data)
         np.testing.assert_array_equal(record.apply_to_matrix([[5.0], [20.0]]), [[0.5], [2.0]])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scaling_has_the_bits_of_the_masked_form(self, seed):
+        """Constant columns, -0.0 and test rows outside the training range
+        give the bits of ``oracles.minmax_apply``."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(40, 7)) * 10.0 ** rng.integers(-300, 300, size=7)
+        X[:, seed % 7] = X[0, seed % 7]  # a constant column
+        X[::5, 1] = -0.0
+        X[3, 2] = 0.0
+        _, record = minmax_scale(LabeledDataset(X))
+        test = np.vstack([X, 3.0 * X - 1.0, [[-0.0] * 7]])
+        for rows in (X, test):
+            got, expected = record.apply_to_matrix(rows), minmax_apply(record, rows)
+            assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_scaling_holds_one_array_of_the_data_size(self):
+        rng = np.random.default_rng(7)
+        X = rng.uniform(-5.0, 5.0, size=(20000, 64))
+        X[:, 3] = 2.0
+        _, record = minmax_scale(LabeledDataset(X))
+        record.apply_to_matrix(X[:10])  # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            record.apply_to_matrix(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result, plus a few (n,) arrays
+        assert peak <= 1.1 * X.nbytes + 64 * X.shape[1] * 8
 
 
 class TestSynthetic:

@@ -9,7 +9,9 @@ with its own inverse covariance. The cases plant what a fast
 search gets wrong: near twins at relative gaps of 1e-16 to 1e-12, exact
 duplicates, rows equidistant from two nodes, an offset near 1e6 with a
 spread of 1, scales from 1e-160 up to just inside the overflow check, and
-inverse covariances with condition numbers up to 1e8.
+inverse covariances with condition numbers up to 1e8. Tanimoto, which runs
+the euclidean block search, gets 0/1 rows that copy a node or lie one bit
+from one, duplicated nodes, and all-zero rows and nodes.
 """
 
 from unittest import mock
@@ -99,9 +101,11 @@ def real_cases(draw):
 
 @st.composite
 def tanimoto_cases(draw):
-    """(grid shape, 0/1 W (nodes, n), 0/1 X, block bytes) at n in {1, 63, 64, 65}."""
+    """(grid shape, 0/1 W (nodes, n), 0/1 X, block bytes) at n in {1, 63, 64,
+    65, 200}: every third row a node's copy and the next one bit from a node,
+    with duplicated nodes or an all-zero row and node in some cases."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.sampled_from([1, 63, 64, 65]))
+    n = draw(st.sampled_from([1, 63, 64, 65, 200]))
     shape = (draw(st.integers(1, 5)), draw(st.integers(1, 8)))
     rows = draw(st.integers(1, 24))
     nodes = shape[0] * shape[1]
@@ -111,6 +115,13 @@ def tanimoto_cases(draw):
     if draw(st.booleans()):
         W[1::2] = W[: nodes - 1 : 2]
     X[::3] = W[rng.integers(nodes, size=len(X[::3]))]
+    near = X[1::3]  # a view: one bit flipped from a node
+    near[:] = W[rng.integers(nodes, size=len(near))]
+    at = (np.arange(len(near)), rng.integers(n, size=len(near)))
+    near[at] = 1.0 - near[at]
+    if draw(st.booleans()):
+        W[rng.integers(nodes)] = 0.0
+        X[rng.integers(rows)] = 0.0
     return shape, W, X, draw(st.sampled_from([1, 512, 4096]))
 
 
@@ -186,5 +197,9 @@ def test_a_search_without_slack_still_re_ranks_exact_score_ties(case):
 @CONTRACT
 @given(tanimoto_cases())
 def test_tanimoto_search_finds_the_oracle_bmu(case):
+    """Tanimoto runs the euclidean product search. On 0/1 rows its scores are
+    exact integers, so it agrees also with the rounding slack at zero."""
     shape, W, X, block_bytes = case
     assert_transform_and_block_search_agree(shape, W, X, "tanimoto", None, block_bytes)
+    with mock.patch.multiple(distances, _EPS=0.0, _TINY=0.0):
+        assert_transform_and_block_search_agree(shape, W, X, "tanimoto", None, block_bytes)
