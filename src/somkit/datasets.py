@@ -310,18 +310,41 @@ class MinMaxRecord:
         # elementwise into one array: the bits of (X - mins) / ranges, with one
         # temporary of the data's size
         ok = self.ranges > 0
-        scaled = np.subtract(X, self.mins)
-        np.divide(scaled, self.ranges, out=scaled, where=ok)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = np.subtract(X, self.mins)
+            np.divide(scaled, self.ranges, out=scaled, where=ok)
         scaled[:, ~ok] = 0.0
+        # a number past the float range from its minimum, or from it in units
+        # of its range, scales to an infinity
+        far = ~(np.isfinite(scaled.min(axis=0, initial=0.0))
+                & np.isfinite(scaled.max(axis=0, initial=0.0)))
+        if far.any():
+            j = far.argmax()
+            raise ValueError(f"feature {j} holds a number too far outside its min-max scaling "
+                             f"(minimum {self.mins[j]:g}, range {self.ranges[j]:g}); "
+                             "scale it down")
         return scaled
+
+
+def feature_bounds(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's minimum and maximum; a feature whose maximum minus its
+    minimum is past the float range raises a ValueError."""
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(~np.isfinite(hi - lo))
+    if wide.size:
+        j = wide[0]
+        raise ValueError(f"feature {j} from {lo[j]:g} to {hi[j]:g} spans more than the float "
+                         "range; scale it down")
+    return lo, hi
 
 
 def minmax_scale(data: LabeledDataset) -> tuple[LabeledDataset, MinMaxRecord]:
     """Map each feature to [0, 1] by its range; constant features map to 0."""
     if data.n_samples == 0:
         raise ValueError("scaling needs a nonempty dataset")
-    mins = data.X.min(axis=0)
-    ranges = data.X.max(axis=0) - mins
+    mins, maxs = feature_bounds(data.X)
+    ranges = maxs - mins
     record = MinMaxRecord(mins, ranges)
     return record.apply(data), record
 

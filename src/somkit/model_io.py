@@ -7,12 +7,14 @@ min-max scaling record, and the head: its kind tag, "regression" or
 "classification", and each of its fields as a row-major list.
 
 Next to each model file of 256 KiB or more, :func:`save_model` writes a
-binary companion, ``<model file>.arrays``: a sequence of ``.npy`` records
-holding the SHA-256 of the JSON bytes, the file's other entries as a JSON
-string, and its arrays in their model shapes. :func:`load_model` builds the
-model from the companion when its digest matches the file, which saves
-parsing every float, and from the JSON in every other case; both go through
-the same checks.
+binary companion, ``<model file>.arrays``: a sequence of ``.npy`` records.
+Record 0 is the SHA-256 of the JSON bytes followed by every companion byte
+after record 0; record 1 is the model file's JSON with each float array
+replaced by a marker, and the float arrays follow, one record for each
+marker, in the order of the markers. :func:`load_model` builds the model
+from the companion when its digest matches both files, which saves parsing
+every float, and from the JSON in every other case; both go through the
+same checks.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ from .supervised import ClassificationHead, RegressionHead, _predict
 
 FORMAT_VERSION = 1
 
-# The arrays a companion may hold, in record order, each with the dtype that
-# the JSON gives it; "entry.field" is a field of the scaling or the head.
-_ARRAYS = {"weights": float, "cov_inv": float, "scaling.mins": float, "scaling.ranges": float,
-           "head.values": float, "head.codes": int}
 # an array entry: a JSON list, or an array from the companion
 _LIST = (list, np.ndarray)
 # Smallest model file that gets a companion. In a new process a smaller one
@@ -78,13 +76,6 @@ def _from_dict(cls, d: dict):
         f.name: _from_dict(ScheduleSpec, d[f.name]) if "kinds" in f.metadata else d[f.name]
         for f in fields(cls)
     })
-
-
-def _lists(record) -> dict | None:
-    """Each dataclass field of ``record`` as a flat list, or None for no record."""
-    if record is None:
-        return None
-    return {f.name: getattr(record, f.name).ravel().tolist() for f in fields(record)}
 
 
 def _field(d, key: str, kinds, where: str = "model file"):
@@ -146,10 +137,13 @@ def _head_from_dict(d: dict | None, shape: tuple[int, int]):
     raise ValueError(f"unknown head kind {kind!r} in model file")
 
 
-def _digest(data: bytes) -> bytes:
+def _digest(data: bytes, rest) -> bytes:
+    """The SHA-256 of a model file's bytes ``data`` followed by ``rest``."""
     import hashlib  # here, not at the top: its import costs every start-up about 5 ms
 
-    return hashlib.sha256(data).digest()
+    digest = hashlib.sha256(data)
+    digest.update(rest)
+    return digest.digest()
 
 
 def _companion(path: Path) -> Path:
@@ -160,39 +154,45 @@ def save_model(model: SomModel, path) -> None:
     """Write the model as JSON, whose floats round-trip exactly, and, for a
     file of ``_COMPANION_BYTES`` or more, its companion; a smaller file's
     companion is removed. Two saves of one model write the same bytes.
+
+    Both files encode one payload, whose arrays the JSON writes as lists:
+    flat, but for the inverse covariance's rows. The companion's JSON moves
+    each float array into a record of its own.
     """
-    path, grid = Path(path), model.grid
+    path, grid, head = Path(path), model.grid, model.head
     payload = {
         "format_version": FORMAT_VERSION,
         "config": asdict(model.config),
         "feature_dim": grid.feature_dim,
-        "weights": grid.weights.ravel().tolist(),
-        "cov_inv": None if model.cov_inv is None else np.asarray(model.cov_inv).tolist(),
-        "scaling": _lists(model.scaling),
-        "head": None if model.head is None else {"kind": model.head.kind, **_lists(model.head)},
+        "weights": grid.weights.ravel(),
+        "cov_inv": model.cov_inv,
+        "scaling": None if model.scaling is None else vars(model.scaling),
+        "head": None if head is None else {
+            "kind": head.kind, **{f.name: getattr(head, f.name).ravel() for f in fields(head)}},
     }
-    data = json.dumps(payload, sort_keys=True).encode("utf-8")
+    data = json.dumps(payload, sort_keys=True, default=np.ndarray.tolist).encode("utf-8")
     path.write_bytes(data)
     if len(data) < _COMPANION_BYTES:
         _companion(path).unlink(missing_ok=True)
         return
-    arrays = {"weights": grid.weights, "cov_inv": model.cov_inv}
-    for entry in ("scaling", "head"):
-        record = getattr(model, entry)
-        if record is not None:
-            arrays.update({f"{entry}.{f.name}": getattr(record, f.name) for f in fields(record)})
-    # the companion's JSON string: the payload without the arrays it holds
-    meta = {key: dict(value) if isinstance(value, dict) else value
-            for key, value in payload.items()}
-    meta["arrays"] = [name for name in _ARRAYS if arrays.get(name) is not None]
-    for name in meta["arrays"]:
-        entry, _, key = name.rpartition(".")
-        del (meta[entry] if entry else meta)[key]
+    arrays = []
+
+    def marked(array: np.ndarray):
+        # integers and class names stay in the JSON, which reads them as it
+        # reads the model file's
+        if array.dtype.kind != "f":
+            return array.tolist()
+        arrays.append(array)
+        return {".npy": None}
+
+    rest = io.BytesIO()
+    np.save(rest, np.array(json.dumps(payload, sort_keys=True, default=marked)))
+    for array in arrays:
+        np.save(rest, array)
+    rest = rest.getbuffer()
     with open(_companion(path), "wb") as fh:
-        np.save(fh, np.frombuffer(_digest(data), dtype=np.uint8))
-        np.save(fh, np.array(json.dumps(meta, sort_keys=True)))
-        for name in meta["arrays"]:
-            np.save(fh, np.ascontiguousarray(arrays[name], dtype=_ARRAYS[name]))
+        np.save(fh, np.frombuffer(_digest(data, rest), dtype=np.uint8))
+        fh.write(rest)
 
 
 def _reject_constant(name: str):
@@ -202,24 +202,30 @@ def _reject_constant(name: str):
 
 def _read_companion(path: Path, data: bytes) -> dict:
     """The entries of the model file ``path``, whose bytes are ``data``, from its
-    companion; raises if the companion's digest is not that of ``data``."""
+    companion; raises if the companion's digest is not that of ``data`` and
+    the companion's other records."""
     with open(_companion(path), "rb") as fh:
-        if np.load(fh, allow_pickle=False).tobytes() != _digest(data):
-            raise ValueError("the companion was written for another model file")
-        payload = json.loads(np.load(fh, allow_pickle=False).item(),
-                             parse_constant=_reject_constant)
-        for name in payload.pop("arrays"):
-            entry, _, key = name.rpartition(".")
-            (payload[entry] if entry else payload)[key] = np.load(fh, allow_pickle=False)
-    return payload
+        digest = np.load(fh, allow_pickle=False).tobytes()
+        start = fh.tell()
+        if digest != _digest(data, fh.read()):
+            raise ValueError("the companion was written for another model file, or is damaged")
+        fh.seek(start)
+        # A marker is an object without objects inside, so the decoder closes
+        # the markers in the order of their text, which is the order in which
+        # the encoder wrote them and their records: each takes the next record.
+        return json.loads(np.load(fh, allow_pickle=False).item(), parse_constant=_reject_constant,
+                          object_hook=lambda d: np.load(fh, allow_pickle=False)
+                          if d == {".npy": None} else d)
 
 
 def load_model(path) -> SomModel:
     """Read a model file; a missing or malformed entry raises ValueError.
 
-    The model comes from the file's companion when the companion holds the
-    digest of the file's bytes and passes every check, and from the JSON
-    otherwise; both give the same model, bit for bit.
+    The model comes from the file's companion when the companion's digest
+    is that of the file's bytes followed by the companion's own after it,
+    and its entries pass every check. It comes from the JSON otherwise: with
+    no companion, a stale, damaged or older-layout one, until the next save
+    writes a new one. Both give the same model, bit for bit.
     """
     path = Path(path)
     if not path.is_file():
@@ -227,9 +233,10 @@ def load_model(path) -> SomModel:
     data = path.read_bytes()
     try:
         return _model_of(_read_companion(path, data))
-    except (OSError, EOFError, ValueError, LookupError, TypeError, AttributeError):
-        # no companion, a stale one, a failed check, or a damaged record, which
-        # can hold anything: the JSON decides, with its own error
+    except Exception:
+        # no companion, a stale or damaged one, whose record headers numpy
+        # may fail to parse in any way, or a failed check: the JSON decides,
+        # with its own error
         pass
     # the text that Path.read_text gives, universal newlines included
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
@@ -241,7 +248,7 @@ def _model_of(payload) -> SomModel:
     if not isinstance(payload, dict):
         raise ValueError("model file must hold a JSON object")
     version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     config = _field(payload, "config", dict)
     try:
@@ -262,5 +269,7 @@ def _model_of(payload) -> SomModel:
             _array(_field(scaling, "mins", _LIST, "scaling"), "mins", (n,)),
             _array(_field(scaling, "ranges", _LIST, "scaling"), "ranges", (n,)),
         )
+        if (scaling.ranges < 0).any():
+            raise ValueError("model file: 'ranges' holds a negative number")
     head = _head_from_dict(_field(payload, "head", (dict, type(None))), shape)
     return SomModel(config, WeightGrid(weights), cov_inv, scaling, head)

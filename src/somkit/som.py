@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .datasets import feature_bounds
 from .distances import (
     METRICS,
     _bmu_row,
@@ -168,9 +169,7 @@ def init_weights(config: SomConfig, X, rng: np.random.Generator) -> WeightGrid:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("initialization needs a nonempty (N, n) data matrix")
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    weights = rng.uniform(lo, hi, size=(config.n_row, config.n_column, X.shape[1]))
+    weights = rng.uniform(*feature_bounds(X), size=(config.n_row, config.n_column, X.shape[1]))
     return WeightGrid(weights)
 
 

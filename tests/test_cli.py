@@ -107,6 +107,18 @@ WIDE_TARGETS_ERROR = ("somkit: error: regression labels from -1e+308 to 1e+308 s
                       "than the float range; scale them down\n")
 
 
+def write_wide_feature(path, copies):
+    """Feature "a" at 1e308 and at -1e308, each in ``copies`` rows, and two
+    rows between; "b" in [0, 1] and a label "y"."""
+    rows = ["1e308,0,1"] * copies + ["-1e308,1,2"] * copies + ["0,0.5,3", "5,0.2,4"]
+    path.write_text("a,b,y\n" + "".join(row + "\n" for row in rows))
+    return path
+
+
+WIDE_FEATURE_ERROR = ("somkit: error: feature 0 from -1e+308 to 1e+308 spans more than the "
+                      "float range; scale it down\n")
+
+
 def write_sums(path):
     """200 rows of 3 uniform features and their sum, "target"."""
     rows = np.random.default_rng(0).random((200, 3))
@@ -241,6 +253,16 @@ class TestTrain:
         assert rc == 2
         assert capsys.readouterr().err == WIDE_TARGETS_ERROR
         assert not model.exists() and not (tmp_path / "m.resolved.json").exists()
+
+    @pytest.mark.parametrize("scale", [[], ["--minmax-scale"]])
+    def test_feature_range_past_the_float_range_is_error(self, tmp_path, capsys, scale):
+        data, model = write_wide_feature(tmp_path / "wide.csv", 1), tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--label-column", "y", "--head", "regression",
+                   "--model", str(model), "--n-row", "2", "--n-column", "2",
+                   "--n-iter-unsupervised", "10", "--n-iter-supervised", "10", *scale])
+        assert rc == 2
+        assert capsys.readouterr().err == WIDE_FEATURE_ERROR
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.csv"]
 
     @pytest.mark.parametrize("key, value, error", [
         ("lr_start", -0.5, "lr_schedule: schedule start must be positive, got -0.5"),
@@ -533,6 +555,12 @@ MALFORMED_MODELS = {
         "'ranges' holds a number outside the float64 range"),
     "overflowing head value": (lambda p: p["head"]["values"].__setitem__(0, OVERFLOWING),
                                "'values' holds a number outside the float64 range"),
+    "negative scaling range": (lambda p: p["scaling"]["ranges"].__setitem__(0, -1),
+                               "'ranges' holds a negative number"),
+    "boolean format version": (lambda p: p.update(format_version=True),
+                               "unsupported model format version True"),
+    "float format version": (lambda p: p.update(format_version=1.0),
+                             "unsupported model format version 1.0"),
     "cov_inv whose symmetric part overflows": (
         lambda p: p["cov_inv"][0].__setitem__(0, 1e308),
         "inverse covariance must be finite, and so must V + V^T"),
@@ -658,6 +686,25 @@ class TestTanimoto:
 
 
 class TestPredict:
+    def test_row_too_far_outside_the_scaling_is_error(self, tmp_path, capsys):
+        """A row 1e308 above a scaling minimum of -1e308 overflows in the scaling."""
+        data = tmp_path / "d.csv"
+        data.write_text("a,b,y\n1,0,1\n-1e308,1,2\n0,0.5,3\n5,0.2,4\n")
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--label-column", "y",
+                     "--head", "regression", "--model", str(model), "--minmax-scale",
+                     *FAST]) == 0
+        (tmp_path / "far.csv").write_text("a,b,y\n1e308,0,1\n")
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--data", str(tmp_path / "far.csv"),
+                   "--label-column", "y", "--output", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "somkit: error: feature 0 holds a number too far outside its min-max scaling "
+            "(minimum -1e+308, range 1e+308); scale it down\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "d.csv", "far.csv", "m.json", "m.resolved.json"]
+
     def test_row_count_and_kind(self, tmp_path, reg_csv, blob_csv):
         reg_model = tmp_path / "reg.json"
         main(["train", "--data", str(reg_csv), "--label-column", "target",
@@ -1013,6 +1060,16 @@ class TestCrossval:
         assert rc == 2
         assert capsys.readouterr().err == WIDE_TARGETS_ERROR
         assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [[], ["--minmax-scale"]])
+    def test_feature_range_past_the_float_range_is_error(self, tmp_path, capsys, scale):
+        # each training fold holds at least 4 of the 5 rows of 1e308 and of -1e308
+        data, out = write_wide_feature(tmp_path / "wide.csv", 5), tmp_path / "cv.txt"
+        rc = main(["crossval", "--data", str(data), "--label-column", "y",
+                   "--head", "regression", "--k", "5", "--output", str(out), *FAST, *scale])
+        assert rc == 2
+        assert capsys.readouterr().err == WIDE_FEATURE_ERROR
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.csv"]
 
     @pytest.mark.parametrize("flag, value, error", [
         ("--k", "1", "k must be >= 2, got 1"),

@@ -9,7 +9,11 @@ prints exactly one line on stderr, led by ``somkit:``. The runs go through
   ``predict``, ``export-maps`` and ``evaluate``;
 - configuration values: one configuration key set to a probe value, through
   a config file and through its flag, in ``train`` and ``crossval`` on a
-  dataset of 12 rows.
+  dataset of 12 rows;
+- data files: 12 rows whose feature cells are drawn from the finite
+  extremes (+-1e308, the largest float, the smallest subnormal, -0.0 and 0),
+  a column of one value, or duplicated rows, through ``train`` with and
+  without min-max scaling, ``crossval`` and ``predict``.
 
 The probe values are null, the booleans, 0, -1, 1.5, +-1e308, 2^70, a
 string, a list and an object. Grid sides and iteration counts are fixed and
@@ -35,6 +39,8 @@ from somkit.datasets import save_csv, synthetic_blobs, synthetic_regression
 FUZZ = settings(derandomize=True, deadline=None, database=None)
 
 PROBES = [None, True, False, 0, -1, 1.5, 1e308, -1e308, 2**70, "x", [], [0.5], {}, {"a": 1}]
+
+EXTREMES = [1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -0.0, 0.0]
 
 SMALL = {"n_row": "2", "n_column": "3", "n_iter_unsupervised": "20", "n_iter_supervised": "20"}
 
@@ -126,3 +132,34 @@ def test_a_configuration_value_keeps_the_contract(setting, key, value):
         for command, (csv, label) in commands:
             for given_ in (["--config", str(config)], [flag, text]):
                 run([*command, "--data", str(csv), "--label-column", label, *given_, *small])
+
+
+# a feature column of 12 cells: extremes among ordinary numbers, or one value
+CELLS = st.sampled_from([*EXTREMES, 0.5, -3.0])
+COLUMNS = st.lists(CELLS, min_size=12, max_size=12) | CELLS.map(lambda v: [v] * 12)
+# the source row of each row: the rows as they are, or with duplicates
+ORDERS = st.just(list(range(12))) | st.lists(st.integers(0, 11), min_size=12, max_size=12)
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.lists(COLUMNS, min_size=2, max_size=2), ORDERS)
+def test_a_data_file_of_extreme_numbers_keeps_the_contract(setting, columns, order):
+    data, models = setting
+    target = np.loadtxt(data["regression"][0], delimiter=",", skiprows=1)[:, -1]
+    small = [v for key, value in SMALL.items() for v in ("--" + key.replace("_", "-"), value)]
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, model = Path(tmp) / "d.csv", Path(tmp) / "m.json"
+        csv.write_text("x0,x1,target\n" + "".join(
+            f"{columns[0][i]!r},{columns[1][i]!r},{target[i]!r}\n" for i in order))
+        given_ = ["--data", str(csv), "--label-column", "target"]
+        for scale in ([], ["--minmax-scale"]):
+            run(["train", *given_, "--head", "regression", "--model", str(model), *scale,
+                 *small])
+            run(["crossval", *given_, "--head", "regression", "--k", "2", *scale, *small,
+                 "--output", str(Path(tmp) / "report.txt")])
+        scaled = Path(tmp) / "scaled.json"
+        scaled.write_text(json.dumps(models["regression"][0]))
+        for trained in (model, scaled):
+            if trained.exists():
+                run(["predict", "--model", str(trained), *given_,
+                     "--output", str(Path(tmp) / "pred.csv")])

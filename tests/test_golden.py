@@ -296,51 +296,51 @@ GOLDEN = {
 # name -> sha256 of the companion that train writes next to model.json
 GOLDEN_COMPANION = {
     "class-weighting-classification":
-        "7371414a5d56705ef318f085b06b1fa57c558a2be92735d2107b983f3a9fe737",
+        "813eef5563466e72912d169d7a1f13997d134429d216d669da428c86f6028284",
     "class-weighting-config-classification":
-        "f45ac2fbeedfe7aedfa9f949a482d7fb3b27362d4b6c31d05bbbfcf382156ce0",
+        "dba9c0302680ba5e8b32d955b52a319a638350d0b3bb9635e4a3c96e95ee898f",
     "duplicate-nodes-online-regression":
-        "8801b868552df1f5cb017c41d58e478fb05a54c37e3fa12fce66c4cafded2caf",
+        "dde45d1a267f9209c02d0653463334998710f65f61c564549d8456e16dbc233f",
     "euclidean-batch-classification":
-        "650ecf245214e1c6ea4adc91d2747e831b9414dbf089149ec516c7307a5bdc11",
+        "2e27bc5a4191d474d4872c2f41d1d3c6641570b52335949b8ad6987f9ff9b131",
     "euclidean-online-regression":
-        "a2fae4b40e6a388b0ea79fb162718a4685be0ed718d8b756d4f8d0bed5f92a03",
+        "f7825b7f92693e77168b1df7ff07fc240d6532ddbb6dc6579bab541e58225f14",
     "lr-exponential-classification":
-        "7cc63b2ff8367481d3d61ac119ad87a819d9fab6d40e657b109eb41d82dde647",
+        "3753787bc8de21d1ceb5433d24a5cd9e47513edf40be88e1945025bfa5fa7a0b",
     "lr-inverse-regression":
-        "efe6d6a895b993a89f29feb272223a70d138aaf26bdaf9fbf104cfe2714af7bd",
+        "17ee606fe5475bf4a9f56b8293e4a7475a43b702ada0e572b2ee6965f3193dfc",
     "lr-linear-regression":
-        "561ea49eab903101a47255353eb99efab8232d234c67ab16f0741d2438d6a444",
+        "a765a2faaafcb7c9e84410eac7fc7295962deff2a4ed3a68b055b0588d0831d6",
     "lr-power-classification":
-        "8f952888f5623bc2916b599be6b267bfed14aedec97ef1a7ae2d0b76f4c030f2",
+        "bb4c97831582ae1c240e7c06ac38513bf691204ca8e4b809cba3ce363621acd2",
     "mahalanobis-batch-classification":
-        "7253dbb942044c079c8f454a958b57a8cfa95f2e624e0eb09f96de8685719304",
+        "08c636c5a449f829a6b7c595216e3b72569da110145cc4811c92179c2b4e4803",
     "mahalanobis-online-regression":
-        "df4bc980d9259a8e1f7b0fbdc90520d4eec6d27276c82477eb0f4ec8312fec16",
+        "27f7552dc6dd53c7e1bd5d3128ff5a5dac9f9d40015b81e52dca1cfcca9e9c1f",
     "manhattan-batch-regression":
-        "7af3b4891a3c2f4aec34410491be51b3b792291e3a73171191048972752f1fff",
+        "11199a8d0050fe5dd73649877d68a4b99d308c0c29f2dd206fb8faaa2aca169b",
     "manhattan-online-classification":
-        "9508bd5d6bce3db75af416c7c54ad61c06f86120247163d7967c287af4ac6bb7",
+        "8a9664d3c45db86bea103feadc655fa55b0397a88bb2d2c712dbd1a8bfa64fbf",
     "mexican-hat-batch-classification":
-        "db19e9d170f7688a27bcb425fee60463854c9bc31c23c780d4f93cbc922b6c0e",
+        "f9071e0128bf39536dad80f75fad7d817e70977c88a647d3d690218e14bc7f79",
     "mexican-hat-class-weighting-classification":
-        "90d75c7fe8e887b434184d187be9aa3277bdd5d65bebf160c64630f6a2a43c20",
+        "4e91ca6a6087db7ad058ae6c9e689a46b3d5897a8be72bbb50a482a60d6c219e",
     "mexican-hat-online-regression":
-        "92ff7c4689eee8643bb672c677a32e74f60de61c6d930af2ee752376a744286b",
+        "ef9a2c3429a2629f10a2b1b933a4204030e9e4ccf4bfb9bcd522e6f007f6ab0c",
     "no-supervised-iterations-classification":
-        "0227ce6e051a168a9fae0a3515ba0588dfbd4b4a95a837cfa28fd360257579b5",
+        "d940a35046528156679174268bd4e3891300148e3d2b1a25e8e8010d5232c982",
     "no-supervised-iterations-regression":
-        "043e248b5ae0c4e38239616b88495de99387c1cc2e9942649315dff92a80a17d",
+        "d580f447ab8d9c5622873e215a47a2b2b8a77c36dd424270da33a9dcae2147a5",
     "radius-exponential-regression":
-        "5642aa825af13c05fba55161ab909e2363a813ec53699c109fee5f09646c5607",
+        "2d8978d668deb6d871e5990cec7b49e801f80f7e2b3c9c604567c6c5e4ad9c73",
     "radius-start-end-classification":
-        "bd9bea0a75859c9c6255e5456902d862f25878a0854b669266bb1261afb0cf0b",
+        "a36a9a304704548275b09d04949cb9b485b3ec14beac3d421932898f49e67134",
     "radius-start-end-config-regression":
-        "3ac7b5b6e8e338ab07c841f51e35852dc02bb2e826a9b0de8c49eb3afbf1e844",
+        "d4af9bc80f557a57b501fc2b304af28535c66292714f48e211fd0d379d95bf5f",
     "tanimoto-predict-classification":
-        "68b1dd16228195b43cda9c9cbd3b85aa3484eeb8ca1f4fea7f2649c0a5e404f5",
+        "c948a790838388760dd896b9ea132ad3fe67fb7b166c11beda2c329ee7f5e4f6",
     "ties-online-regression":
-        "a167f27732e6e22ee096b606adb6025867aba13c85952deb019fedf222e6fc38",
+        "c87e5344785662a427ea10cfd55cadeff290731934023e52e3da8d421a0ce730",
 }
 
 # name -> (data, head, CLI flags, --config file values or None) of a

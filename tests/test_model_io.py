@@ -1,5 +1,8 @@
+import hashlib
+import io
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,9 @@ from somkit.datasets import MinMaxRecord, synthetic_blobs, synthetic_regression
 from somkit.model_io import SomModel, _model_of, _read_companion, load_model, save_model
 from somkit.som import SomConfig, fit_unsupervised
 from somkit.supervised import fit_classifier, fit_regressor
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def tiny_config(**kw):
@@ -105,6 +111,18 @@ class TestValidation:
 
 def companion_of(path):
     return path.with_name(path.name + ".arrays")
+
+
+def write_signed_companion(path, records):
+    """Write ``records`` as the companion of the model file ``path``, led by
+    the SHA-256 of the file's bytes followed by the records' bytes."""
+    rest = io.BytesIO()
+    for record in records:
+        np.save(rest, record)
+    digest = hashlib.sha256(path.read_bytes() + rest.getvalue()).digest()
+    with open(companion_of(path), "wb") as fh:
+        np.save(fh, np.frombuffer(digest, dtype=np.uint8))
+        fh.write(rest.getvalue())
 
 
 def from_companion(path):
@@ -239,11 +257,32 @@ class TestCompanion:
         save_model(_models()["regression, mahalanobis, scaled"], path)
         with open(companion_of(path), "rb") as fh:
             records = [np.load(fh) for _ in range(7)]
-        records[2][0, 0, 0] = np.inf  # the weights
-        with open(companion_of(path), "wb") as fh:
-            for record in records:
-                np.save(fh, record)
+        records[6][0] = np.inf  # the weights, the last float array of the JSON
+        write_signed_companion(path, records[1:])
         with pytest.raises(ValueError, match="'weights' holds a number outside"):
+            from_companion(path)
+        assert_same_model(load_model(path), from_json(path, tmp_path))
+
+    def test_damaged_companion_falls_back_to_the_json(self, tmp_path):
+        """A bit flipped in any byte of the companion leaves the JSON's model."""
+        path = tmp_path / "m.json"
+        save_model(_models()["unsupervised"], path)
+        expected = from_json(path, tmp_path)
+        full = companion_of(path).read_bytes()
+        for i in range(len(full)):
+            damaged = bytearray(full)
+            damaged[i] ^= 1 << i % 8
+            companion_of(path).write_bytes(damaged)
+            assert_same_model(load_model(path), expected)
+
+    def test_companion_of_the_older_layout_falls_back_to_the_json(self, tmp_path):
+        """A companion whose digest covers the JSON alone, with the arrays
+        named in a list, is not read."""
+        path = tmp_path / "m.json"
+        for suffix in ("", ".arrays"):
+            shutil.copyfile(DATA / f"v1_regression_old_companion.json{suffix}",
+                            tmp_path / f"m.json{suffix}")
+        with pytest.raises(ValueError, match="another model file"):
             from_companion(path)
         assert_same_model(load_model(path), from_json(path, tmp_path))
 
