@@ -454,6 +454,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"somkit: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        what = str(exc) or "an allocation failed"
+        print(f"somkit: error: out of memory: {what}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ def check_metric(metric: str) -> str:
     return metric
 
 
-def _as_boolean(v: np.ndarray, name: str) -> np.ndarray:
+def _check_boolean(v: np.ndarray, name: str) -> None:
     bad = (v != 0) & (v != 1)
     if bad.any():
         first = np.unravel_index(bad.argmax(), v.shape)
@@ -68,7 +68,6 @@ def _as_boolean(v: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(
             f"tanimoto requires boolean (0/1) vectors, but {where} holds {float(v[first])!r}"
         )
-    return v.astype(bool)
 
 
 def _check_cov_inv(cov_inv, n: int) -> np.ndarray:
@@ -95,8 +94,8 @@ def _differences(a, b, metric: str, cov_inv, ndim: int) -> tuple[np.ndarray, np.
     if a.shape[-1] == 0:
         raise ValueError("vectors must have dimension >= 1")
     if metric == "tanimoto":
-        _as_boolean(a, "a")
-        _as_boolean(b, "b")
+        _check_boolean(a, "a")
+        _check_boolean(b, "b")
     if metric == "mahalanobis":
         cov_inv = _check_cov_inv(cov_inv, a.shape[-1])
     return a - b, cov_inv
@@ -174,8 +173,8 @@ def _search(metric: str, cov_inv, X: np.ndarray, W: np.ndarray) -> tuple:
     """
     check_metric(metric)
     if metric == "tanimoto":
-        _as_boolean(X, "data")
-        _as_boolean(W, "weights")
+        _check_boolean(X, "data")
+        _check_boolean(W, "weights")
         # Each difference is -1, 0 or 1, so |x - w|^2 counts the m mismatches and
         # the score |w|^2 - 2 x . w = m - |x|^2 is an exact integer (below 2^53).
         # The oracles' sqrt(m) and 2m / (n + m) strictly increase with m in floating
@@ -198,7 +197,7 @@ def _search(metric: str, cov_inv, X: np.ndarray, W: np.ndarray) -> tuple:
                 "mahalanobis needs a symmetric positive definite inverse covariance"
             ) from None
     kappa = 1.0 if L is None else float(np.abs(cov_inv).sum())
-    if _overflows(metric, kappa, np.atleast_2d(X), W):
+    if _overflows(metric, kappa, X, W):
         raise ValueError(
             f"the data or node weights are too large for {metric} search: "
             "their squared distances overflow"

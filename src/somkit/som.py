@@ -14,12 +14,14 @@ Online training and both supervised heads train a stack of k runs that
 share a :class:`SomConfig`: one run for :func:`fit_unsupervised` and the
 CLI's ``train``, the k folds of ``crossval``. The online map's loop is
 :func:`_fit_online`; the heads share one loop in :mod:`somkit.supervised`.
-All of them take their schedules and kernel from one per-fit set-up,
-:func:`_neighbourhood`, and report divergence by :func:`_diverged`. Each run
-keeps its own generator and draw order, and each step does every run's own
-elementwise arithmetic, so every run's output is bit for bit that of a run
-of its own. The online maps train node-major, (k, n, nodes), and are written
-back to their grids once at the end.
+All of them, and the batch map, take their kernel from one per-fit set-up,
+:func:`_neighbourhood`, and their learning rates and radii from the
+generator it returns, a chunk of iterations at a time, so no array of theirs
+grows with the iteration count. The online fits report divergence by
+:func:`_diverged`. Each run keeps its own generator and draw order, and each
+step does every run's own elementwise arithmetic, so every run's output is
+bit for bit that of a run of its own. The online maps train node-major,
+(k, n, nodes), and are written back to their grids once at the end.
 
 The online fit builds its maps' search once, by
 :func:`somkit.distances._row_search`, which checks each map's data and
@@ -88,8 +90,8 @@ class SomConfig:
         check_fields(self)
         if self.n_row < 1 or self.n_column < 1:
             raise ValueError("grid must have at least one node")
-        # grids hold an entry per node and schedules one per iteration, so
-        # their sizes must fit an index
+        # grids hold an entry per node, so their sides must fit an index; the
+        # iteration counts keep that bound, which no fit comes near
         index = int(np.iinfo(np.intp).max)
         for name, least, most in (("n_row", 1, index), ("n_column", 1, index),
                                   ("n_iter_unsupervised", 1, index),
@@ -286,23 +288,29 @@ def batch_update(
     return grid
 
 
-def _neighbourhood(config: SomConfig, t_max: int):
-    """The per-fit set-up of the online map and of both heads: the learning
-    rates and the radii of iterations 0..t_max-1 as float arrays, the
-    schedules running over ``max(t_max, 1)`` iterations, and ``kernel(rows,
-    columns, sigma, out=None)``, the kernel around BMUs (rows, columns) at
-    radius sigma, for index arrays and radii that broadcast together. Batch
-    maps take their radii from it too.
+def _neighbourhood(config: SomConfig, t_max: int, chunk: int):
+    """The per-fit set-up of the online map, the batch map and both heads:
+    ``kernel(rows, columns, sigma, out=None)``, the kernel around BMUs (rows,
+    columns) at radius sigma, for index arrays and radii that broadcast
+    together, and a generator of the learning rates and the radii of
+    iterations 0..t_max-1 as float arrays, ``chunk`` iterations at a time,
+    the schedules running over ``max(t_max, 1)`` iterations. Each chunk is
+    evaluated as it is drawn, so no array grows with ``t_max``.
     """
     _check_kernel(config.kernel)
     mexican_hat = config.kernel == "mexican-hat"
-    lr = replace(config.lr_schedule, t_max=max(t_max, 1))
-    radius = replace(config.radius_schedule, t_max=max(t_max, 1))
-    alphas = np.fromiter(map(_learning_rate_of(lr), range(t_max)), float, t_max)
-    sigmas = np.fromiter(map(_radius_of(radius), range(t_max)), float, t_max)
+    lr = _learning_rate_of(replace(config.lr_schedule, t_max=max(t_max, 1)))
+    radius = _radius_of(replace(config.radius_schedule, t_max=max(t_max, 1)))
     neg_d2 = _neg_squared_distances(config.grid_shape)
-    return alphas, sigmas, lambda rows, columns, sigma, out=None: _kernel(
-        neg_d2[rows, columns], sigma, mexican_hat, out)
+    steps = range(t_max)
+
+    def kernel(rows, columns, sigma, out=None):
+        return _kernel(neg_d2[rows, columns], sigma, mexican_hat, out)
+    # Given its count, fromiter allocates a chunk once. Grown, the chunks left
+    # 0.6 MB more peak RSS in a CLI crossval of 5 folds on 20x20 nodes.
+    return kernel, ((np.fromiter(map(lr, t), float, len(t)),
+                     np.fromiter(map(radius, t), float, len(t)))
+                    for t in (steps[start:start + chunk] for start in steps[::chunk]))
 
 
 def _diverged(config: SomConfig, what: str) -> ValueError:
@@ -351,16 +359,18 @@ def _fit_maps(Xs, config: SomConfig, rngs, cov_invs) -> list[tuple[WeightGrid, n
         _fit_online(grids, Xs, config, rngs, cov_invs)
     else:
         # batch maps have no sampled loop to share, so they train one by one
-        _, radii, _ = _neighbourhood(config, config.n_iter_unsupervised)
         for grid, X, cov_inv in zip(grids, Xs, cov_invs):
-            for sigma in radii.tolist():
+            _, schedules = _neighbourhood(config, config.n_iter_unsupervised, 1)
+            for _, (sigma,) in schedules:
                 bmus = transform(grid, X, config.metric, cov_inv)
                 batch_update(grid, X, bmus, sigma, config.kernel)
     return list(zip(grids, cov_invs))
 
 
 # Bytes of the sampled rows the online fit draws and gathers at once: a long
-# fit never holds every drawn index or sampled row.
+# fit never holds every drawn index or sampled row. The heads' 256 KB raised a
+# 5x5x64 fit's tracemalloc peak by 0.55 MiB and the CLI train RSS of 2 and 32
+# features by 0.16-0.22 MB, and made no command faster (2 cores).
 _ROW_CHUNK_BYTES = 2**16
 
 
@@ -368,30 +378,30 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
     """Online training of a stack of maps, map f on rows of ``Xs[f]`` drawn
     by ``rngs[f]``; updates the grids in place.
 
-    Each map draws a chunk's rows by one ``integers(n, size=m)`` call, with
-    the values and generator state of m scalar draws. The maps train
-    node-major, (k, n, nodes), and are written back once at the end. Every
-    step is elementwise, and the BMU search re-ranks its scores exactly, so
-    each map gets the bits of a run of its own.
+    The chunks are those of the schedules that :func:`_neighbourhood`
+    yields, each within ``_ROW_CHUNK_BYTES`` of sampled rows. Each map draws
+    a chunk's rows by one ``integers(n, size=m)`` call, with the values and
+    generator state of m scalar draws. The maps train node-major, (k, n,
+    nodes), and are written back once at the end. Every step is
+    elementwise, and the BMU search re-ranks its scores exactly, so each map
+    gets the bits of a run of its own.
     """
     k, n = len(grids), grids[0].feature_dim
     search = _row_search(config.metric, cov_invs, Xs, [grid.flat for grid in grids])
-    t_max = config.n_iter_unsupervised
-    alphas, sigmas, kernel = _neighbourhood(config, t_max)
+    chunk = max(1, _ROW_CHUNK_BYTES // (8 * k * n))
+    kernel, schedules = _neighbourhood(config, config.n_iter_unsupervised, chunk)
     W = np.array([grid.flat.T for grid in grids], order="C")
     delta = np.empty_like(W)
-    chunk = max(1, _ROW_CHUNK_BYTES // (8 * k * n))
     # One difference array serves the BMU search and the pull. A copy and
     # then a subtraction beat one subtraction that broadcasts x along the
     # contiguous node axis: 116-147 against 182-187 us at 800 nodes x 204
     # features, 39-45 against 60-69 us at 5 maps of 400 x 32, and the same at
     # 400 x 2 (best of 7, 2 cores).
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, t_max, chunk):
-            t = slice(start, min(start + chunk, t_max))
-            rows = np.stack([X[rng.integers(len(X), size=t.stop - start)]
+        for alphas, sigmas in schedules:
+            rows = np.stack([X[rng.integers(len(X), size=len(alphas))]
                              for X, rng in zip(Xs, rngs)], axis=1)
-            for x, alpha, sigma in zip(rows, alphas[t].tolist(), sigmas[t].tolist()):
+            for x, alpha, sigma in zip(rows, alphas.tolist(), sigmas.tolist()):
                 np.copyto(delta, x[:, :, None])
                 np.subtract(delta, W, out=delta)
                 bmus = np.divmod(_bmu_row(delta, search), config.n_column)

@@ -236,21 +236,23 @@ def _head_chunks(config: SomConfig, rngs, per_run, uniforms: bool):
     draws the chunk's indices in one ``integers(n, size=m)`` call, with the
     values and generator state of m scalar draws, and None comes third. Each
     buffer holds at most ``_HEAD_CHUNK_BYTES``; the next chunk overwrites it.
+    The chunks are those of the learning rates and radii that
+    :func:`somkit.som._neighbourhood` yields, so nothing grows with the
+    iteration count.
     """
     sizes = [len(rows) for rows, *_ in per_run]
     # run f's rows follow those of the runs before it
     offsets = np.cumsum([0, *sizes[:-1]]).tolist()
     rows, columns, targets, weights = map(np.concatenate, zip(*per_run))
     t_max = config.n_iter_supervised
-    alphas, sigmas, kernel = _neighbourhood(config, t_max)
     shape = (len(rngs), *config.grid_shape)
     chunk = max(1, min(t_max, _HEAD_CHUNK_BYTES // (8 * int(np.prod(shape)))))
+    kernel, schedules = _neighbourhood(config, t_max, chunk)
     J = np.empty((chunk, len(rngs)), dtype=int)
     P = np.empty((chunk, *shape))
     U = np.empty_like(P) if uniforms else None
-    for start in range(0, t_max, chunk):
-        t = slice(start, min(start + chunk, t_max))
-        m = t.stop - start
+    for alphas, sigmas in schedules:
+        m = len(alphas)
         j, p, u = J[:m], P[:m], U[:m] if uniforms else None
         if uniforms:
             # iteration by iteration, each run draws its index, then its uniforms
@@ -260,8 +262,8 @@ def _head_chunks(config: SomConfig, rngs, per_run, uniforms: bool):
                     rng.random(out=u_f)
         else:
             j[:] = np.column_stack([r.integers(n, size=m) for r, n in zip(rngs, sizes)]) + offsets
-        kernel(rows[j], columns[j], sigmas[t, None, None, None], p)
-        np.multiply((weights[j] * alphas[t, None])[:, :, None, None], p, out=p)
+        kernel(rows[j], columns[j], sigmas[:, None, None, None], p)
+        np.multiply((weights[j] * alphas[:, None])[:, :, None, None], p, out=p)
         yield targets[j], p, u
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from somkit.distances import (
-    _as_boolean,
+    _check_boolean,
     _bmu_block,
     _check_cov_inv,
     _prepare,
@@ -78,8 +78,9 @@ def feature_distance(a, b, metric: str = "euclidean", cov_inv=None) -> float:
     if metric == "manhattan":
         return float(np.abs(a - b).sum())
     if metric == "tanimoto":
-        ab = _as_boolean(a, "a")
-        bb = _as_boolean(b, "b")
+        _check_boolean(a, "a")
+        _check_boolean(b, "b")
+        ab, bb = a.astype(bool), b.astype(bool)
         n_tt = int((ab & bb).sum())
         n_ff = int((~ab & ~bb).sum())
         mismatches = 2 * (int((ab & ~bb).sum()) + int((~ab & bb).sum()))
@@ -95,7 +96,7 @@ def find_bmu(grid: WeightGrid, x, metric: str = "euclidean", cov_inv=None) -> tu
     """Index of the node closest to ``x``; ties go to the smallest row-major index."""
     x = _check_vector(grid, x)
     W = grid.flat
-    search = _search(metric, cov_inv, x, W)
+    search = _search(metric, cov_inv, x[None], W)
     flat_idx = int(_bmu_block(W, x[None], search, _prepare(search, W))[0])
     return divmod(flat_idx, grid.n_column)
 

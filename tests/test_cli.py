@@ -10,6 +10,7 @@ import pytest
 
 import somkit.distances
 import somkit.model_io
+import somkit.som
 from somkit.cli import _train_models, main
 from somkit.datasets import (
     LabeledDataset,
@@ -263,6 +264,25 @@ class TestTrain:
         assert rc == 2
         assert capsys.readouterr().err == WIDE_FEATURE_ERROR
         assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.csv"]
+
+    @pytest.mark.parametrize("message, error", [
+        ("Unable to allocate 21.8 TiB for an array", "Unable to allocate 21.8 TiB for an array"),
+        ("", "an allocation failed"),
+    ])
+    def test_out_of_memory_is_error(self, tmp_path, reg_csv, capsys, monkeypatch, message,
+                                    error):
+        """A grid that fits an index but not in memory: the weights' allocation
+        fails, which the test stands in for rather than asking for it."""
+        def init_weights(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(somkit.som, "init_weights", init_weights)
+        model = tmp_path / "m.json"
+        rc = main(["train", "--data", str(reg_csv), "--label-column", "target",
+                   "--head", "regression", "--model", str(model), *FAST])
+        assert rc == 2
+        assert capsys.readouterr().err == f"somkit: error: out of memory: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reg.csv"]
 
     @pytest.mark.parametrize("key, value, error", [
         ("lr_start", -0.5, "lr_schedule: schedule start must be positive, got -0.5"),
@@ -686,6 +706,23 @@ class TestTanimoto:
 
 
 class TestPredict:
+    def test_out_of_memory_is_error(self, tmp_path, reg_csv, capsys, monkeypatch):
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(reg_csv), "--label-column", "target",
+                     "--head", "regression", "--model", str(model), *FAST]) == 0
+
+        def nearest(*args):
+            raise MemoryError("Unable to allocate 8.0 GiB for an array")
+
+        monkeypatch.setattr(somkit.som, "_nearest", nearest)
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--data", str(reg_csv),
+                   "--label-column", "target", "--output", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "somkit: error: out of memory: Unable to allocate 8.0 GiB for an array\n")
+        assert not (tmp_path / "p.csv").exists()
+
     def test_row_too_far_outside_the_scaling_is_error(self, tmp_path, capsys):
         """A row 1e308 above a scaling minimum of -1e308 overflows in the scaling."""
         data = tmp_path / "d.csv"

@@ -141,16 +141,14 @@ COLUMNS = st.lists(CELLS, min_size=12, max_size=12) | CELLS.map(lambda v: [v] * 
 ORDERS = st.just(list(range(12))) | st.lists(st.integers(0, 11), min_size=12, max_size=12)
 
 
-@settings(FUZZ, max_examples=60)
-@given(st.lists(COLUMNS, min_size=2, max_size=2), ORDERS)
-def test_a_data_file_of_extreme_numbers_keeps_the_contract(setting, columns, order):
-    data, models = setting
-    target = np.loadtxt(data["regression"][0], delimiter=",", skiprows=1)[:, -1]
+def run_data_file(models, content: bytes):
+    """``train`` with and without min-max scaling, ``crossval`` both ways and
+    ``predict`` (with the model it trained and with the scaled mahalanobis
+    model) on a data file of ``content``, each run checked by :func:`run`."""
     small = [v for key, value in SMALL.items() for v in ("--" + key.replace("_", "-"), value)]
     with tempfile.TemporaryDirectory() as tmp:
         csv, model = Path(tmp) / "d.csv", Path(tmp) / "m.json"
-        csv.write_text("x0,x1,target\n" + "".join(
-            f"{columns[0][i]!r},{columns[1][i]!r},{target[i]!r}\n" for i in order))
+        csv.write_bytes(content)
         given_ = ["--data", str(csv), "--label-column", "target"]
         for scale in ([], ["--minmax-scale"]):
             run(["train", *given_, "--head", "regression", "--model", str(model), *scale,
@@ -163,3 +161,50 @@ def test_a_data_file_of_extreme_numbers_keeps_the_contract(setting, columns, ord
             if trained.exists():
                 run(["predict", "--model", str(trained), *given_,
                      "--output", str(Path(tmp) / "pred.csv")])
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.lists(COLUMNS, min_size=2, max_size=2), ORDERS)
+def test_a_data_file_of_extreme_numbers_keeps_the_contract(setting, columns, order):
+    data, models = setting
+    target = np.loadtxt(data["regression"][0], delimiter=",", skiprows=1)[:, -1]
+    run_data_file(models, ("x0,x1,target\n" + "".join(
+        f"{columns[0][i]!r},{columns[1][i]!r},{target[i]!r}\n" for i in order)).encode())
+
+
+# a cell {} in another form, after the ingest cases of tests/test_datasets.py:
+# quoted, with a quoted comma, an empty quoted cell, unbalanced and inner
+# quotes, text after a closing quote, a NUL byte, a quoted line end and a
+# byte that is not UTF-8 (a lone surrogate, written by surrogateescape)
+FORMS = ['"{}"', '"{},5"', '""', '"{}', '{}"', '"{}""1"', '{}"x"', '"{}"x', "{}\x00",
+         '"{}\n2"', '"{}\r\n2"', "{}\udcff", "\udcc3{}"]
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@settings(FUZZ, max_examples=80)
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 2), st.sampled_from(FORMS)),
+             max_size=3),
+    LINE_ENDS.map(lambda end: [end] * 13) | st.lists(LINE_ENDS, min_size=13, max_size=13),
+    st.lists(st.integers(0, 13), max_size=2),
+    st.booleans(),
+    st.booleans(),
+)
+def test_a_data_file_of_odd_quoting_and_line_ends_keeps_the_contract(
+        setting, forms, line_ends, blank_lines, final_line_end, bom):
+    """Some cells, the header's included, in another form; every line ended
+    alike or each its own way; blank lines; with or without a final line end
+    and a UTF-8 byte order mark."""
+    data, models = setting
+    rows = [["x0", "x1", "target"], *(
+        [repr(v) for v in row]
+        for row in np.loadtxt(data["regression"][0], delimiter=",", skiprows=1).tolist())]
+    for row, column, form in forms:
+        rows[row][column] = form.format(rows[row][column])
+    lines = [",".join(row) + end for row, end in zip(rows, line_ends)]
+    for at in blank_lines:
+        lines.insert(at, line_ends[at % 13])
+    text = "\ufeff" * bom + "".join(lines)
+    if not final_line_end:
+        text = text.rstrip("\r\n")
+    run_data_file(models, text.encode("utf-8", errors="surrogateescape"))

@@ -221,11 +221,24 @@ class TestKernelMatrix:
             kernel_matrix((0, 0), 1e-9, "gaussian", (3, 3))
 
 
+def whole_schedules(cfg, t_max, chunk=7):
+    """Every iteration's learning rate and radius, as float arrays, and the
+    kernel, from :func:`somkit.som._neighbourhood`'s chunks of ``chunk``
+    iterations, all of them full but the last."""
+    kernel, schedules = _neighbourhood(cfg, t_max, chunk)
+    chunks = list(schedules)
+    sizes = [min(chunk, t_max - start) for start in range(0, t_max, chunk)]
+    assert [len(a) for a, _ in chunks] == [len(s) for _, s in chunks] == sizes
+    alphas = np.concatenate([np.empty(0), *(a for a, _ in chunks)])
+    sigmas = np.concatenate([np.empty(0), *(s for _, s in chunks)])
+    return alphas, sigmas, kernel
+
+
 def run_loop(cfg, t_max, bmus):
     """(alpha, h) of each iteration on a stack of one, whose BMU at iteration
     t is ``bmus[t]``, as the training loops take them from
     :func:`somkit.som._neighbourhood`."""
-    alphas, sigmas, kernel = _neighbourhood(cfg, t_max)
+    alphas, sigmas, kernel = whole_schedules(cfg, t_max)
     assert len(alphas) == len(sigmas) == t_max
     return [(alpha, kernel([r], [c], sigma)[0])
             for (r, c), alpha, sigma in zip(bmus, alphas.tolist(), sigmas.tolist())]
@@ -260,7 +273,7 @@ class TestNeighbourhoodStep:
         draws = np.random.default_rng(2).integers(15, size=(3, 40))
         bmus = [[divmod(int(k), 3) for k in run] for run in draws]
         separate = [run_loop(cfg, 40, run) for run in bmus]
-        _, sigmas, kernel = _neighbourhood(cfg, 40)
+        _, sigmas, kernel = whole_schedules(cfg, 40)
         for t, bmu in enumerate(zip(*bmus)):
             h = kernel(*np.array(bmu).T, sigmas[t])
             assert h.shape == (3, 5, 3)
@@ -272,6 +285,33 @@ class TestNeighbourhoodStep:
         assert run_loop(cfg, 0, []) == []
         ((alpha, h),) = run_loop(cfg, 1, [(0, 0)])
         assert alpha == 0.5 and h.shape == (10, 10)
+
+    # chunks of 7: no iteration, one, a chunk but one, a chunk and one more
+    @pytest.mark.parametrize("t_max", [0, 1, 6, 7, 8])
+    @pytest.mark.parametrize("radius_kind", RADIUS_KINDS)
+    @pytest.mark.parametrize("lr_kind", LEARNING_RATE_KINDS)
+    def test_chunks_hold_the_bits_of_the_schedules(self, lr_kind, radius_kind, t_max):
+        lr, radius = ScheduleSpec(lr_kind, 0.8, 0.05), ScheduleSpec(radius_kind, 3.5, 0.5)
+        cfg = SomConfig(n_row=3, n_column=2, lr_schedule=lr, radius_schedule=radius)
+        alphas, sigmas, _ = whole_schedules(cfg, t_max, 7)
+        lr, radius = (replace(spec, t_max=max(t_max, 1)) for spec in (lr, radius))
+        assert alphas.tobytes() == np.array([learning_rate(t, lr) for t in range(t_max)]).tobytes()
+        assert sigmas.tobytes() == np.array(
+            [neighborhood_radius(t, radius) for t in range(t_max)]).tobytes()
+
+    def test_first_chunk_of_a_long_fit_comes_back_at_once(self):
+        cfg, t_max = SomConfig(n_row=3, n_column=2), 10**12
+        tracemalloc.start()
+        try:
+            _, schedules = _neighbourhood(cfg, t_max, 7)
+            alphas, sigmas = next(schedules)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lr, radius = (replace(spec, t_max=t_max) for spec in (cfg.lr_schedule, cfg.radius_schedule))
+        assert alphas.tolist() == [learning_rate(t, lr) for t in range(7)]
+        assert sigmas.tolist() == [neighborhood_radius(t, radius) for t in range(7)]
+        assert peak < 2**16
 
 
 class TestDrawsBeforeTheLoop:
@@ -569,6 +609,34 @@ class TestPerNodeSums:
         counts = bmu_histogram(grid, X)
         assert counts.dtype == expected.dtype
         np.testing.assert_array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("fit", ["map", "regression", "classification"])
+def test_fit_memory_does_not_grow_with_the_iterations(fit):
+    # aim: bounded memory. The online map and the heads hold one chunk of
+    # iterations at a time, their rows, steps and schedules; at 64 features
+    # the map's chunks are 128 iterations, the heads' 1310 on 5 x 5 nodes
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(300, 64))
+    grid = WeightGrid(rng.normal(size=(5, 5, 64)))
+    labels = {"map": None, "regression": X.sum(axis=1),
+              "classification": rng.choice(["a", "b", "c"], size=300)}[fit]
+    fits = {"map": lambda cfg: fit_unsupervised(X, cfg, np.random.default_rng(0)),
+            "regression": lambda cfg: fit_regressor(grid, X, labels, cfg, np.random.default_rng(0)),
+            "classification": lambda cfg: fit_classifier(grid, X, labels, cfg,
+                                                         np.random.default_rng(0))}
+    configs = {n_iter: small_config(n_row=5, n_column=5, n_iter_unsupervised=n_iter,
+                                    n_iter_supervised=n_iter) for n_iter in (2000, 20000)}
+    fits[fit](configs[2000])  # warm caches
+    peaks = {}
+    for n_iter, cfg in configs.items():
+        tracemalloc.start()
+        try:
+            fits[fit](cfg)
+            peaks[n_iter] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[20000] - peaks[2000] < 64 * 1024
 
 
 class TestFitUnsupervised:

@@ -482,7 +482,8 @@ class TestChunkedHeads:
         rng = np.random.default_rng(8)
         rows, columns = rng.integers(40, size=(t_max, k)), rng.integers(20, size=(t_max, k))
         weights = rng.uniform(0.2, 5.0, size=(t_max, k))
-        alphas, sigmas, kernel_of = _neighbourhood(cfg, t_max)
+        kernel_of, schedules = _neighbourhood(cfg, t_max, 10)
+        alphas, sigmas = map(np.concatenate, zip(*schedules))
         h = kernel_of(rows, columns, sigmas[:, None, None, None], np.empty((t_max, k, 40, 20)))
         P = (weights * alphas[:, None])[:, :, None, None] * h
         steps = []
@@ -495,9 +496,8 @@ class TestChunkedHeads:
 
     @pytest.mark.parametrize("fit", [fit_classifier, fit_regressor])
     def test_memory_does_not_grow_with_the_iterations(self, fit):
-        # aim: bounded memory. The steps, the uniforms, the flips and the
-        # drawn indices are kept for one chunk of iterations; only the
-        # schedules, two floats per iteration, grow with n_iter_supervised.
+        # aim: bounded memory. The steps, the uniforms, the flips, the drawn
+        # indices and the schedules are kept for one chunk of iterations.
         rng = np.random.default_rng(21)
         grid = WeightGrid(rng.normal(size=(40, 20, 2)))
         X = rng.normal(size=(20, 2))
@@ -512,11 +512,11 @@ class TestChunkedHeads:
                 peaks[n_iter] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # the schedules and a few bytes of small objects
-        assert peaks[4000] - peaks[200] <= 2 * 8 * (4000 - 200) + 256
-        # the chunk's steps, kernel gather and uniforms, its flips and the
+        # a few bytes of small objects
+        assert peaks[4000] - peaks[200] <= 256
+        # the chunk's steps, kernel gather and uniforms, its flips and
         # schedules
-        assert peaks[4000] <= 4 * supervised._HEAD_CHUNK_BYTES + 2 * 8 * 4000
+        assert peaks[4000] <= 4 * supervised._HEAD_CHUNK_BYTES
 
 
 class TestPredictClassification:
