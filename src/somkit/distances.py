@@ -11,21 +11,24 @@ Each metric's exact distance between two rows is written once, in
 (one pair, the oracle of BMU search) and :func:`paired_distances` (row ``i``
 with row ``i``) check their inputs and call it, so they agree bit for bit.
 BMU search lives here whole: :mod:`somkit.som` calls :func:`_nearest`,
-:func:`_row_search` and :func:`_bmu_row`. Both searches are built by
-:func:`_search`, which rejects rows and weights whose squared distances
-could overflow, and checks tanimoto's 0/1 rows and searches them as
-euclidean, which finds the same nodes. :func:`_nearest` prepares the weights
-once per call by :func:`_prepare` and runs :func:`_bmu_block` on blocks
-whose temporaries stay within ``BLOCK_BYTES``. :func:`_bmu_block` scores
+:func:`_row_search`, :func:`_row_scores` and :func:`_bmu_row`. Both
+searches are built by :func:`_search`, which rejects rows and weights whose
+squared distances could overflow, and checks tanimoto's 0/1 rows and
+searches them as euclidean, which finds the same nodes. :func:`_nearest`
+prepares the weights once per call by :func:`_prepare` and runs
+:func:`_bmu_block` on blocks whose temporaries stay within
+``BLOCK_BYTES``. :func:`_bmu_block` scores
 rows against all nodes: euclidean and mahalanobis (on Cholesky-whitened
 data) by one matrix product of the rows ``[-2 x_w | 1]`` with the weights
 ``[W_w | |w_w|^2]^T``, which gives each score whole, and an exact re-rank
 for the rows whose runner-up score is near their minimum; manhattan exactly
 from the differences. :func:`_bmu_row` serves only online training: one row
 for each of a stack of maps, from the differences x - W, which the fit
-computes once per iteration for the search and the pull. It scores every
-map's nodes in one pass, mahalanobis as |d L|^2 with each map's own Cholesky
-factor, and re-ranks the nodes within a rounding bound of each minimum.
+computes once per iteration for the search and the pull. :func:`_row_scores`
+scores every map's nodes, mahalanobis as |d L|^2 with each map's own Cholesky
+factor, and euclidean and manhattan also on a part of the features, whose
+scores online training adds up; :func:`_bmu_row` re-ranks the nodes within a
+rounding bound of each minimum.
 Tanimoto maps never train. Both searches re-rank by :func:`_rerank`, which
 re-scores with :func:`_exact`. Distances between map nodes on their grid
 live in :mod:`somkit.som`, next to the neighbourhood kernel.
@@ -370,22 +373,39 @@ def _row_search(metric: str, cov_invs, Xs, Ws) -> tuple:
     return metric, cov_inv, L_t, np.array(kappa)[:, None]
 
 
-def _bmu_row(D: np.ndarray, search: tuple) -> np.ndarray:
+def _row_scores(D: np.ndarray, search: tuple, out=None) -> np.ndarray:
+    """Every map's node scores, (maps, nodes), from differences ``D`` (maps,
+    n', nodes) node-major, into ``out`` if given: euclidean |d|^2, manhattan
+    |d|_1 and mahalanobis |d L|^2, L the map's Cholesky factor, for the
+    maps' :func:`_row_search`. Euclidean and manhattan scores are sums over
+    the features, so ``D`` may hold a contiguous part of them and the parts'
+    scores add up to the whole's, in another summation order; mahalanobis
+    mixes the features and needs all n.
+    """
+    metric, _, L_t, _ = search
+    if metric == "manhattan":
+        return np.abs(D).sum(axis=1, out=out)
+    Z = D if L_t is None else L_t @ D  # d V d^T = |d L|^2
+    return np.einsum("fin,fin->fn", Z, Z, out=out)
+
+
+def _bmu_row(D: np.ndarray, search: tuple, scores=None) -> np.ndarray:
     """Flat index of the nearest node to row x_f in map f, for each map of a
     stack; the contract of :func:`_bmu_block`.
 
     ``D`` holds each map's differences x_f - W_f node-major, (maps, n,
     nodes), which online training computes once per iteration for the
-    search and the pull; ``search`` is the maps' :func:`_row_search`. Every
-    map's nodes are scored from ``D`` in one pass, in any summation order:
-    euclidean by |d|^2, manhattan by |d|_1 and mahalanobis by |d L|^2, L the
-    map's Cholesky factor; tanimoto maps never train. The nodes within a
-    rounding bound of each map's minimum are re-ranked by :func:`_rerank`.
+    search and the pull; ``search`` is the maps' :func:`_row_search`.
+    ``scores`` are the maps' :func:`_row_scores` of ``D``, summed in any
+    order: online training may add the scores of two feature halves. They
+    are computed from ``D`` if not given. Tanimoto maps never train. The
+    nodes within a rounding bound of each map's minimum are re-ranked by
+    :func:`_rerank` on the whole of ``D``.
     """
-    metric, cov_inv, L_t, kappa = search
+    metric, cov_inv, _, kappa = search
     n = D.shape[1]
-    Z = D if L_t is None else L_t @ D  # d V d^T = |d L|^2
-    scores = np.abs(D).sum(axis=1) if metric == "manhattan" else np.einsum("fin,fin->fn", Z, Z)
+    if scores is None:
+        scores = _row_scores(D, search)
     best = scores.argmin(axis=1)
     lowest = scores.min(axis=1, keepdims=True)
     if metric == "mahalanobis":
@@ -433,6 +453,8 @@ def _bmu_row(D: np.ndarray, search: tuple) -> np.ndarray:
         # squares (fl(w - x) = -fl(x - w)), so for node j the score S_j and the
         # oracle's value O_j before its sqrt are both sums of the n products
         # d_i^2, in some order and fused or not, for the exact T_j = sum d_i^2.
+        # Two partial sums over the feature halves, added together, are one
+        # such order, so the bound below covers scores summed that way too.
         # Every term is non-negative, so with u = eps / 2,
         # gamma_n = n u / (1 - n u) and tau the smallest subnormal, each errs by
         # at most gamma_n T_j + 0.51 n tau: a product that underflows errs by up

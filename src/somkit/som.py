@@ -30,11 +30,22 @@ that the pull needs too, by :func:`somkit.distances._bmu_row`, for every
 trainable metric. Every other BMU search, :func:`find_bmu` included, is
 :func:`transform`, which checks the shape of its rows and leaves the rest of
 the search to :func:`somkit.distances._nearest`.
+
+A large euclidean or manhattan online fit on two usable CPUs steps on two
+halves of the features at once, the second in a worker thread that
+:func:`_handoffs` starts and stops; every pass over the weights is
+elementwise and the scores of the halves are added before the exact
+re-rank, so its outputs are those of one thread.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,6 +56,7 @@ from .distances import (
     _bmu_row,
     _nearest,
     _overflows,
+    _row_scores,
     _row_search,
     estimate_inverse_covariance,
     paired_distances,
@@ -373,6 +385,122 @@ def _fit_maps(Xs, config: SomConfig, rngs, cov_invs) -> list[tuple[WeightGrid, n
 # features by 0.16-0.22 MB, and made no command faster (2 cores).
 _ROW_CHUNK_BYTES = 2**16
 
+# Elements of a stack's weights, k n nodes, from which an online fit with
+# scores summed over the features splits every step across two threads. Each
+# step's handoff costs 25-40 us. In-process sweep, two threads against one,
+# k = 1, best of 9 fits of 500 steps, 4 passes on 2 cores: 800 elements
+# 2.5-3.1x the time, 4000 (k = 5) 3.0-3.3x, 12800 2.1-2.2x, 40000 1.2-1.4x,
+# 51200 1.03-1.09x, 80000 0.80-0.85x, 163200 0.57-0.60x.
+_TWO_PART_ELEMENTS = 64_000
+
+# Seconds between the interpreter's forced thread switches while the worker
+# runs. In-process scene-shaped fits of 1000 steps on 2 cores, median of 5:
+# 5 ms (the default) 277-288 ms, 1 ms 271-276, 0.2 ms 245-258, 20 us
+# 224-236, against 345-465 ms on one thread.
+_SWITCH_INTERVAL = 2e-5
+
+# The switch interval is the process's, so two-part fits running at once in
+# several threads share one lowering: each holds an entry here, the interval
+# from before the first of them, and the last to finish restores it.
+_saved_intervals: list[float] = []
+_switching = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _feature_parts(metric: str, shape: tuple[int, int, int]) -> list[slice]:
+    """The contiguous parts of the features of stacked weights (k, n, nodes)
+    that :func:`_fit_online` steps on, one per thread: two halves when the
+    scores are sums over the features, the weights hold at least
+    ``_TWO_PART_ELEMENTS`` and two CPUs are usable, all of them otherwise."""
+    n = shape[1]
+    if (metric in ("euclidean", "manhattan") and n > 1
+            and np.prod(shape) >= _TWO_PART_ELEMENTS and _usable_cpus() >= 2):
+        return [slice(0, n // 2), slice(n // 2, n)]
+    return [slice(0, n)]
+
+
+def _part_step(part, search: tuple, step, x) -> np.ndarray:
+    """One handoff of :func:`_fit_online` on one part of the features: the
+    pull by the last ``step``, unless None, then the differences of row
+    ``x`` (k, n) and their partial scores, unless x is None. ``part`` holds
+    the features, their slices of the weights and the differences, and the
+    part's (k, nodes) scores, which it returns."""
+    features, W, delta, scores = part
+    if step is not None:
+        _pull(W, delta, step)
+    if x is not None:
+        # One difference array serves the BMU search and the pull. A copy and
+        # then a subtraction beat one subtraction that broadcasts x along the
+        # contiguous node axis: 116-147 against 182-187 us at 800 nodes x 204
+        # features, 39-45 against 60-69 us at 5 maps of 400 x 32, and the same
+        # at 400 x 2 (best of 7, 2 cores).
+        np.copyto(delta, x[:, features, None])
+        np.subtract(delta, W, out=delta)
+        _row_scores(delta, search, scores)
+    return scores
+
+
+def _serve(jobs, done, part, search: tuple) -> None:
+    """The worker of a two-part fit: :func:`_part_step` on ``part`` for each
+    job of ``jobs`` until None, putting None or the error raised on
+    ``done``. Error states are per thread, so it sets the fit's own."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, x in iter(jobs.get, None):
+            try:
+                _part_step(part, search, step, x)
+            except Exception as error:  # the main thread raises it
+                done.put(error)
+            else:
+                done.put(None)
+
+
+@contextmanager
+def _handoffs(parts, search: tuple):
+    """``run(step, x)`` for :func:`_fit_online`: :func:`_part_step` on every
+    part, returning the sum of the parts' scores. With one part it is
+    :func:`_part_step` itself. With two, a worker thread takes the second
+    part of each handoff while the caller takes the first, under a short
+    switch interval; the worker stops on exit, whether the fit returns or
+    raises, and the last two-part fit running restores the interval."""
+    if len(parts) == 1:
+        yield partial(_part_step, parts[0], search)
+        return
+    import queue  # only here: one-part processes do not pay for its import
+
+    mine, theirs = parts
+    jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
+    total = np.empty_like(mine[3])
+
+    def run(step, x):
+        jobs.put((step, x))
+        _part_step(mine, search, step, x)
+        if (error := done.get()) is not None:
+            raise error
+        return np.add(mine[3], theirs[3], out=total)
+
+    worker = threading.Thread(target=_serve, args=(jobs, done, theirs, search), daemon=True)
+    worker.start()
+    try:
+        with _switching:
+            _saved_intervals.append(_saved_intervals[0] if _saved_intervals
+                                    else sys.getswitchinterval())
+            sys.setswitchinterval(_SWITCH_INTERVAL)
+        yield run
+    finally:
+        jobs.put(None)
+        worker.join()
+        with _switching:
+            interval = _saved_intervals.pop()
+            if not _saved_intervals:
+                sys.setswitchinterval(interval)
+
 
 def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
     """Online training of a stack of maps, map f on rows of ``Xs[f]`` drawn
@@ -385,6 +513,13 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
     nodes), and are written back once at the end. Every step is
     elementwise, and the BMU search re-ranks its scores exactly, so each map
     gets the bits of a run of its own.
+
+    Each handoff pulls the weights by the last step and forms the next
+    row's differences and their scores, on the parts of the features that
+    :func:`_feature_parts` gives. A large euclidean or manhattan stack on two
+    CPUs has two halves, the second stepped by a worker thread, and
+    :func:`somkit.distances._bmu_row` gets the sum of their scores; every
+    weight and BMU, and so every output, is the one of a single part.
     """
     k, n = len(grids), grids[0].feature_dim
     search = _row_search(config.metric, cov_invs, Xs, [grid.flat for grid in grids])
@@ -392,20 +527,20 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
     kernel, schedules = _neighbourhood(config, config.n_iter_unsupervised, chunk)
     W = np.array([grid.flat.T for grid in grids], order="C")
     delta = np.empty_like(W)
-    # One difference array serves the BMU search and the pull. A copy and
-    # then a subtraction beat one subtraction that broadcasts x along the
-    # contiguous node axis: 116-147 against 182-187 us at 800 nodes x 204
-    # features, 39-45 against 60-69 us at 5 maps of 400 x 32, and the same at
-    # 400 x 2 (best of 7, 2 cores).
-    with np.errstate(over="ignore", invalid="ignore"):
-        for alphas, sigmas in schedules:
-            rows = np.stack([X[rng.integers(len(X), size=len(alphas))]
-                             for X, rng in zip(Xs, rngs)], axis=1)
-            for x, alpha, sigma in zip(rows, alphas.tolist(), sigmas.tolist()):
-                np.copyto(delta, x[:, :, None])
-                np.subtract(delta, W, out=delta)
-                bmus = np.divmod(_bmu_row(delta, search), config.n_column)
-                _pull(W, delta, alpha * kernel(*bmus, sigma).reshape(k, 1, -1))
+    parts = [(f, W[:, f], delta[:, f], np.empty((k, W.shape[2])))
+             for f in _feature_parts(config.metric, W.shape)]
+    rows = ((x, alpha, sigma) for alphas, sigmas in schedules
+            for x, alpha, sigma in zip(
+                np.stack([X[rng.integers(len(X), size=len(alphas))]
+                          for X, rng in zip(Xs, rngs)], axis=1),
+                alphas.tolist(), sigmas.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"), _handoffs(parts, search) as run:
+        step = None
+        for x, alpha, sigma in rows:
+            scores = run(step, x)
+            bmus = np.divmod(_bmu_row(delta, search, scores), config.n_column)
+            step = alpha * kernel(*bmus, sigma).reshape(k, 1, -1)
+        run(step, None)
     if not np.isfinite(W).all():
         raise _diverged(config, "the node weights overflowed")
     if any(_overflows(config.metric, kappa, X, w.T)

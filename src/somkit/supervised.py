@@ -134,6 +134,8 @@ def _fit_regressors(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[Re
             for target, step in zip(targets, steps):
                 np.subtract(target[:, None, None], values, out=delta)
                 _pull(values, delta, step)
+            # release the chunk's targets before the next one is drawn
+            del targets, target
     if not np.isfinite(values).all():
         raise _diverged(config, "the head values overflowed")
     return [RegressionHead(v) for v in values]
@@ -299,6 +301,8 @@ def _fit_classifiers(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[C
         last = len(flip) - 1 - flip[::-1].argmax(axis=0)
         hit = np.nonzero(flip.any(axis=0))
         codes[hit] = targets[last[hit], hit[0]]
+        # release the chunk's masks and targets before the next one is drawn
+        del targets, flip, last, hit
     return [ClassificationHead(c, head.class_set) for c, head in zip(codes, heads)]
 
 

@@ -16,9 +16,9 @@ with a train section, ``export-maps`` for each head kind, predictions from
 model files of format version 1 kept under ``tests/data``, and the
 ``--help`` text of ``somkit`` and of each command at 80 columns. Two cases
 at the benchmark's sizes pin the block BMU search where it spans several
-blocks: a 40x20 euclidean map of 204 features and a 20x20 mahalanobis batch
-map of 32 correlated features, each through ``train``, ``predict`` and
-``export-maps``. Records
+blocks: a 40x20 euclidean map of 204 features, whose online fit steps on
+two feature halves, and a 20x20 mahalanobis batch map of 32 correlated
+features, each through ``train``, ``predict`` and ``export-maps``. Records
 are hashed without their path entries, which differ between runs. The
 inputs are generated here from numpy alone, so a change to ``somkit``'s
 synthetic data helpers cannot change them.
@@ -42,6 +42,7 @@ import pytest
 import somkit.cli
 import somkit.distances
 import somkit.model_io
+import somkit.som
 from somkit import seeding
 from somkit.cli import main
 from somkit.schedules import learning_rate, neighborhood_radius
@@ -710,5 +711,12 @@ def _block_case_outputs(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
-def test_golden_multi_block_outputs(tmp_path, name):
+def test_golden_multi_block_outputs(tmp_path, monkeypatch, name):
+    # the online map of 40x20 nodes and 204 features steps on two feature
+    # halves, on any machine
+    monkeypatch.setattr(somkit.som, "_usable_cpus", lambda: 2)
+    feature_parts, parts = somkit.som._feature_parts, []
+    monkeypatch.setattr(somkit.som, "_feature_parts",
+                        lambda *args: parts.append(len(got := feature_parts(*args))) or got)
     assert _block_case_outputs(tmp_path, name) == GOLDEN_BLOCKS[name]
+    assert parts == ([2] if BLOCK_CASES[name][2] == "euclidean" else [])

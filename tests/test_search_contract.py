@@ -5,7 +5,8 @@ Each search returns, for every row, the node that the argmin of
 index: ``transform`` at its default block size and in many small blocks,
 the block search on blocks of one row, and the online fit's row search over
 a stack of maps that hold the nodes in permuted orders, each mahalanobis map
-with its own inverse covariance. The cases plant what a fast
+with its own inverse covariance, and euclidean and manhattan also from the
+sum of two feature halves' scores. The cases plant what a fast
 search gets wrong: near twins at relative gaps of 1e-16 to 1e-12, exact
 duplicates, rows equidistant from two nodes, an offset near 1e6 with a
 spread of 1, scales from 1e-160 up to just inside the overflow check, and
@@ -162,8 +163,14 @@ def test_every_search_finds_the_oracle_bmu(case):
     search = distances._row_search(metric, cov_invs, [X] * len(perms), [W] * len(perms))
     for i in range(len(X)):
         at = (i + np.arange(len(perms))) % len(X)
-        got = distances._bmu_row(X[at][:, :, None] - maps, search)
-        assert got.tolist() == [int(d_f[j, p].argmin()) for d_f, j, p in zip(d, at, perms)]
+        D = X[at][:, :, None] - maps
+        expected = [int(d_f[j, p].argmin()) for d_f, j, p in zip(d, at, perms)]
+        assert distances._bmu_row(D, search).tolist() == expected
+        if metric != "mahalanobis":
+            # the two-part online fit adds the scores of two feature halves
+            h = D.shape[1] // 2
+            scores = distances._row_scores(D[:, :h], search) + distances._row_scores(D[:, h:], search)
+            assert distances._bmu_row(D, search, scores).tolist() == expected
 
 
 @st.composite
