@@ -359,12 +359,12 @@ def cmd_export_maps(args: argparse.Namespace) -> int:
     _require(args, "model", "data", "out_dir")
     model = load_model(args.model)
     data = _load_for_model(args.data, args.label_column, "none")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     counts = bmu_histogram(
         model.grid, model.prepare(data.X), model.config.metric, model.cov_inv
     )
+    # made only now, so that a command that fails leaves no directory
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "bmu_histogram.csv", ["row", "column", "count"], counts)
     if model.head is None:
         print("model has no supervised head; skipped output_map.csv", file=sys.stderr)

@@ -6,7 +6,9 @@ rejected with the offending row and column named, never silently skipped.
 
 :func:`load_csv` reads a file column-wise with numpy's C text reader
 (``np.loadtxt``) where it can: this fast path stands only where its checks
-show that the row-by-row ``csv`` loop would return the same arrays. The
+show that the row-by-row ``csv`` loop would return the same arrays. One
+check is per line: every line that is not empty must hold as many commas as
+the header, so a short row and a long row never pass as two full ones. The
 loop is authoritative. It reads every other file, malformed ones included,
 and words every error.
 """
@@ -17,7 +19,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -111,53 +112,65 @@ def load_csv(path, label_column: str | None = None, label_kind: str = "none") ->
     return LabeledDataset(X, y, feature_names, label_kind)
 
 
-def _line_stats(path: Path) -> tuple[int, int, int]:
-    """Lines, commas and the bytes of the longest line in the file at ``path``.
+def _line_stats(path: Path, n_fields: int) -> tuple[int, int, bool]:
+    """Lines and the bytes of the longest line in the file at ``path``, and
+    whether every line that is not empty holds ``n_fields - 1`` commas.
 
     A line ends at "\\n", "\\r" or "\\r\\n", where csv and numpy's reader
-    both end one; a last line without an end counts too.
+    both end one; a last line without an end counts too. Each block read
+    runs on to the next "\\n", so no line and no "\\r\\n" spans two blocks;
+    a file whose lines end by "\\r" alone is read as one block.
     """
-    lines = commas = longest = 0
-    last = b"\n"  # the byte before the current block
-    start = offset = 0  # file offsets of the current line and block
+    q = n_fields - 1
+    # Each line's commas are summed in the narrowest type that holds q, where
+    # a sum wraps: one equal to q means q commas plus a multiple of 2**bits,
+    # at least q. Such lines have q each exactly when they have q per line
+    # in all, which the file's exact total shows.
+    dtype = np.min_scalar_type(q)
+    lines = longest = commas = filled = 0
+    all_q = True
     with path.open("rb") as fh:
-        for block in iter(partial(fh.read, 1 << 20), b""):
+        for block in iter(lambda: fh.read(1 << 20) + fh.readline(), b""):
             data = np.frombuffer(block, np.uint8)
-            cr = data == 13
-            ends = np.flatnonzero(cr | (data == 10))
+            line_end = data == 10
+            if b"\r" in block:
+                cr = data == 13
+                # a "\r\n" ends one line, not one and an empty one
+                lines -= np.count_nonzero(cr[:-1] & line_end[1:])
+                line_end |= cr
+            ends = np.flatnonzero(line_end)
+            if not ends.size or ends[-1] < len(data) - 1:  # a last line without an end
+                ends = np.append(ends, len(data))
+            starts = np.r_[0, ends[:-1] + 1]
             lines += ends.size
-            if last == b"\r" and block[:1] == b"\n":
-                lines -= 1
-            if cr.any():
-                lines -= np.count_nonzero(cr[:-1] & (data[1:] == 10))
-            if ends.size:
-                gaps = np.diff(ends, prepend=start - offset - 1) - 1
-                longest = max(longest, int(gaps.max()))
-                start = offset + int(ends[-1]) + 1
-            commas += np.count_nonzero(data == 44)
-            last = block[-1:]
-            offset += len(block)
-    longest = max(longest, offset - start)
-    return int(lines) + (last not in (b"\n", b"\r")), int(commas), longest
+            sizes = ends - starts
+            longest = max(longest, int(sizes.max()))
+            is_comma = data == 44
+            commas += np.count_nonzero(is_comma)
+            counts = np.add.reduceat(is_comma.view(np.uint8), starts, dtype=dtype)[sizes > 0]
+            filled += counts.size
+            all_q = all_q and bool((counts == q).all())
+    return int(lines), longest, all_q and commas == filled * q
 
 
 def _read_columns(path: Path, n_fields: int, label_idx: int | None, label_kind: str):
     """(X, y) read column-wise by numpy's C reader, or None for the row loop.
 
-    The reader skips blank lines, ignores fields beyond ``usecols``,
-    accepts non-finite numbers and has no field size limit, so its result
-    stands only when it has one row per line after the header, the file has
-    ``n_fields - 1`` commas on every line (a short row makes the reader
-    raise, so no line has more, and no quoted cell holds one), no line is
-    longer than ``csv.field_size_limit()`` (so no cell is), and every number
-    is finite. Any other file, and any failure of the reader, is left to
+    The reader skips blank lines, ignores fields beyond ``usecols`` (so a
+    row that lacks only such fields passes too), accepts non-finite numbers
+    and has no field size limit. So its result stands only when it has one
+    row per line after the header, every line that is not empty holds
+    ``n_fields - 1`` commas (so every row has the header's width, unless a
+    quoted cell holds a comma, which the reader cannot parse as a number or
+    finds short of a column), no line is longer than
+    ``csv.field_size_limit()`` (so no cell is), and every number is finite.
+    Any other file, and any failure of the reader, is left to
     :func:`_read_rows`, which words every error.
     """
-    lines, commas, longest = _line_stats(path)
-    features = [i for i in range(n_fields) if i != label_idx]
-    if (lines < 2 or not features or commas != lines * (n_fields - 1)
-            or longest > csv.field_size_limit()):
+    lines, longest, even = _line_stats(path, n_fields)
+    if lines < 2 or not even or longest > csv.field_size_limit():
         return None
+    features = [i for i in range(n_fields) if i != label_idx]
     options = dict(delimiter=",", skiprows=1, comments=None, quotechar='"', encoding="utf-8")
     try:
         with warnings.catch_warnings():

@@ -389,23 +389,21 @@ def _row_scores(D: np.ndarray, search: tuple, out=None) -> np.ndarray:
     return np.einsum("fin,fin->fn", Z, Z, out=out)
 
 
-def _bmu_row(D: np.ndarray, search: tuple, scores=None) -> np.ndarray:
+def _bmu_row(D: np.ndarray, search: tuple, scores: np.ndarray) -> np.ndarray:
     """Flat index of the nearest node to row x_f in map f, for each map of a
-    stack; the contract of :func:`_bmu_block`.
+    stack; the contract of :func:`_bmu_block`. Online training passes these
+    node indices to its kernel as they are.
 
     ``D`` holds each map's differences x_f - W_f node-major, (maps, n,
     nodes), which online training computes once per iteration for the
     search and the pull; ``search`` is the maps' :func:`_row_search`.
     ``scores`` are the maps' :func:`_row_scores` of ``D``, summed in any
-    order: online training may add the scores of two feature halves. They
-    are computed from ``D`` if not given. Tanimoto maps never train. The
-    nodes within a rounding bound of each map's minimum are re-ranked by
-    :func:`_rerank` on the whole of ``D``.
+    order: online training may add the scores of two feature halves.
+    Tanimoto maps never train. The nodes within a rounding bound of each
+    map's minimum are re-ranked by :func:`_rerank` on the whole of ``D``.
     """
     metric, cov_inv, _, kappa = search
     n = D.shape[1]
-    if scores is None:
-        scores = _row_scores(D, search)
     best = scores.argmin(axis=1)
     lowest = scores.min(axis=1, keepdims=True)
     if metric == "mahalanobis":

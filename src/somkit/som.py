@@ -27,9 +27,14 @@ The online fit builds its maps' search once, by
 :func:`somkit.distances._row_search`, which checks each map's data and
 initial weights, and then finds each step's BMUs from the differences x - W
 that the pull needs too, by :func:`somkit.distances._bmu_row`, for every
-trainable metric. Every other BMU search, :func:`find_bmu` included, is
-:func:`transform`, which checks the shape of its rows and leaves the rest of
-the search to :func:`somkit.distances._nearest`.
+trainable metric. Every other BMU search is :func:`_bmu_nodes`, which checks
+the shape of its rows and leaves the rest of the search to
+:func:`somkit.distances._nearest`. Both searches give each BMU as its node's
+row-major index, and the kernel, the heads, :func:`bmu_histogram`,
+:func:`quantization_error` and prediction take it as it is. Only the public
+signatures hold (row, column) pairs, each converting once: :func:`transform`
+and :func:`find_bmu` return them, and :func:`batch_update` takes them. The
+batch map trains through these two public functions.
 
 A large euclidean or manhattan online fit on two usable CPUs steps on two
 halves of the features at once, the second in a worker thread that
@@ -189,8 +194,8 @@ def init_weights(config: SomConfig, X, rng: np.random.Generator) -> WeightGrid:
 
 def find_bmu(grid: WeightGrid, x, metric: str = "euclidean", cov_inv=None) -> tuple[int, int]:
     """Index of the node closest to ``x``; ties go to the smallest row-major index."""
-    row, column = transform(grid, _check_vector(grid, x)[None], metric, cov_inv)[0]
-    return int(row), int(column)
+    return divmod(int(_bmu_nodes(grid, _check_vector(grid, x)[None], metric, cov_inv)[0]),
+                  grid.n_column)
 
 
 def _offset_distances(shape: tuple[int, int]) -> np.ndarray:
@@ -302,12 +307,14 @@ def batch_update(
 
 def _neighbourhood(config: SomConfig, t_max: int, chunk: int):
     """The per-fit set-up of the online map, the batch map and both heads:
-    ``kernel(rows, columns, sigma, out=None)``, the kernel around BMUs (rows,
-    columns) at radius sigma, for index arrays and radii that broadcast
-    together, and a generator of the learning rates and the radii of
-    iterations 0..t_max-1 as float arrays, ``chunk`` iterations at a time,
-    the schedules running over ``max(t_max, 1)`` iterations. Each chunk is
-    evaluated as it is drawn, so no array grows with ``t_max``.
+    ``kernel(nodes, sigma, out=None)``, the kernel around the BMUs ``nodes``
+    at radius sigma, for index arrays and radii that broadcast together, and
+    a generator of the learning rates and the radii of iterations
+    0..t_max-1 as float arrays, ``chunk`` iterations at a time, the
+    schedules running over ``max(t_max, 1)`` iterations. Each chunk is
+    evaluated as it is drawn, so no array grows with ``t_max``. A BMU is
+    the node index that the searches return, row-major, as everywhere
+    inside the fits.
     """
     _check_kernel(config.kernel)
     mexican_hat = config.kernel == "mexican-hat"
@@ -316,8 +323,10 @@ def _neighbourhood(config: SomConfig, t_max: int, chunk: int):
     neg_d2 = _neg_squared_distances(config.grid_shape)
     steps = range(t_max)
 
-    def kernel(rows, columns, sigma, out=None):
-        return _kernel(neg_d2[rows, columns], sigma, mexican_hat, out)
+    def kernel(nodes, sigma, out=None):
+        # the table is a view over node offsets, O(nodes), so it is indexed
+        # by (row, column); reshaped to one node axis it would be a copy
+        return _kernel(neg_d2[np.divmod(nodes, config.n_column)], sigma, mexican_hat, out)
     # Given its count, fromiter allocates a chunk once. Grown, the chunks left
     # 0.6 MB more peak RSS in a CLI crossval of 5 folds on 20x20 nodes.
     return kernel, ((np.fromiter(map(lr, t), float, len(t)),
@@ -538,8 +547,7 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
         step = None
         for x, alpha, sigma in rows:
             scores = run(step, x)
-            bmus = np.divmod(_bmu_row(delta, search, scores), config.n_column)
-            step = alpha * kernel(*bmus, sigma).reshape(k, 1, -1)
+            step = alpha * kernel(_bmu_row(delta, search, scores), sigma).reshape(k, 1, -1)
         run(step, None)
     if not np.isfinite(W).all():
         raise _diverged(config, "the node weights overflowed")
@@ -551,24 +559,29 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
         grid.flat[...] = weights.T
 
 
-def transform(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> np.ndarray:
-    """BMU (row, column) of every row of ``X``; shape (N, 2), no grid mutation."""
+def _bmu_nodes(grid: WeightGrid, X, metric: str, cov_inv) -> np.ndarray:
+    """BMU node index of every row of ``X``, (N,), row-major: the search of
+    every caller but online training, behind the check of the rows' shape."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != grid.feature_dim):
         raise ValueError(
             f"data has shape {X.shape}, grid expects dimension {grid.feature_dim}"
         )
-    out = np.empty((X.shape[0], 2), dtype=int)
-    np.divmod(_nearest(grid.flat, X, metric, cov_inv), grid.n_column, out=(out[:, 0], out[:, 1]))
+    return _nearest(grid.flat, X, metric, cov_inv)
+
+
+def transform(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> np.ndarray:
+    """BMU (row, column) of every row of ``X``; shape (N, 2), no grid mutation."""
+    nodes = _bmu_nodes(grid, X, metric, cov_inv)
+    out = np.empty((len(nodes), 2), dtype=int)
+    np.divmod(nodes, grid.n_column, out=(out[:, 0], out[:, 1]))
     return out
 
 
 def bmu_histogram(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> np.ndarray:
     """Per-node count of datapoints whose BMU is that node."""
-    shape = (grid.n_row, grid.n_column)
-    bmus = transform(grid, X, metric, cov_inv)
-    flat = np.ravel_multi_index(tuple(bmus.T), shape)
-    return np.bincount(flat, minlength=grid.n_row * grid.n_column).reshape(shape)
+    nodes = _bmu_nodes(grid, X, metric, cov_inv)
+    return np.bincount(nodes, minlength=len(grid.flat)).reshape(grid.weights.shape[:2])
 
 
 def quantization_error(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> float:
@@ -576,6 +589,5 @@ def quantization_error(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=N
     X = np.asarray(X, dtype=float)
     if X.shape[0] == 0:
         raise ValueError("quantization error needs at least one datapoint")
-    bmus = transform(grid, X, metric, cov_inv)
-    nodes = grid.weights[bmus[:, 0], bmus[:, 1]]
+    nodes = grid.flat[_bmu_nodes(grid, X, metric, cov_inv)]
     return float(np.mean(paired_distances(X, nodes, metric, cov_inv)))

@@ -16,6 +16,11 @@ its uniforms, and flips the chunk's nodes at once: the flip probabilities do
 not depend on the codes, so a node's last flip in a chunk sets its code.
 Either way the heads and generator states are those of the loop one
 iteration at a time.
+
+Each datapoint's BMU is found once, by :func:`somkit.som._bmu_nodes`, and
+stays the node index that the search returns through the heads' set-up,
+their loop and prediction. Only :func:`init_classifier` takes (row, column)
+pairs, as the public :func:`somkit.som.transform` gives them.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .som import SomConfig, WeightGrid, _diverged, _neighbourhood, _pull, transform
+from .som import SomConfig, WeightGrid, _bmu_nodes, _diverged, _neighbourhood, _pull
 
 
 @dataclass
@@ -125,8 +130,7 @@ def _fit_regressors(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[Re
         heads.append(RegressionHead(rng.uniform(low, high, size=(grid.n_row, grid.n_column))))
         # The unsupervised grid is fully trained, so each datapoint's BMU is
         # fixed; compute them once.
-        bmus = transform(grid, X, config.metric, cov_inv)
-        per_run.append((*bmus.T, y, np.ones(len(y))))
+        per_run.append((_bmu_nodes(grid, X, config.metric, cov_inv), y, np.ones(len(y))))
     values = np.stack([head.values for head in heads])
     delta = np.empty_like(values)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -143,8 +147,7 @@ def _fit_regressors(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[Re
 
 def _predict(unsup: WeightGrid, head, X, metric: str, cov_inv) -> np.ndarray:
     """The head's node label at each row's BMU, for either head."""
-    bmus = transform(unsup, X, metric, cov_inv)
-    return head.labels[bmus[:, 0], bmus[:, 1]]
+    return head.labels.reshape(-1)[_bmu_nodes(unsup, X, metric, cov_inv)]
 
 
 def predict_regression(
@@ -174,27 +177,31 @@ def init_classifier(
     Each node takes the modal class of the datapoints mapped to it; per-node
     ties are broken by a uniform draw among the tied classes, one draw per
     tied node in row-major order, and nodes with no mapped datapoints fall
-    back to the global modal class. Precomputed ``bmus`` may be passed to
-    skip the BMU scan.
+    back to the global modal class. Precomputed ``bmus``, (row, column)
+    pairs as :func:`somkit.som.transform` gives them, may be passed to skip
+    the BMU scan.
     """
     X, y = _check_labeled(unsup, X, y)
-    if rng is None:
-        rng = np.random.default_rng()
-    class_set, y_codes = encode_classes(y)
-    n_classes = class_set.size
+    nodes = (_bmu_nodes(unsup, X, metric, cov_inv) if bmus is None
+             else np.ravel_multi_index(tuple(np.asarray(bmus).T), unsup.weights.shape[:2]))
+    return _vote(unsup, nodes, *encode_classes(y), rng or np.random.default_rng())
 
-    votes = np.zeros((unsup.n_row, unsup.n_column, n_classes), dtype=int)
-    if bmus is None:
-        bmus = transform(unsup, X, metric, cov_inv)
-    np.add.at(votes, (bmus[:, 0], bmus[:, 1], y_codes), 1)
+
+def _vote(unsup: WeightGrid, nodes: np.ndarray, class_set: np.ndarray, y_codes: np.ndarray,
+          rng: np.random.Generator) -> ClassificationHead:
+    """:func:`init_classifier` for datapoints of BMUs ``nodes`` and classes
+    ``class_set[y_codes]``."""
+    n_classes = class_set.size
+    votes = np.zeros((len(unsup.flat), n_classes), dtype=int)
+    np.add.at(votes, (nodes, y_codes), 1)
 
     global_mode = int(np.argmax(np.bincount(y_codes, minlength=n_classes)))
-    top = votes.max(axis=2)
-    tied = votes == top[:, :, None]
-    codes = np.where(top == 0, global_mode, votes.argmax(axis=2))
-    for r, c in zip(*np.nonzero((top > 0) & (tied.sum(axis=2) > 1))):
-        codes[r, c] = rng.choice(np.flatnonzero(tied[r, c]))
-    return ClassificationHead(codes, class_set)
+    top = votes.max(axis=1)
+    tied = votes == top[:, None]
+    codes = np.where(top == 0, global_mode, votes.argmax(axis=1))
+    for node in np.flatnonzero((top > 0) & (tied.sum(axis=1) > 1)):
+        codes[node] = rng.choice(np.flatnonzero(tied[node]))
+    return ClassificationHead(codes.reshape(unsup.weights.shape[:2]), class_set)
 
 
 def class_weights(y, enabled: bool) -> dict:
@@ -230,7 +237,7 @@ def _head_chunks(config: SomConfig, rngs, per_run, uniforms: bool):
     """The training loop of both heads, for a stack of k runs that share
     ``config``, a chunk of m iterations at a time.
 
-    ``per_run[f]`` holds run f's datapoints: their BMUs' rows and columns,
+    ``per_run[f]`` holds run f's datapoints: their BMUs' node indices,
     their targets and their weights. Each chunk yields the picked targets,
     (m, k), the steps P = weight x alpha x h, (m, k, n_row, n_column), h the
     kernel around the picked BMU, and, with ``uniforms``, the uniforms each
@@ -242,10 +249,10 @@ def _head_chunks(config: SomConfig, rngs, per_run, uniforms: bool):
     :func:`somkit.som._neighbourhood` yields, so nothing grows with the
     iteration count.
     """
-    sizes = [len(rows) for rows, *_ in per_run]
+    sizes = [len(nodes) for nodes, *_ in per_run]
     # run f's rows follow those of the runs before it
     offsets = np.cumsum([0, *sizes[:-1]]).tolist()
-    rows, columns, targets, weights = map(np.concatenate, zip(*per_run))
+    nodes, targets, weights = map(np.concatenate, zip(*per_run))
     t_max = config.n_iter_supervised
     shape = (len(rngs), *config.grid_shape)
     chunk = max(1, min(t_max, _HEAD_CHUNK_BYTES // (8 * int(np.prod(shape)))))
@@ -264,7 +271,7 @@ def _head_chunks(config: SomConfig, rngs, per_run, uniforms: bool):
                     rng.random(out=u_f)
         else:
             j[:] = np.column_stack([r.integers(n, size=m) for r, n in zip(rngs, sizes)]) + offsets
-        kernel(rows[j], columns[j], sigmas[:, None, None, None], p)
+        kernel(nodes[j], sigmas[:, None, None, None], p)
         np.multiply((weights[j] * alphas[:, None])[:, :, None, None], p, out=p)
         yield targets[j], p, u
 
@@ -284,12 +291,12 @@ def _fit_classifiers(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[C
     heads, per_run = [], []
     for grid, X, y, rng, cov_inv in zip(grids, Xs, ys, rngs, cov_invs):
         X, y = _check_labeled(grid, X, y)
-        bmus = transform(grid, X, config.metric, cov_inv)
-        heads.append(init_classifier(grid, X, y, config.metric, rng, cov_inv, bmus=bmus))
+        nodes = _bmu_nodes(grid, X, config.metric, cov_inv)
         class_set, y_codes = encode_classes(y)
+        heads.append(_vote(grid, nodes, class_set, y_codes, rng))
         weight_by_label = class_weights(y, config.class_weighting)
         code_weights = np.array([weight_by_label[cls] for cls in class_set.tolist()])
-        per_run.append((*bmus.T, y_codes, code_weights[y_codes]))
+        per_run.append((nodes, y_codes, code_weights[y_codes]))
     codes = np.stack([head.codes for head in heads])
     for targets, P, U in _head_chunks(config, rngs, per_run, uniforms=True):
         # A node flips where a uniform draw u lands below P = class weight x

@@ -860,12 +860,14 @@ class TestPredict:
         out = {"predict": ["--output", str(tmp_path / "p.csv")],
                "evaluate": [], "export-maps": ["--out-dir", str(tmp_path / "maps")]}[command]
         capsys.readouterr()
+        files = sorted(tmp_path.iterdir())
         rc = main([command, "--model", str(model_path), "--data", str(data),
                    "--label-column", "lab", *out])
         assert rc == 2
         expects = "the min-max scaling expects" if scaled else "grid expects"
         assert capsys.readouterr().err == (
             f"somkit: error: data has shape (40, {width}), {expects} dimension 3\n")
+        assert sorted(tmp_path.iterdir()) == files  # not even an empty --out-dir
 
 
 class TestEvaluate:
@@ -1164,6 +1166,28 @@ class TestExportMaps:
               "--label-column", "target", "--out-dir", str(tmp_path / "maps")])
         assert reg_csv.read_bytes() == before
         assert model_path.read_bytes() == model_before
+
+
+# a short row and a long row; their commas add up to those of two full rows,
+# and a run without a head reads no field of the last column
+@pytest.mark.parametrize("command", ["predict", "export-maps", "train"])
+def test_ragged_rows_before_a_last_label_exit_2_and_write_nothing(tmp_path, capsys, command):
+    train = tmp_path / "train.csv"
+    train.write_text("a,b,y\n" + "".join(f"{i % 5},{i % 3},{i % 2}\n" for i in range(30)))
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", str(train), "--label-column", "y",
+                 "--head", "classification", "--model", str(model_path), *FAST]) == 0
+    data = tmp_path / "ragged.csv"
+    data.write_text("a,b,y\n1,2\n3,4,5\n6,7,8,9\n")
+    out = tmp_path / "out"
+    argv = {"predict": ["--model", str(model_path), "--output", str(out)],
+            "export-maps": ["--model", str(model_path), "--out-dir", str(out)],
+            "train": ["--model", str(out), *FAST]}[command]
+    capsys.readouterr()
+    assert main([command, "--data", str(data), "--label-column", "y", *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"somkit: data error: {data}: row 1 has 2 fields, expected 3\n")
+    assert not out.exists()
 
 
 class TestReproducibility:

@@ -13,7 +13,11 @@ prints exactly one line on stderr, led by ``somkit:``. The runs go through
 - data files: 12 rows whose feature cells are drawn from the finite
   extremes (+-1e308, the largest float, the smallest subnormal, -0.0 and 0),
   a column of one value, or duplicated rows, through ``train`` with and
-  without min-max scaling, ``crossval`` and ``predict``.
+  without min-max scaling, ``crossval`` and ``predict``;
+- ragged data files: rows one field short and rows one field long, the label
+  column last, through ``train`` and ``crossval`` with a head and ``train``,
+  ``predict`` and ``export-maps`` without one. Each of these runs must exit
+  with 2 and write nothing.
 
 The probe values are null, the booleans, 0, -1, 1.5, +-1e308, 2^70, a
 string, a list and an object. Grid sides and iteration counts are fixed and
@@ -31,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from somkit.cli import _CONFIG_OPTIONS, main
 from somkit.datasets import save_csv, synthetic_blobs, synthetic_regression
@@ -54,6 +58,7 @@ def run(argv):
     if rc:
         lines = err.getvalue().splitlines(keepends=True)
         assert len(lines) == 1 and lines[0].startswith("somkit:"), (argv, err.getvalue())
+    return rc
 
 
 def json_paths(value, path=()):
@@ -208,3 +213,40 @@ def test_a_data_file_of_odd_quoting_and_line_ends_keeps_the_contract(
     if not final_line_end:
         text = text.rstrip("\r\n")
     run_data_file(models, text.encode("utf-8", errors="surrogateescape"))
+
+
+@settings(FUZZ, max_examples=40)
+@given(
+    st.lists(st.tuples(st.integers(1, 12), st.sampled_from(["short", "long"]), st.integers(0, 2)),
+             min_size=1, max_size=4, unique_by=lambda change: change[0]),
+    LINE_ENDS,
+    st.booleans(),
+)
+# as many short rows as long ones: their commas add up to those of full rows
+@example([(1, "short", 2), (3, "long", 0)], "\n", True)
+def test_a_data_file_of_ragged_rows_exits_2_and_writes_nothing(setting, changes, line_end,
+                                                               final_line_end):
+    """Rows of the regression data, whose label column is last, with a field
+    left out or one more added, through runs with and without a head."""
+    data, models = setting
+    rows = [["x0", "x1", "target"], *(
+        [repr(v) for v in row]
+        for row in np.loadtxt(data["regression"][0], delimiter=",", skiprows=1).tolist())]
+    for row, change, field in changes:
+        if change == "short":
+            del rows[row][field]
+        else:
+            rows[row].insert(field, "0.5")
+    small = [v for key, value in SMALL.items() for v in ("--" + key.replace("_", "-"), value)]
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, model, out = Path(tmp) / "d.csv", Path(tmp) / "m.json", Path(tmp) / "out"
+        csv.write_bytes((line_end.join(map(",".join, rows)) + line_end * final_line_end).encode())
+        model.write_text(json.dumps(models["regression"][0]))
+        for argv in (["train", "--head", "regression", "--model", str(out), *small],
+                     ["crossval", "--head", "regression", "--k", "2", "--output", str(out),
+                      *small],
+                     ["train", "--model", str(out), *small],
+                     ["predict", "--model", str(model), "--output", str(out)],
+                     ["export-maps", "--model", str(model), "--out-dir", str(out)]):
+            assert run([*argv, "--data", str(csv), "--label-column", "target"]) == 2, argv
+            assert sorted(path.name for path in Path(tmp).iterdir()) == ["d.csv", "m.json"]

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from somkit import datasets
 from somkit.datasets import (
@@ -184,6 +184,11 @@ INGEST_CASES = {
     "extra field": ("a,b\n1,2\n3,4,5\n", None, "none", False),
     "extra field and short row": ("a,b\n1,2,3\n4\n", None, "none", False),
     "extra field beyond the label": ("a,y,b\n1,p,2\n3,q,4,5\n", "y", "categorical", False),
+    # no usecols reaches a dropped last column, and the two rows' commas
+    # add up to those of two full rows
+    "short and long row before a dropped last label": (
+        "c0,c1\n0.0\n0.0,0.0\n0.0,0.0\n0.0,0.0,0.0\n", "c1", "none", False),
+    "short and long row of three fields": ("a,b,y\n1,2\n3,4,5\n6,7,8,9\n", "y", "none", False),
     "header only": ("a,b\n", None, "none", False),
     "header only without line end": ("a,b", None, "none", False),
     "label first": ("y,a,b\np,1,2\nqq,3,4\n", "y", "categorical", True),
@@ -241,18 +246,24 @@ class TestColumnarIngest:
         assert not stood
         assert isinstance(got, str) == (extra > 0)
 
+    @pytest.mark.parametrize("n_fields", [1, 2, 3, 257])
     @pytest.mark.parametrize("text", [
         "a,b\n1,2\n", "a,b\r\n1,2\r\n", "a,b\r1,22\r", "a\n\n\n", "ab", "", "a,b\n1,234",
         "a\r\n" + "1" * (2**20 - 2) + "\r\n2\n", "a\n" + "1" * 2**20 + "\n", "a\n" + "é" * 2**20,
+        # a short and a long row; each line's count wraps past q commas by 256
+        # or 2**16, which only the file's total tells apart
+        "a,b\n1\n1,2,3\n", "a\n" + "," * 256, "a,b\n" + "," * 257 + "\n", "," * 256 + "\r\n1",
+        "," * 256 + "\n" + "," * (256 + 2**16) + "\n", "a,b\r\n\r\n1,2\r\r\n,\n",
     ])
-    def test_line_stats(self, tmp_path, text):
+    def test_line_stats(self, tmp_path, text, n_fields):
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode("utf-8"))
         lines = re.split("\r\n|\r|\n", text)
         if lines[-1] == "":
             lines.pop()
         longest = max((len(line.encode("utf-8")) for line in lines), default=0)
-        assert datasets._line_stats(path) == (len(lines), text.count(","), longest)
+        even = all(line.count(",") == n_fields - 1 for line in lines if line)
+        assert datasets._line_stats(path, n_fields) == (len(lines), longest, even)
 
     def test_blank_line_error_is_the_row_loops(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -370,6 +381,8 @@ class TestDroppedLabelColumn:
 
 @settings(max_examples=200, deadline=None)
 @given(_csv_files())
+# a short and a long row, which the fast path once took as two full ones
+@example(("c0,c1\n0.0\n0.0,0.0\n0.0,0.0\n0.0,0.0,0.0\n", "c1", "categorical"))
 def test_dropped_label_column_matches_categorical_read_on_generated_files(tmp_path_factory,
                                                                           file):
     text, label_column, _ = file

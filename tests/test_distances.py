@@ -189,8 +189,9 @@ def assert_searches_agree(grid, X, metric, cov_inv, monkeypatch):
     assert [int(distances._bmu_block(W, x[None], search, prepared)[0]) for x in X] == expected
     node_major = np.ascontiguousarray(W.T)[None]
     row_search = distances._row_search(metric, [cov_inv], [X], [W])
-    assert [int(distances._bmu_row(x[None, :, None] - node_major, row_search)[0])
-            for x in X] == expected
+    D = [x[None, :, None] - node_major for x in X]
+    assert [int(distances._bmu_row(d, row_search, distances._row_scores(d, row_search))[0])
+            for d in D] == expected
 
 
 PRODUCT_CASES = ("offset 1e6, spread 1", "offset 1e6, near twins", "near twins",
@@ -321,13 +322,16 @@ class TestVectorizedPaths:
                             for _ in X]
             search = distances._row_search(metric, cov_invs[:1], [X], [W])
             expected = oracle_bmus(W, X, metric, cov_invs[0])
-            got = [int(distances._bmu_row((x[:, None] - W.T)[None], search)[0]) for x in X]
+            D = [(x[:, None] - W.T)[None] for x in X]
+            got = [int(distances._bmu_row(d, search, distances._row_scores(d, search))[0])
+                   for d in D]
             assert got == expected, name
             maps = np.stack([np.roll(W, f, axis=0).T for f in range(len(X))])
             expected = [oracle_bmus(w.T, x[None], metric, c)[0]
                         for w, x, c in zip(maps, X, cov_invs)]
             search = distances._row_search(metric, cov_invs, [X] * len(X), [W] * len(X))
-            got = distances._bmu_row(X[:, :, None] - maps, search)
+            D = X[:, :, None] - maps
+            got = distances._bmu_row(D, search, distances._row_scores(D, search))
             assert got.tolist() == expected, name
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -354,7 +358,9 @@ class TestVectorizedPaths:
         X, W = np.array(X), np.array(W)
         expected = [oracle_bmus(w, x[None], "mahalanobis", V)[0] for w, x, V in zip(W, X, cov_invs)]
         search = distances._row_search("mahalanobis", cov_invs, X[:, None], W)
-        assert distances._bmu_row(X[:, :, None] - W.transpose(0, 2, 1), search).tolist() == expected
+        D = X[:, :, None] - W.transpose(0, 2, 1)
+        scores = distances._row_scores(D, search)
+        assert distances._bmu_row(D, search, scores).tolist() == expected
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_block_search_under_subnormal_inverse_covariances(self, n):

@@ -165,7 +165,8 @@ def test_every_search_finds_the_oracle_bmu(case):
         at = (i + np.arange(len(perms))) % len(X)
         D = X[at][:, :, None] - maps
         expected = [int(d_f[j, p].argmin()) for d_f, j, p in zip(d, at, perms)]
-        assert distances._bmu_row(D, search).tolist() == expected
+        scores = distances._row_scores(D, search)
+        assert distances._bmu_row(D, search, scores).tolist() == expected
         if metric != "mahalanobis":
             # the two-part online fit adds the scores of two feature halves
             h = D.shape[1] // 2

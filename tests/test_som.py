@@ -243,12 +243,12 @@ def whole_schedules(cfg, t_max, chunk=7):
 
 def run_loop(cfg, t_max, bmus):
     """(alpha, h) of each iteration on a stack of one, whose BMU at iteration
-    t is ``bmus[t]``, as the training loops take them from
+    t is the node index ``bmus[t]``, as the training loops take them from
     :func:`somkit.som._neighbourhood`."""
     alphas, sigmas, kernel = whole_schedules(cfg, t_max)
     assert len(alphas) == len(sigmas) == t_max
-    return [(alpha, kernel([r], [c], sigma)[0])
-            for (r, c), alpha, sigma in zip(bmus, alphas.tolist(), sigmas.tolist())]
+    return [(alpha, kernel([node], sigma)[0])
+            for node, alpha, sigma in zip(bmus, alphas.tolist(), sigmas.tolist())]
 
 
 class TestNeighbourhoodStep:
@@ -265,24 +265,23 @@ class TestNeighbourhoodStep:
         lr, radius = ScheduleSpec("power", 0.7), ScheduleSpec("exponential", 2.5)
         cfg = SomConfig(n_row=6, n_column=4, kernel=kind, lr_schedule=lr, radius_schedule=radius)
         picks = np.random.default_rng(1).integers(24, size=28)
-        bmus = [(0, 0), (5, 3)] + [divmod(k, 4) for k in picks]
+        bmus = [0, 23, *picks.tolist()]  # (0, 0), (5, 3) and the picks, row-major
         steps = run_loop(cfg, 30, bmus)
         lr, radius = replace(lr, t_max=30), replace(radius, t_max=30)
         assert len(steps) == 30
         for t, (bmu, (alpha, h)) in enumerate(zip(bmus, steps)):
-            expected = kernel_matrix(bmu, neighborhood_radius(t, radius), kind, (6, 4))
+            expected = kernel_matrix(divmod(bmu, 4), neighborhood_radius(t, radius), kind, (6, 4))
             assert alpha == learning_rate(t, lr)
             assert h.tobytes() == expected.tobytes() and h.shape == (6, 4)
 
     @pytest.mark.parametrize("kind", ["gaussian", "mexican-hat"])
     def test_stacked_runs_step_as_separate_runs(self, kind):
         cfg = SomConfig(n_row=5, n_column=3, kernel=kind)
-        draws = np.random.default_rng(2).integers(15, size=(3, 40))
-        bmus = [[divmod(int(k), 3) for k in run] for run in draws]
+        bmus = np.random.default_rng(2).integers(15, size=(3, 40))
         separate = [run_loop(cfg, 40, run) for run in bmus]
         _, sigmas, kernel = whole_schedules(cfg, 40)
-        for t, bmu in enumerate(zip(*bmus)):
-            h = kernel(*np.array(bmu).T, sigmas[t])
+        for t, bmu in enumerate(bmus.T):
+            h = kernel(bmu, sigmas[t])
             assert h.shape == (3, 5, 3)
             for f, run in enumerate(separate):
                 assert h[f].tobytes() == run[t][1].tobytes()
@@ -290,7 +289,7 @@ class TestNeighbourhoodStep:
     def test_zero_iterations_still_define_schedules(self):
         cfg = SomConfig(n_iter_supervised=0)
         assert run_loop(cfg, 0, []) == []
-        ((alpha, h),) = run_loop(cfg, 1, [(0, 0)])
+        ((alpha, h),) = run_loop(cfg, 1, [0])
         assert alpha == 0.5 and h.shape == (10, 10)
 
     # chunks of 7: no iteration, one, a chunk but one, a chunk and one more

@@ -309,20 +309,20 @@ class TestClassChangeProbability:
     @staticmethod
     def probability(cfg, bmu, t, w_y):
         """Raw flip probability w_y x alpha x h at iteration ``t`` of the heads'
-        loop, run on a stack of one whose only datapoint has its BMU at ``bmu``
-        and weight ``w_y``."""
-        per_run = [([bmu[0]], [bmu[1]], [0], [w_y])]
+        loop, run on a stack of one whose only datapoint has its BMU at node
+        index ``bmu`` and weight ``w_y``."""
+        per_run = [([bmu], [0], [w_y])]
         chunks = supervised._head_chunks(cfg, [np.random.default_rng(0)], per_run, uniforms=False)
         return np.concatenate([P[:, 0].copy() for _, P, _ in chunks])[t]
 
     def test_product_at_bmu(self):
         cfg = self.make_config(lr_start=0.5)
-        P = self.probability(cfg, (1, 1), 0, 1.0)
+        P = self.probability(cfg, 4, 0, 1.0)  # node 4 is (1, 1)
         assert P[1, 1] == 0.5
 
     def test_clamped_to_one(self):
         cfg = self.make_config(lr_start=0.5)
-        P = self.probability(cfg, (1, 1), 0, 4.0)
+        P = self.probability(cfg, 4, 0, 4.0)
         assert P[1, 1] == 2.0
         # a raw probability of 1 or more flips its node on every draw: the
         # "B" row's class weight is 1.5, so P is 1.2 at the BMU
@@ -342,7 +342,7 @@ class TestClassChangeProbability:
             lr_schedule=ScheduleSpec("linear", 1.0, t_max=10),
             radius_schedule=ScheduleSpec("linear", 2.0, t_max=10),
         )
-        P = self.probability(cfg, (0, 0), 0, 1.0)
+        P = self.probability(cfg, 0, 0, 1.0)
         assert P.min() < 0.0
         # nodes where P <= 0 never flip; P is positive within radius 2
         config = dict(kernel="mexican-hat", lr_schedule=ScheduleSpec("start-end", 1.0, 1.0),
@@ -484,7 +484,8 @@ class TestChunkedHeads:
         weights = rng.uniform(0.2, 5.0, size=(t_max, k))
         kernel_of, schedules = _neighbourhood(cfg, t_max, 10)
         alphas, sigmas = map(np.concatenate, zip(*schedules))
-        h = kernel_of(rows, columns, sigmas[:, None, None, None], np.empty((t_max, k, 40, 20)))
+        h = kernel_of(rows * 20 + columns, sigmas[:, None, None, None],
+                      np.empty((t_max, k, 40, 20)))
         P = (weights * alphas[:, None])[:, :, None, None] * h
         steps = []
         oracles.sampled_loop(cfg, t_max, zip(rows, columns, weights),
