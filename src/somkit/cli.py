@@ -198,18 +198,23 @@ def _resolved_record(args: argparse.Namespace, config: SomConfig,
     return record
 
 
-def _write_resolved(record: dict, path: Path) -> None:
+def _write_sidecar(args: argparse.Namespace, anchor: str | Path, config: SomConfig,
+                   scale: bool | None = None) -> None:
+    """The run's resolved-config record, at ``--resolved-config`` or next to ``anchor``."""
+    path = Path(args.resolved_config or Path(anchor).with_suffix(".resolved.json"))
+    record = _resolved_record(args, config, scale)
     path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _resolved_path(explicit: str | None, anchor: str | Path) -> Path:
-    if explicit:
-        return Path(explicit)
-    return Path(anchor).with_suffix(".resolved.json")
-
-
-def _resolved_line(record: dict) -> str:
-    return "resolved_config: " + json.dumps(record, sort_keys=True)
+def _write_report(args: argparse.Namespace, report: EvaluationReport, config: SomConfig,
+                  scale: bool | None = None) -> None:
+    """``report`` and its trailing resolved-config line, to ``--output`` or stdout."""
+    record = _resolved_record(args, config, scale)
+    text = report.render() + "\nresolved_config: " + json.dumps(record, sort_keys=True)
+    if args.output:
+        Path(args.output).write_text(text + "\n", encoding="utf-8")
+    else:
+        print(text)
 
 
 def _load_for_model(path: str, label_column: str | None, head_kind: str) -> LabeledDataset:
@@ -272,40 +277,23 @@ def _write_csv(path: Path, header: list[str], values: np.ndarray) -> None:
         writer.writerows(rows)
 
 
-def _emit_report(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    scale, config = _validated_config(args)
-    if args.head is None:
-        args.head = "none"
-    _require(args, "data", "model")
+def cmd_train(args: argparse.Namespace, scale: bool, config: SomConfig) -> int:
     data = _load_for_model(args.data, args.label_column, args.head)
     (model,) = _train_models(config, [data], args.head, scale, [()])
     save_model(model, args.model)
-    _write_resolved(_resolved_record(args, config, scale),
-                    _resolved_path(args.resolved_config, args.model))
+    _write_sidecar(args, args.model, config, scale)
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    _validated_config(args)
-    _require(args, "model", "data", "output")
+def cmd_predict(args: argparse.Namespace, *_) -> int:
     model = load_model(args.model)
     data = _load_for_model(args.data, args.label_column, "none")
     _write_csv(Path(args.output), ["prediction"], model.predict(data.X))
-    _write_resolved(_resolved_record(args, model.config),
-                    _resolved_path(args.resolved_config, args.output))
+    _write_sidecar(args, args.output, model.config)
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    _validated_config(args)
-    _require(args, "model", "data", "label_column")
+def cmd_evaluate(args: argparse.Namespace, *_) -> int:
     model = load_model(args.model)
     if model.head_kind == "none":
         raise ValueError("model has no supervised head, nothing to evaluate")
@@ -315,20 +303,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.train_data:
         train = _load_for_model(args.train_data, args.label_column, model.head_kind)
         report.folds.append(_evaluate_model(model, train, "train"))
-    record = _resolved_record(args, model.config)
-    _emit_report(report.render() + "\n" + _resolved_line(record), args.output)
+    _write_report(args, report, model.config)
     return 0
 
 
-def cmd_crossval(args: argparse.Namespace) -> int:
+def cmd_crossval(args: argparse.Namespace, scale: bool, config: SomConfig) -> int:
     """k-fold cross-validation. Every fold is split, scaled and trained before
     any is evaluated, by the one training function of ``train``: fold i
     draws from the streams keyed ``(i,)``, so each model equals a run of
     that fold alone."""
-    scale, config = _validated_config(args)
-    _require(args, "data", "label_column", "head")
-    if args.k is None:
-        args.k = 5
     if args.k < 2:
         raise UsageError(f"k must be >= 2, got {args.k}")
     data = _load_for_model(args.data, args.label_column, args.head)
@@ -349,14 +332,11 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         )
         fold_reports.append(fold_report)
     report = mean_report(f"crossval mean over {args.k} folds: {args.head}", fold_reports)
-    record = _resolved_record(args, config, scale)
-    _emit_report(report.render() + "\n" + _resolved_line(record), args.output)
+    _write_report(args, report, config, scale)
     return 0
 
 
-def cmd_export_maps(args: argparse.Namespace) -> int:
-    _validated_config(args)
-    _require(args, "model", "data", "out_dir")
+def cmd_export_maps(args: argparse.Namespace, *_) -> int:
     model = load_model(args.model)
     data = _load_for_model(args.data, args.label_column, "none")
     counts = bmu_histogram(
@@ -370,23 +350,28 @@ def cmd_export_maps(args: argparse.Namespace) -> int:
         print("model has no supervised head; skipped output_map.csv", file=sys.stderr)
     else:
         _write_csv(out_dir / "output_map.csv", ["row", "column", "value"], model.head.labels)
-    _write_resolved(_resolved_record(args, model.config),
-                    _resolved_path(args.resolved_config, out_dir / "maps"))
+    _write_sidecar(args, out_dir / "maps", model.config)
     return 0
 
 
 class _Command(NamedTuple):
-    """A command: its handler, its help line and its own flags.
+    """A command: its handler, its help line, its own flags, the keys it
+    requires and its defaults.
 
     ``params`` maps each flag's key to its argparse keywords, in flag order.
     The keys are also the run keys a config file may set for the command, of
     the flag's type and one of its choices, and the entries of its
-    resolved-config record.
+    resolved-config record. :func:`main` merges the flags and the config file,
+    gives each key of ``defaults`` still unset its default, checks that every
+    key of ``required`` is set and then calls ``run(args, scale, config)``
+    with the minmax_scale switch and the SomConfig of the merged values.
     """
 
-    run: Callable[[argparse.Namespace], int]
+    run: Callable[[argparse.Namespace, bool, SomConfig], int]
     help: str
     params: dict[str, dict]
+    required: tuple[str, ...]
+    defaults: dict = {}
 
 
 _LABEL_HELP = "column to exclude from the features, if present"
@@ -398,35 +383,35 @@ _COMMANDS = {
         "head": {"choices": HEAD_KINDS},
         "model": {"help": "output model file (JSON)"},
         "resolved_config": {"help": "where to write the resolved-config record"},
-    }),
+    }, ("data", "model"), {"head": "none"}),
     "predict": _Command(cmd_predict, "predict with a trained model", {
         "model": {},
         "data": {},
         "label_column": {"help": _LABEL_HELP},
         "output": {"help": "predictions CSV"},
         "resolved_config": {},
-    }),
+    }, ("model", "data", "output")),
     "evaluate": _Command(cmd_evaluate, "score a trained model on labeled data", {
         "model": {},
         "data": {"help": "labeled test CSV"},
         "label_column": {},
         "train_data": {"help": "optional labeled training CSV for train metrics"},
         "output": {"help": _REPORT_HELP},
-    }),
+    }, ("model", "data", "label_column")),
     "crossval": _Command(cmd_crossval, "k-fold cross-validation", {
         "data": {},
         "label_column": {},
         "head": {"choices": ("regression", "classification")},
         "k": {"type": int},
         "output": {"help": _REPORT_HELP},
-    }),
+    }, ("data", "label_column", "head"), {"k": 5}),
     "export-maps": _Command(cmd_export_maps, "export BMU histogram and node output map", {
         "model": {},
         "data": {},
         "label_column": {"help": _LABEL_HELP},
         "out_dir": {},
         "resolved_config": {},
-    }),
+    }, ("model", "data", "out_dir")),
 }
 # the commands that train a map and so take the configuration flags
 _TRAINING_COMMANDS = ("train", "crossval")
@@ -443,8 +428,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command].run(args)
+        scale, config = _validated_config(args)
+        for key, value in command.defaults.items():
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+        _require(args, *command.required)
+        return command.run(args, scale, config)
     except UsageError as exc:
         print(f"somkit: error: {exc}", file=sys.stderr)
         return 1

@@ -17,17 +17,19 @@ CLI's ``train``, the k folds of ``crossval``. The online map's loop is
 All of them, and the batch map, take their kernel from one per-fit set-up,
 :func:`_neighbourhood`, and their learning rates and radii from the
 generator it returns, a chunk of iterations at a time, so no array of theirs
-grows with the iteration count. The online fits report divergence by
+grows with the iteration count. The fits report divergence by
 :func:`_diverged`. Each run keeps its own generator and draw order, and each
 step does every run's own elementwise arithmetic, so every run's output is
 bit for bit that of a run of its own. The online maps train node-major,
 (k, n, nodes), and are written back to their grids once at the end.
 
-The online fit builds its maps' search once, by
+:func:`_fit_maps` builds its maps' search once, in either mode, by
 :func:`somkit.distances._row_search`, which checks each map's data and
-initial weights, and then finds each step's BMUs from the differences x - W
-that the pull needs too, by :func:`somkit.distances._bmu_row`, for every
-trainable metric. Every other BMU search is :func:`_bmu_nodes`, which checks
+initial weights, and checks the trained weights against the same bound after
+either mode's loop. The online fit finds each step's BMUs from the
+differences x - W that the pull needs too, by
+:func:`somkit.distances._bmu_row`, for every trainable metric. Every other
+BMU search, the batch map's included, is :func:`_bmu_nodes`, which checks
 the shape of its rows and leaves the rest of the search to
 :func:`somkit.distances._nearest`. Both searches give each BMU as its node's
 row-major index, and the kernel, the heads, :func:`bmu_histogram`,
@@ -334,10 +336,18 @@ def _neighbourhood(config: SomConfig, t_max: int, chunk: int):
                     for t in (steps[start:start + chunk] for start in steps[::chunk]))
 
 
-def _diverged(config: SomConfig, what: str) -> ValueError:
-    """The error of an online fit in which ``what`` happened. A kernel with a
-    negative lobe, or a learning rate above 1, can push values away without
-    bound; the fits check once, after their loop, not at every iteration."""
+def _diverged(config: SomConfig, what: str, batch: bool = False) -> ValueError:
+    """The error of an online fit, or a ``batch`` map, in which ``what``
+    happened. A kernel with a negative lobe, or a learning rate above 1, can
+    push values away without bound; the fits check once, after their loop,
+    not at every iteration. The batch map has no learning rate, and under the
+    gaussian kernel each of its weights is a mean of data rows, so only sums
+    of rows near the float range overflow."""
+    if batch:
+        remedy = ("the gaussian kernel keeps" if config.kernel == "mexican-hat"
+                  else "smaller feature values keep")
+        return ValueError(f"batch training diverged with the {config.kernel} kernel: {what}; "
+                          f"{remedy} them bounded")
     lr = config.lr_schedule
     remedy = " or the gaussian kernel" if config.kernel == "mexican-hat" else ""
     return ValueError(
@@ -363,7 +373,10 @@ def fit_unsupervised(
 def _fit_maps(Xs, config: SomConfig, rngs, cov_invs) -> list[tuple[WeightGrid, np.ndarray | None]]:
     """:func:`fit_unsupervised` of each dataset of ``Xs`` with its own generator
     and cov_inv; the online maps train together in one loop, with the outputs
-    of separate runs."""
+    of separate runs. In either mode the maps' search is built, and so their
+    data and initial weights checked, before training, and their trained
+    weights are checked after it: finite, and within the range where the BMU
+    search is exact."""
     Xs = [np.asarray(X, dtype=float) for X in Xs]
     if any(X.ndim != 2 or X.shape[0] == 0 for X in Xs):
         raise ValueError("training needs a nonempty (N, n) data matrix")
@@ -376,15 +389,25 @@ def _fit_maps(Xs, config: SomConfig, rngs, cov_invs) -> list[tuple[WeightGrid, n
         cov_invs = [estimate_inverse_covariance(X) if c is None else c
                     for X, c in zip(Xs, cov_invs)]
     grids = [init_weights(config, X, rng) for X, rng in zip(Xs, rngs)]
-    if config.update_mode == "online":
-        _fit_online(grids, Xs, config, rngs, cov_invs)
+    search = _row_search(config.metric, cov_invs, Xs, [grid.flat for grid in grids])
+    batch = config.update_mode == "batch"
+    if batch:
+        # batch maps have no sampled loop to share, so they train one by one;
+        # like the online loop, they leave overflow to the checks below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for grid, X, cov_inv in zip(grids, Xs, cov_invs):
+                _, schedules = _neighbourhood(config, config.n_iter_unsupervised, 1)
+                for _, (sigma,) in schedules:
+                    bmus = transform(grid, X, config.metric, cov_inv)
+                    batch_update(grid, X, bmus, sigma, config.kernel)
     else:
-        # batch maps have no sampled loop to share, so they train one by one
-        for grid, X, cov_inv in zip(grids, Xs, cov_invs):
-            _, schedules = _neighbourhood(config, config.n_iter_unsupervised, 1)
-            for _, (sigma,) in schedules:
-                bmus = transform(grid, X, config.metric, cov_inv)
-                batch_update(grid, X, bmus, sigma, config.kernel)
+        _fit_online(grids, Xs, config, rngs, search)
+    if not all(np.isfinite(grid.weights).all() for grid in grids):
+        raise _diverged(config, "the node weights overflowed", batch)
+    if any(_overflows(config.metric, kappa, X, grid.flat)
+           for kappa, X, grid in zip(search[3][:, 0], Xs, grids)):
+        raise _diverged(config, "the node weights left the range where the BMU search is "
+                                "exact, as their squared distances to the data overflow", batch)
     return list(zip(grids, cov_invs))
 
 
@@ -511,9 +534,10 @@ def _handoffs(parts, search: tuple):
                 sys.setswitchinterval(interval)
 
 
-def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
+def _fit_online(grids, Xs, config: SomConfig, rngs, search: tuple) -> None:
     """Online training of a stack of maps, map f on rows of ``Xs[f]`` drawn
-    by ``rngs[f]``; updates the grids in place.
+    by ``rngs[f]``, with the maps' :func:`somkit.distances._row_search`;
+    updates the grids in place.
 
     The chunks are those of the schedules that :func:`_neighbourhood`
     yields, each within ``_ROW_CHUNK_BYTES`` of sampled rows. Each map draws
@@ -531,7 +555,6 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
     weight and BMU, and so every output, is the one of a single part.
     """
     k, n = len(grids), grids[0].feature_dim
-    search = _row_search(config.metric, cov_invs, Xs, [grid.flat for grid in grids])
     chunk = max(1, _ROW_CHUNK_BYTES // (8 * k * n))
     kernel, schedules = _neighbourhood(config, config.n_iter_unsupervised, chunk)
     W = np.array([grid.flat.T for grid in grids], order="C")
@@ -549,12 +572,6 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, cov_invs) -> None:
             scores = run(step, x)
             step = alpha * kernel(_bmu_row(delta, search, scores), sigma).reshape(k, 1, -1)
         run(step, None)
-    if not np.isfinite(W).all():
-        raise _diverged(config, "the node weights overflowed")
-    if any(_overflows(config.metric, kappa, X, w.T)
-           for kappa, X, w in zip(search[3][:, 0], Xs, W)):
-        raise _diverged(config, "the node weights left the range where the BMU search is "
-                                "exact, as their squared distances to the data overflow")
     for grid, weights in zip(grids, W):
         grid.flat[...] = weights.T
 

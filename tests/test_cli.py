@@ -11,7 +11,7 @@ import pytest
 import somkit.distances
 import somkit.model_io
 import somkit.som
-from somkit.cli import _train_models, main
+from somkit.cli import _COMMANDS, _train_models, main
 from somkit.datasets import (
     LabeledDataset,
     k_fold,
@@ -80,6 +80,30 @@ DIVERGING_HEAD = ["--head", "regression", "--kernel", "mexican-hat", "--n-row", 
                   "--n-column", "10", "--n-iter-unsupervised", "2000",
                   "--n-iter-supervised", "40000", "--seed", "1"]
 HEAD_DIVERGED_ERROR = DIVERGED_ERROR.replace("node weights", "head values")
+# a batch map has no learning rate; one mexican-hat batch update can carry the
+# weights of 10 rows near 1e150 to 3.7e154, past the exact search's range,
+# and no search follows the last update
+BATCH_DIVERGED_ERROR = ("somkit: error: batch training diverged with the mexican-hat kernel: "
+                        "the node weights left the range where the BMU search is exact, as "
+                        "their squared distances to the data overflow; the gaussian kernel "
+                        "keeps them bounded\n")
+# under the gaussian kernel every batch weight is a mean of data rows, but
+# manhattan data near the float range can overflow the batch map's sums
+BATCH_OVERFLOW_ERROR = ("somkit: error: batch training diverged with the gaussian kernel: the "
+                        "node weights overflowed; smaller feature values keep them bounded\n")
+DIVERGING_BATCH = ["--update-mode", "batch", "--kernel", "mexican-hat", "--n-row", "2",
+                   "--n-column", "5", "--n-iter-unsupervised", "1",
+                   "--radius-schedule", "start-end", "--radius-start", "1.4736537333670832",
+                   "--radius-end", "1.4736537333670832", "--seed", "181"]
+
+
+def write_batch_diverging(path):
+    """The 10 two-feature rows near 1e150 of ``DIVERGING_BATCH``."""
+    rng = np.random.default_rng(1804)
+    rng.integers(2, 12)
+    rows = 1e150 * rng.normal(size=(10, 2))
+    path.write_text("a,b\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    return path
 # at 12000 iterations the same map stays finite, with weights up to about
 # 3e229, but their squared distances overflow, so its last searches were not exact
 DIVERGING_FINITE = [*DIVERGING[:6], "--n-iter-unsupervised", "12000", *DIVERGING[8:]]
@@ -228,6 +252,24 @@ class TestTrain:
                    "--model", str(model), *DIVERGING_FINITE])
         assert rc == 2
         assert capsys.readouterr().err == OUT_OF_RANGE_ERROR
+        assert not model.exists() and not (tmp_path / "m.resolved.json").exists()
+
+    def test_diverging_batch_training_is_error(self, tmp_path, capsys):
+        data, model = write_batch_diverging(tmp_path / "d.csv"), tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--model", str(model), *DIVERGING_BATCH])
+        assert rc == 2
+        assert capsys.readouterr().err == BATCH_DIVERGED_ERROR
+        assert not model.exists() and not (tmp_path / "m.resolved.json").exists()
+
+    def test_batch_sums_past_the_float_range_are_error(self, tmp_path, capsys):
+        data, model = tmp_path / "big.csv", tmp_path / "m.json"
+        rows = 1e307 * np.random.default_rng(3).uniform(0.5, 1.0, size=(100, 2))
+        data.write_text("a,b\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+        rc = main(["train", "--data", str(data), "--model", str(model), "--update-mode", "batch",
+                   "--metric", "manhattan", "--n-row", "2", "--n-column", "5",
+                   "--n-iter-unsupervised", "5"])
+        assert rc == 2
+        assert capsys.readouterr().err == BATCH_OVERFLOW_ERROR
         assert not model.exists() and not (tmp_path / "m.resolved.json").exists()
 
     def test_diverging_gaussian_training_is_error(self, tmp_path, capsys):
@@ -497,6 +539,20 @@ class TestTrain:
         rc = main(["train", "--config", str(cfg_file)])
         assert rc == 0
         assert load_model(model_path).head_kind == "regression"
+
+    @pytest.mark.parametrize("name", sorted(_COMMANDS))
+    def test_required_and_default_keys_are_the_commands_params(self, name):
+        command = _COMMANDS[name]
+        assert {*command.required, *command.defaults} <= set(command.params)
+
+    def test_a_bad_config_file_value_is_reported_before_a_missing_value(self, tmp_path,
+                                                                        capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"n_row": 0}))
+        rc = main(["predict", "--config", str(cfg_file), "--model", str(tmp_path / "m.json"),
+                   "--output", str(tmp_path / "p.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"somkit: error: {cfg_file}: ")
 
     def test_missing_required_value_is_usage_error(self, tmp_path):
         rc = main(["train", "--model", str(tmp_path / "m.json"), *FAST])

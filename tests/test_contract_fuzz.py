@@ -177,6 +177,47 @@ def test_a_data_file_of_extreme_numbers_keeps_the_contract(setting, columns, ord
         f"{columns[0][i]!r},{columns[1][i]!r},{target[i]!r}\n" for i in order)).encode())
 
 
+# the 10 two-feature rows near 1e150 on which one mexican-hat batch update
+# carries a 2x5 map past the exact search's range (see tests/test_cli.py)
+_rng = np.random.default_rng(1804)
+_rng.integers(2, 12)
+BATCH_EDGE_ROWS = (1e150 * _rng.normal(size=(10, 2))).tolist()
+# 2 to 10 two-feature rows uniform in [-4, 4) times 1, or times 1e150 to
+# 1e153: numbers whose squared distances stay finite but which the mexican
+# hat can carry past the range where the euclidean search is exact. The rows
+# come from a drawn seed, as hypothesis draws few spread-out floats.
+MAP_ROWS = st.builds(
+    lambda seed, n, scale: (scale * np.random.default_rng(seed).uniform(-4, 4, (n, 2))).tolist(),
+    st.integers(0, 2**32 - 1), st.integers(2, 10), st.sampled_from([1.0, 1e150, 1e152, 1e153]))
+
+
+@settings(FUZZ, max_examples=100)
+@given(
+    MAP_ROWS,
+    st.sampled_from(["online", "batch"]),
+    st.sampled_from(["gaussian", "mexican-hat"]),
+    st.integers(1, 20),
+    st.floats(0.5, 3.0),
+    st.integers(0, 1000),
+)
+@example(BATCH_EDGE_ROWS, "batch", "mexican-hat", 1, 1.4736537333670832, 181)
+def test_a_model_that_train_writes_applies_to_its_own_data(rows, mode, kernel, iterations,
+                                                           radius, seed):
+    """A headless 2x5 map trained in either update mode under either kernel,
+    for 1 to 20 iterations at a fixed radius: whenever ``train`` exits 0,
+    ``export-maps`` of the model on the data it was trained on exits 0 too."""
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, model = Path(tmp) / "d.csv", Path(tmp) / "m.json"
+        csv.write_text("a,b\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+        if run(["train", "--data", str(csv), "--model", str(model), "--update-mode", mode,
+                "--kernel", kernel, "--n-row", "2", "--n-column", "5",
+                "--n-iter-unsupervised", str(iterations), "--radius-schedule", "start-end",
+                "--radius-start", repr(radius), "--radius-end", repr(radius),
+                "--seed", str(seed)]) == 0:
+            assert run(["export-maps", "--model", str(model), "--data", str(csv),
+                        "--out-dir", str(Path(tmp) / "maps")]) == 0
+
+
 # a cell {} in another form, after the ingest cases of tests/test_datasets.py:
 # quoted, with a quoted comma, an empty quoted cell, unbalanced and inner
 # quotes, text after a closing quote, a NUL byte, a quoted line end and a

@@ -35,6 +35,7 @@ from somkit.som import (
     quantization_error,
     transform,
 )
+from somkit.seeding import phase_rng
 from somkit.supervised import fit_classifier, fit_regressor
 
 import oracles
@@ -863,6 +864,21 @@ class TestFitUnsupervised:
             for s in range(4)
         ]
         assert max(qes) <= 2 * min(qes)
+
+    def test_diverging_batch_map_is_error(self):
+        # the rows and map of the CLI's DIVERGING_BATCH: one mexican-hat batch
+        # update carries the weights past the exact search's range
+        rng = np.random.default_rng(1804)
+        rng.integers(2, 12)
+        X = 1e150 * rng.normal(size=(10, 2))
+        radius = ScheduleSpec("start-end", 1.4736537333670832, 1.4736537333670832)
+        cfg = small_config(n_row=2, n_column=5, n_iter_unsupervised=1, update_mode="batch",
+                           kernel="mexican-hat", radius_schedule=radius, seed=181)
+        with pytest.raises(ValueError, match=(
+                r"^batch training diverged with the mexican-hat kernel: the node weights left "
+                r"the range where the BMU search is exact, as their squared distances to the "
+                r"data overflow; the gaussian kernel keeps them bounded$")):
+            fit_unsupervised(X, cfg, phase_rng(181, "unsupervised"))
 
     def test_tanimoto_is_rejected_before_initialising(self):
         X = np.random.default_rng(3).integers(0, 2, size=(50, 8)).astype(float)
