@@ -10,15 +10,18 @@ Each metric's exact distance between two rows is written once, in
 :func:`_exact`, as a function of their differences. :func:`feature_distance`
 (one pair, the oracle of BMU search) and :func:`paired_distances` (row ``i``
 with row ``i``) check their inputs and call it, so they agree bit for bit.
-BMU search lives here whole: :mod:`somkit.som` calls :func:`_nearest`,
-:func:`_row_search`, :func:`_row_scores` and :func:`_bmu_row`. Both
-searches are built by :func:`_search`, which rejects rows and weights whose
-squared distances could overflow, and checks tanimoto's 0/1 rows and
-searches them as euclidean, which finds the same nodes. :func:`_nearest`
-prepares the weights once per call by :func:`_prepare` and runs
-:func:`_bmu_block` on blocks whose temporaries stay within
-``BLOCK_BYTES``. :func:`_bmu_block` scores
-rows against all nodes: euclidean and mahalanobis (on Cholesky-whitened
+BMU search lives here whole: :mod:`somkit.som` calls :func:`_search`,
+:func:`_nearest`, :func:`_row_search`, :func:`_row_scores`,
+:func:`_bmu_row` and :func:`_overflows`. Every search is built by
+:func:`_search`, which rejects rows and weights whose squared distances
+could overflow, and checks tanimoto's 0/1 rows and searches them as
+euclidean, which finds the same nodes. :func:`_nearest` runs a built search
+on new weights too: a batch map passes its fit's search at every iteration,
+and the fit keeps the weights within that search's range by
+:func:`_overflows` after every update. It prepares the weights once per
+call by :func:`_prepare` and runs :func:`_bmu_block` on blocks whose
+temporaries stay within ``BLOCK_BYTES``. :func:`_bmu_block` scores rows
+against all nodes: euclidean and mahalanobis (on Cholesky-whitened
 data) by one matrix product of the rows ``[-2 x_w | 1]`` with the weights
 ``[W_w | |w_w|^2]^T``, which gives each score whole, and an exact re-rank
 for the rows whose runner-up score is near their minimum; manhattan exactly
@@ -158,9 +161,11 @@ def _block_rows(n_nodes: int, n_features: int, metric: str) -> int:
 
 
 def _search(metric: str, cov_inv, X: np.ndarray, W: np.ndarray) -> tuple:
-    """(metric, cov_inv, L, kappa) for :func:`_bmu_block`, built once per call,
-    or per fit and map by :func:`_row_search`, for rows ``X`` and weights
-    ``W`` (nodes, n).
+    """(metric, cov_inv, L, kappa) for :func:`_nearest` and :func:`_bmu_block`,
+    for rows ``X`` and weights ``W`` (nodes, n): built once per search call
+    of :mod:`somkit.som`, and once per fit and map, where online training
+    stacks the maps' searches by :func:`_row_search`. The search stays exact
+    on other weights while :func:`_overflows` holds for them.
 
     For mahalanobis cov_inv is checked, L is the Cholesky factor of
     cov_inv = L L^T and kappa is sum |cov_inv_ij|; for the other metrics
@@ -242,14 +247,13 @@ def _prepare(search: tuple, W: np.ndarray):
     return A, norms.max() if L is None else np.einsum("ij,ij->i", W, W).max()
 
 
-def _nearest(W: np.ndarray, X: np.ndarray, metric: str, cov_inv) -> np.ndarray:
+def _nearest(W: np.ndarray, X: np.ndarray, search: tuple) -> np.ndarray:
     """Flat index of the nearest row of ``W`` (nodes, n) to each row of ``X``
-    (N, n), by :func:`_bmu_block`, block by block. The search and its checks
-    are built once per call, so a 0/1 error names the first bad row of all.
+    (N, n), by :func:`_bmu_block`, block by block, under ``search``: a
+    :func:`_search` whose range check holds for these rows and weights.
     """
-    search = _search(metric, cov_inv, X, W)
-    # the weights side of the search, once per call: each batch-map
-    # iteration calls with new weights
+    # the weights side of the search, once per call: the batch map calls
+    # with new weights at every iteration
     prepared = _prepare(search, W)
     chunk = _block_rows(*W.shape, search[0])
     out = np.empty(len(X), dtype=int)
@@ -262,8 +266,8 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple, prepared):
     """Flat index of the nearest row of ``W`` (nodes, n) to each row of the
     block ``X`` (rows, n); :func:`_nearest` bounds the rows by
     :func:`_block_rows`. The result is what :func:`feature_distance` gives
-    row by row under the metric of ``search`` (from :func:`_search`, built
-    for the call's rows and weights), ties going to the lowest index.
+    row by row under the metric of ``search`` (a :func:`_search` whose range
+    check holds for the block and ``W``), ties going to the lowest index.
     ``prepared`` is :func:`_prepare` of ``search`` and ``W``.
 
     The product metrics make three passes over the (rows, nodes) scores: one
@@ -362,15 +366,15 @@ def _rerank(best: np.ndarray, near: np.ndarray, exact) -> np.ndarray:
     return best
 
 
-def _row_search(metric: str, cov_invs, Xs, Ws) -> tuple:
-    """:func:`_bmu_row`'s search for a stack of maps, built once per fit from
-    map f's :func:`_search` for its rows ``Xs[f]`` and initial weights
-    ``Ws[f]``: (metric, each map's cov_inv, the stacked transposes of their
-    Cholesky factors (maps, n, n) or None, and their kappas (maps, 1)).
+def _row_search(searches) -> tuple:
+    """:func:`_bmu_row`'s search for a stack of maps, stacked once per fit
+    from map f's :func:`_search` ``searches[f]``: (metric, each map's
+    cov_inv, the stacked transposes of their Cholesky factors (maps, n, n)
+    or None, and their kappas (maps, 1)).
     """
-    _, cov_inv, L, kappa = zip(*(_search(metric, c, X, W) for c, X, W in zip(cov_invs, Xs, Ws)))
-    L_t = np.array(L).transpose(0, 2, 1) if metric == "mahalanobis" else None
-    return metric, cov_inv, L_t, np.array(kappa)[:, None]
+    metric, cov_inv, L, kappa = zip(*searches)
+    L_t = None if L[0] is None else np.array(L).transpose(0, 2, 1)
+    return metric[0], cov_inv, L_t, np.array(kappa)[:, None]
 
 
 def _row_scores(D: np.ndarray, search: tuple, out=None) -> np.ndarray:

@@ -23,20 +23,23 @@ step does every run's own elementwise arithmetic, so every run's output is
 bit for bit that of a run of its own. The online maps train node-major,
 (k, n, nodes), and are written back to their grids once at the end.
 
-:func:`_fit_maps` builds its maps' search once, in either mode, by
-:func:`somkit.distances._row_search`, which checks each map's data and
-initial weights, and checks the trained weights against the same bound after
-either mode's loop. The online fit finds each step's BMUs from the
+:func:`_fit_maps` builds each map's search once, in either mode, by
+:func:`somkit.distances._search`, which checks the map's data and initial
+weights, and checks the weights against the same bound after every batch
+update and after the online loop. The online fit stacks the searches by
+:func:`somkit.distances._row_search` and finds each step's BMUs from the
 differences x - W that the pull needs too, by
-:func:`somkit.distances._bmu_row`, for every trainable metric. Every other
-BMU search, the batch map's included, is :func:`_bmu_nodes`, which checks
-the shape of its rows and leaves the rest of the search to
-:func:`somkit.distances._nearest`. Both searches give each BMU as its node's
-row-major index, and the kernel, the heads, :func:`bmu_histogram`,
-:func:`quantization_error` and prediction take it as it is. Only the public
-signatures hold (row, column) pairs, each converting once: :func:`transform`
-and :func:`find_bmu` return them, and :func:`batch_update` takes them. The
-batch map trains through these two public functions.
+:func:`somkit.distances._bmu_row`, for every trainable metric. The batch map
+runs its own search by :func:`somkit.distances._nearest` and updates by
+:func:`_batch_step`. Every other BMU search is :func:`_bmu_nodes`, which
+checks the shape of its rows, builds the search for them by
+:func:`somkit.distances._search` and runs it by
+:func:`somkit.distances._nearest`. Every search gives each BMU as its
+node's row-major index, and the kernel, the batch update, the heads,
+:func:`bmu_histogram`, :func:`quantization_error` and prediction take it as
+it is. Only the public signatures hold (row, column) pairs, each converting
+once: :func:`transform` and :func:`find_bmu` return them, and
+:func:`batch_update` takes them.
 
 A large euclidean or manhattan online fit on two usable CPUs steps on two
 halves of the features at once, the second in a worker thread that
@@ -65,6 +68,7 @@ from .distances import (
     _overflows,
     _row_scores,
     _row_search,
+    _search,
     estimate_inverse_covariance,
     paired_distances,
 )
@@ -276,23 +280,30 @@ def batch_update(
 ) -> WeightGrid:
     """Replace each weight by the kernel-weighted mean of the whole dataset.
 
-    ``bmus`` holds each datapoint's current BMU as (row, column) pairs.
-    This is Kohonen's batch map: the datapoints are summed and counted per
-    BMU node, then node j's new weight is sum_b K[b, j] S_b / sum_b K[b, j] c_b
+    ``bmus`` holds each datapoint's current BMU as (row, column) pairs;
+    :func:`_batch_step` is this update on node indices. This is Kohonen's
+    batch map: the datapoints are summed and counted per BMU node, then
+    node j's new weight is sum_b K[b, j] S_b / sum_b K[b, j] c_b
     over the (nodes, nodes) kernel K, the per-node sums S and the counts c.
     That equals sum_i h(i, j) x_i / sum_i h(i, j) over datapoints i, in
     O(N n + nodes^2 n) time and O(nodes^2 + nodes n) memory, whatever N is.
     Nodes whose total kernel mass is not positive keep their previous
     weights. Updates in place.
     """
-    X = np.asarray(X, dtype=float)
+    nodes = np.ravel_multi_index(tuple(np.asarray(bmus).T), grid.weights.shape[:2])
+    return _batch_step(grid, np.asarray(X, dtype=float), nodes, sigma, kind)
+
+
+def _batch_step(grid: WeightGrid, X: np.ndarray, bmus: np.ndarray, sigma: float,
+                kind: str) -> WeightGrid:
+    """:func:`batch_update` with each datapoint's BMU given as its node's
+    row-major index, as the searches return it."""
     shape = (grid.n_row, grid.n_column)
     nodes = grid.n_row * grid.n_column
-    bmu_nodes = np.ravel_multi_index(tuple(np.asarray(bmus).T), shape)
-    count = np.bincount(bmu_nodes, minlength=nodes)
+    count = np.bincount(bmus, minlength=nodes)
     # bincount adds in row order, as np.add.at does, so the sums are the same bits
     sums = np.stack(
-        [np.bincount(bmu_nodes, weights=column, minlength=nodes) for column in X.T], axis=1
+        [np.bincount(bmus, weights=column, minlength=nodes) for column in X.T], axis=1
     )
     # the kernel works elementwise, so evaluating it on the offset
     # distances and then windowing gives the same bits as on the full table
@@ -339,10 +350,11 @@ def _neighbourhood(config: SomConfig, t_max: int, chunk: int):
 def _diverged(config: SomConfig, what: str, batch: bool = False) -> ValueError:
     """The error of an online fit, or a ``batch`` map, in which ``what``
     happened. A kernel with a negative lobe, or a learning rate above 1, can
-    push values away without bound; the fits check once, after their loop,
-    not at every iteration. The batch map has no learning rate, and under the
-    gaussian kernel each of its weights is a mean of data rows, so only sums
-    of rows near the float range overflow."""
+    push values away without bound; the online fits check once, after their
+    loop, not at every iteration, and the batch map after every update. The
+    batch map has no learning rate, and under the gaussian kernel each of its
+    weights is a mean of data rows, so only sums of rows near the float range
+    overflow."""
     if batch:
         remedy = ("the gaussian kernel keeps" if config.kernel == "mexican-hat"
                   else "smaller feature values keep")
@@ -373,10 +385,12 @@ def fit_unsupervised(
 def _fit_maps(Xs, config: SomConfig, rngs, cov_invs) -> list[tuple[WeightGrid, np.ndarray | None]]:
     """:func:`fit_unsupervised` of each dataset of ``Xs`` with its own generator
     and cov_inv; the online maps train together in one loop, with the outputs
-    of separate runs. In either mode the maps' search is built, and so their
-    data and initial weights checked, before training, and their trained
-    weights are checked after it: finite, and within the range where the BMU
-    search is exact."""
+    of separate runs. In either mode each map's search is built once, and so
+    its data and initial weights checked, before training; online training
+    stacks the maps' searches. The weights are checked after every batch
+    update and after the online loop: finite, and within the range where the
+    BMU search is exact, so every search of the fit stays exact and a
+    divergence is reported where it happens."""
     Xs = [np.asarray(X, dtype=float) for X in Xs]
     if any(X.ndim != 2 or X.shape[0] == 0 for X in Xs):
         raise ValueError("training needs a nonempty (N, n) data matrix")
@@ -389,25 +403,29 @@ def _fit_maps(Xs, config: SomConfig, rngs, cov_invs) -> list[tuple[WeightGrid, n
         cov_invs = [estimate_inverse_covariance(X) if c is None else c
                     for X, c in zip(Xs, cov_invs)]
     grids = [init_weights(config, X, rng) for X, rng in zip(Xs, rngs)]
-    search = _row_search(config.metric, cov_invs, Xs, [grid.flat for grid in grids])
+    searches = [_search(config.metric, cov_inv, X, grid.flat)
+                for cov_inv, X, grid in zip(cov_invs, Xs, grids)]
     batch = config.update_mode == "batch"
+
+    def check(maps):
+        if not all(np.isfinite(grids[f].weights).all() for f in maps):
+            raise _diverged(config, "the node weights overflowed", batch)
+        if any(_overflows(config.metric, searches[f][3], Xs[f], grids[f].flat) for f in maps):
+            raise _diverged(config, "the node weights left the range where the BMU search "
+                                    "is exact, as their squared distances to the data "
+                                    "overflow", batch)
     if batch:
         # batch maps have no sampled loop to share, so they train one by one;
-        # like the online loop, they leave overflow to the checks below
+        # each update is checked, which keeps the map's next search exact
         with np.errstate(over="ignore", invalid="ignore"):
-            for grid, X, cov_inv in zip(grids, Xs, cov_invs):
+            for f, (grid, X, search) in enumerate(zip(grids, Xs, searches)):
                 _, schedules = _neighbourhood(config, config.n_iter_unsupervised, 1)
                 for _, (sigma,) in schedules:
-                    bmus = transform(grid, X, config.metric, cov_inv)
-                    batch_update(grid, X, bmus, sigma, config.kernel)
+                    _batch_step(grid, X, _nearest(grid.flat, X, search), sigma, config.kernel)
+                    check([f])
     else:
-        _fit_online(grids, Xs, config, rngs, search)
-    if not all(np.isfinite(grid.weights).all() for grid in grids):
-        raise _diverged(config, "the node weights overflowed", batch)
-    if any(_overflows(config.metric, kappa, X, grid.flat)
-           for kappa, X, grid in zip(search[3][:, 0], Xs, grids)):
-        raise _diverged(config, "the node weights left the range where the BMU search is "
-                                "exact, as their squared distances to the data overflow", batch)
+        _fit_online(grids, Xs, config, rngs, _row_search(searches))
+        check(range(len(grids)))
     return list(zip(grids, cov_invs))
 
 
@@ -578,13 +596,15 @@ def _fit_online(grids, Xs, config: SomConfig, rngs, search: tuple) -> None:
 
 def _bmu_nodes(grid: WeightGrid, X, metric: str, cov_inv) -> np.ndarray:
     """BMU node index of every row of ``X``, (N,), row-major: the search of
-    every caller but online training, behind the check of the rows' shape."""
+    every caller but the map fits, behind the check of the rows' shape. Its
+    search is built for all rows at once, so a 0/1 error names the first bad
+    row of all."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != grid.feature_dim):
         raise ValueError(
             f"data has shape {X.shape}, grid expects dimension {grid.feature_dim}"
         )
-    return _nearest(grid.flat, X, metric, cov_inv)
+    return _nearest(grid.flat, X, _search(metric, cov_inv, X, grid.flat))
 
 
 def transform(grid: WeightGrid, X, metric: str = "euclidean", cov_inv=None) -> np.ndarray:

@@ -82,7 +82,7 @@ DIVERGING_HEAD = ["--head", "regression", "--kernel", "mexican-hat", "--n-row", 
 HEAD_DIVERGED_ERROR = DIVERGED_ERROR.replace("node weights", "head values")
 # a batch map has no learning rate; one mexican-hat batch update can carry the
 # weights of 10 rows near 1e150 to 3.7e154, past the exact search's range,
-# and no search follows the last update
+# which the map reports after that update, whatever the iteration count
 BATCH_DIVERGED_ERROR = ("somkit: error: batch training diverged with the mexican-hat kernel: "
                         "the node weights left the range where the BMU search is exact, as "
                         "their squared distances to the data overflow; the gaussian kernel "
@@ -254,9 +254,11 @@ class TestTrain:
         assert capsys.readouterr().err == OUT_OF_RANGE_ERROR
         assert not model.exists() and not (tmp_path / "m.resolved.json").exists()
 
-    def test_diverging_batch_training_is_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n_iter", ["1", "2", "3"])
+    def test_diverging_batch_training_is_error(self, tmp_path, capsys, n_iter):
         data, model = write_batch_diverging(tmp_path / "d.csv"), tmp_path / "m.json"
-        rc = main(["train", "--data", str(data), "--model", str(model), *DIVERGING_BATCH])
+        rc = main(["train", "--data", str(data), "--model", str(model), *DIVERGING_BATCH,
+                   "--n-iter-unsupervised", n_iter])
         assert rc == 2
         assert capsys.readouterr().err == BATCH_DIVERGED_ERROR
         assert not model.exists() and not (tmp_path / "m.resolved.json").exists()

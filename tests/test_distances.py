@@ -135,6 +135,13 @@ def adversarial_cases(metric, rng):
     yield "empty X", W, X[:0]
 
 
+def stacked_search(metric, cov_invs, Xs, Ws):
+    """The row search of the maps of rows ``Xs[f]``, weights ``Ws[f]`` and
+    ``cov_invs[f]``, stacked as a fit stacks them."""
+    return distances._row_search([distances._search(metric, c, X, W)
+                                  for c, X, W in zip(cov_invs, Xs, Ws)])
+
+
 def row_search_cases(n, rng):
     """(name, W of shape (nodes, n), X) near-ties for the one-row search over n features."""
     W = rng.normal(size=(24, n)).round(1)
@@ -188,7 +195,7 @@ def assert_searches_agree(grid, X, metric, cov_inv, monkeypatch):
     prepared = distances._prepare(search, W)
     assert [int(distances._bmu_block(W, x[None], search, prepared)[0]) for x in X] == expected
     node_major = np.ascontiguousarray(W.T)[None]
-    row_search = distances._row_search(metric, [cov_inv], [X], [W])
+    row_search = stacked_search(metric, [cov_inv], [X], [W])
     D = [x[None, :, None] - node_major for x in X]
     assert [int(distances._bmu_row(d, row_search, distances._row_scores(d, row_search))[0])
             for d in D] == expected
@@ -320,7 +327,7 @@ class TestVectorizedPaths:
                 cov_invs = [estimate_inverse_covariance(rng.normal(size=(2 * n + 3, n))
                                                         @ rng.normal(size=(n, n)))
                             for _ in X]
-            search = distances._row_search(metric, cov_invs[:1], [X], [W])
+            search = stacked_search(metric, cov_invs[:1], [X], [W])
             expected = oracle_bmus(W, X, metric, cov_invs[0])
             D = [(x[:, None] - W.T)[None] for x in X]
             got = [int(distances._bmu_row(d, search, distances._row_scores(d, search))[0])
@@ -329,7 +336,7 @@ class TestVectorizedPaths:
             maps = np.stack([np.roll(W, f, axis=0).T for f in range(len(X))])
             expected = [oracle_bmus(w.T, x[None], metric, c)[0]
                         for w, x, c in zip(maps, X, cov_invs)]
-            search = distances._row_search(metric, cov_invs, [X] * len(X), [W] * len(X))
+            search = stacked_search(metric, cov_invs, [X] * len(X), [W] * len(X))
             D = X[:, :, None] - maps
             got = distances._bmu_row(D, search, distances._row_scores(D, search))
             assert got.tolist() == expected, name
@@ -357,7 +364,7 @@ class TestVectorizedPaths:
             cov_invs.append(V)
         X, W = np.array(X), np.array(W)
         expected = [oracle_bmus(w, x[None], "mahalanobis", V)[0] for w, x, V in zip(W, X, cov_invs)]
-        search = distances._row_search("mahalanobis", cov_invs, X[:, None], W)
+        search = stacked_search("mahalanobis", cov_invs, X[:, None], W)
         D = X[:, :, None] - W.transpose(0, 2, 1)
         scores = distances._row_scores(D, search)
         assert distances._bmu_row(D, search, scores).tolist() == expected

@@ -160,7 +160,7 @@ def test_every_search_finds_the_oracle_bmu(case):
     # the online row search: map f holds the nodes in the order perms[f],
     # with the inverse covariance cov_invs[f], and searches for row i + f
     maps = np.stack([np.ascontiguousarray(W[p].T) for p in perms])
-    search = distances._row_search(metric, cov_invs, [X] * len(perms), [W] * len(perms))
+    search = distances._row_search([distances._search(metric, c, X, W) for c in cov_invs])
     for i in range(len(X)):
         at = (i + np.arange(len(perms))) % len(X)
         D = X[at][:, :, None] - maps

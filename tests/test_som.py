@@ -18,7 +18,7 @@ from somkit.schedules import (
     learning_rate,
     neighborhood_radius,
 )
-from somkit import som
+from somkit import distances, som
 from somkit.som import (
     KERNELS,
     SomConfig,
@@ -865,20 +865,48 @@ class TestFitUnsupervised:
         ]
         assert max(qes) <= 2 * min(qes)
 
-    def test_diverging_batch_map_is_error(self):
-        # the rows and map of the CLI's DIVERGING_BATCH: one mexican-hat batch
-        # update carries the weights past the exact search's range
+    @pytest.mark.parametrize("n_iter", [1, 2, 3])
+    def test_diverging_batch_map_is_error(self, n_iter):
+        # the rows and map of the CLI's DIVERGING_BATCH: the first mexican-hat
+        # batch update carries the weights past the exact search's range, and
+        # the map says so there, whether or not more iterations follow
         rng = np.random.default_rng(1804)
         rng.integers(2, 12)
         X = 1e150 * rng.normal(size=(10, 2))
         radius = ScheduleSpec("start-end", 1.4736537333670832, 1.4736537333670832)
-        cfg = small_config(n_row=2, n_column=5, n_iter_unsupervised=1, update_mode="batch",
-                           kernel="mexican-hat", radius_schedule=radius, seed=181)
+        cfg = small_config(n_row=2, n_column=5, n_iter_unsupervised=n_iter,
+                           update_mode="batch", kernel="mexican-hat", radius_schedule=radius,
+                           seed=181)
         with pytest.raises(ValueError, match=(
                 r"^batch training diverged with the mexican-hat kernel: the node weights left "
                 r"the range where the BMU search is exact, as their squared distances to the "
                 r"data overflow; the gaussian kernel keeps them bounded$")):
             fit_unsupervised(X, cfg, phase_rng(181, "unsupervised"))
+
+    def test_batch_maps_search_with_the_fits_one_search(self, monkeypatch):
+        # a mahalanobis batch fit of 2 maps for 5 iterations builds one search
+        # per map, before training, and its loop calls neither public
+        # function; each map keeps the bits of the loop through them
+        rng = np.random.default_rng(28)
+        Xs = [rng.normal(size=(60, 3)) @ rng.normal(size=(3, 3)) for _ in range(2)]
+        cfg = small_config(metric="mahalanobis", update_mode="batch", n_iter_unsupervised=5)
+        expected = [oracles.fit_unsupervised(X, cfg, np.random.default_rng(f))[0].weights
+                    for f, X in enumerate(Xs)]
+        calls = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+        monkeypatch.setattr(distances, "_search", counted("_search", distances._search))
+        for name in ("_search", "transform", "batch_update"):
+            monkeypatch.setattr(som, name, counted(name, getattr(som, name)))
+        fitted = som._fit_maps(Xs, cfg, [np.random.default_rng(f) for f in range(2)],
+                               [None, None])
+        assert calls == ["_search", "_search"]
+        for (grid, _), weights in zip(fitted, expected):
+            assert grid.weights.tobytes() == weights.tobytes()
 
     def test_tanimoto_is_rejected_before_initialising(self):
         X = np.random.default_rng(3).integers(0, 2, size=(50, 8)).astype(float)
