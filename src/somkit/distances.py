@@ -18,9 +18,10 @@ could overflow, and checks tanimoto's 0/1 rows and searches them as
 euclidean, which finds the same nodes. :func:`_nearest` runs a built search
 on new weights too: a batch map passes its fit's search at every iteration,
 and the fit keeps the weights within that search's range by
-:func:`_overflows` after every update. It prepares the weights once per
-call by :func:`_prepare` and runs :func:`_bmu_block` on blocks whose
-temporaries stay within ``BLOCK_BYTES``. :func:`_bmu_block` scores rows
+:func:`_overflows`, which takes the search, after every update. It prepares
+the weights once per call by :func:`_prepare` and runs :func:`_bmu_block`
+on blocks whose widest array, of scores or of rows, stays within
+``BLOCK_BYTES``. :func:`_bmu_block` scores rows
 against all nodes: euclidean and mahalanobis (on Cholesky-whitened
 data) by one matrix product of the rows ``[-2 x_w | 1]`` with the weights
 ``[W_w | |w_w|^2]^T``, which gives each score whole, and an exact re-rank
@@ -153,19 +154,21 @@ def paired_distances(A, B, metric: str = "euclidean", cov_inv=None) -> np.ndarra
 
 
 def _block_rows(n_nodes: int, n_features: int, metric: str) -> int:
-    """Rows of X per :func:`_bmu_block` call, so its largest temporary stays
-    within ``BLOCK_BYTES``: the float64 (rows, nodes) scores, or manhattan's
-    float64 (rows, nodes, n) differences."""
-    per_node = 8 * n_features if metric == "manhattan" else 8
-    return max(1, BLOCK_BYTES // (n_nodes * per_node))
+    """Rows of X per :func:`_bmu_block` call, so its widest float64 array
+    stays within ``BLOCK_BYTES``: max(nodes, n + 1) per row, of the (rows,
+    nodes) scores and the rows' (rows, n + 1) product side, whitened rows
+    and squares, or manhattan's (rows, nodes, n) differences."""
+    per_row = n_nodes * n_features if metric == "manhattan" else max(n_nodes, n_features + 1)
+    return max(1, BLOCK_BYTES // (8 * per_row))
 
 
 def _search(metric: str, cov_inv, X: np.ndarray, W: np.ndarray) -> tuple:
     """(metric, cov_inv, L, kappa) for :func:`_nearest` and :func:`_bmu_block`,
     for rows ``X`` and weights ``W`` (nodes, n): built once per search call
     of :mod:`somkit.som`, and once per fit and map, where online training
-    stacks the maps' searches by :func:`_row_search`. The search stays exact
-    on other weights while :func:`_overflows` holds for them.
+    stacks the maps' searches by :func:`_row_search`. It checks itself by
+    :func:`_overflows`, and stays exact on other weights while that check
+    passes for them.
 
     For mahalanobis cov_inv is checked, L is the Cholesky factor of
     cov_inv = L L^T and kappa is sum |cov_inv_ij|; for the other metrics
@@ -204,19 +207,21 @@ def _search(metric: str, cov_inv, X: np.ndarray, W: np.ndarray) -> tuple:
             raise ValueError(
                 "mahalanobis needs a symmetric positive definite inverse covariance"
             ) from None
-    kappa = 1.0 if L is None else float(np.abs(cov_inv).sum())
-    if _overflows(metric, kappa, X, W):
+    search = metric, cov_inv, L, 1.0 if L is None else float(np.abs(cov_inv).sum())
+    if _overflows(search, X, W):
         raise ValueError(
             f"the data or node weights are too large for {metric} search: "
             "their squared distances overflow"
         )
-    return metric, cov_inv, L, kappa
+    return search
 
 
-def _overflows(metric: str, kappa: float, X: np.ndarray, W: np.ndarray) -> bool:
+def _overflows(search: tuple, X: np.ndarray, W: np.ndarray) -> bool:
     """Whether the squared distances between rows of ``X`` and of ``W`` could
-    overflow in a ``metric`` search with this kappa: the bound that
-    :func:`_search` checks, which only euclidean and mahalanobis need."""
+    overflow under ``search``, a :func:`_search`: the bound that
+    :func:`_search` checks on its own rows and weights, and a map fit on its
+    updated weights. Only euclidean and mahalanobis need it."""
+    metric, _, _, kappa = search
     if metric not in ("euclidean", "mahalanobis"):
         return False
     with np.errstate(over="ignore"):

@@ -10,23 +10,26 @@ is Kohonen's batch map: it sums and counts the datapoints per BMU node, then
 weights those per-node sums and counts by the nodes x nodes kernel, so its
 cost does not grow with the number of datapoints beyond one pass over them.
 
-Online training and both supervised heads train a stack of k runs that
-share a :class:`SomConfig`: one run for :func:`fit_unsupervised` and the
-CLI's ``train``, the k folds of ``crossval``. The online map's loop is
-:func:`_fit_online`; the heads share one loop in :mod:`somkit.supervised`.
-All of them, and the batch map, take their kernel from one per-fit set-up,
-:func:`_neighbourhood`, and their learning rates and radii from the
-generator it returns, a chunk of iterations at a time, so no array of theirs
-grows with the iteration count. The fits report divergence by
-:func:`_diverged`. Each run keeps its own generator and draw order, and each
-step does every run's own elementwise arithmetic, so every run's output is
-bit for bit that of a run of its own. The online maps train node-major,
-(k, n, nodes), and are written back to their grids once at the end.
+Both training modes and both supervised heads train a stack of k runs
+that share a :class:`SomConfig`: one run for :func:`fit_unsupervised` and
+the CLI's ``train``, the k folds of ``crossval``. The online map's loop is
+:func:`_fit_online`, the batch maps' is in :func:`_fit_maps`, where each
+iteration steps every map; the heads share one loop in
+:mod:`somkit.supervised`. Each fit makes one set-up, :func:`_neighbourhood`.
+The online map and the heads take their kernel from it, and every fit takes
+its radii, and any learning rates, from the generator it returns, a chunk of
+iterations at a time, so no array of theirs grows with the iteration count.
+The fits report divergence by :func:`_diverged`. Each run keeps its own
+generator and draw order, and each step does every run's own arithmetic, so
+every run's output is bit for bit that of a run of its own. The online maps
+train node-major, (k, n, nodes), and are written back to their grids once
+at the end.
 
 :func:`_fit_maps` builds each map's search once, in either mode, by
 :func:`somkit.distances._search`, which checks the map's data and initial
-weights, and checks the weights against the same bound after every batch
-update and after the online loop. The online fit stacks the searches by
+weights, and checks every map's weights against its search by
+:func:`somkit.distances._overflows` after every batch iteration and after
+the online loop. The online fit stacks the searches by
 :func:`somkit.distances._row_search` and finds each step's BMUs from the
 differences x - W that the pull needs too, by
 :func:`somkit.distances._bmu_row`, for every trainable metric. The batch map
@@ -384,13 +387,15 @@ def fit_unsupervised(
 
 def _fit_maps(Xs, config: SomConfig, rngs, cov_invs) -> list[tuple[WeightGrid, np.ndarray | None]]:
     """:func:`fit_unsupervised` of each dataset of ``Xs`` with its own generator
-    and cov_inv; the online maps train together in one loop, with the outputs
-    of separate runs. In either mode each map's search is built once, and so
-    its data and initial weights checked, before training; online training
-    stacks the maps' searches. The weights are checked after every batch
-    update and after the online loop: finite, and within the range where the
-    BMU search is exact, so every search of the fit stays exact and a
-    divergence is reported where it happens."""
+    and cov_inv; the maps train together in one loop, with the outputs of
+    separate runs, from one :func:`_neighbourhood`. In either mode each map's
+    search is built once, and so its data and initial weights checked, before
+    training; online training stacks the maps' searches, and each batch
+    iteration updates every map by its own search and arithmetic. Every map's
+    weights are checked after each batch iteration and after the online loop:
+    finite, and within the range where its BMU search is exact, so every
+    search of the fit stays exact and a divergence is reported where it
+    happens."""
     Xs = [np.asarray(X, dtype=float) for X in Xs]
     if any(X.ndim != 2 or X.shape[0] == 0 for X in Xs):
         raise ValueError("training needs a nonempty (N, n) data matrix")
@@ -407,25 +412,25 @@ def _fit_maps(Xs, config: SomConfig, rngs, cov_invs) -> list[tuple[WeightGrid, n
                 for cov_inv, X, grid in zip(cov_invs, Xs, grids)]
     batch = config.update_mode == "batch"
 
-    def check(maps):
-        if not all(np.isfinite(grids[f].weights).all() for f in maps):
+    def check():
+        if not all(np.isfinite(grid.weights).all() for grid in grids):
             raise _diverged(config, "the node weights overflowed", batch)
-        if any(_overflows(config.metric, searches[f][3], Xs[f], grids[f].flat) for f in maps):
+        if any(map(_overflows, searches, Xs, (grid.flat for grid in grids))):
             raise _diverged(config, "the node weights left the range where the BMU search "
                                     "is exact, as their squared distances to the data "
                                     "overflow", batch)
     if batch:
-        # batch maps have no sampled loop to share, so they train one by one;
-        # each update is checked, which keeps the map's next search exact
+        # every iteration steps each map by its own arithmetic and is
+        # checked, which keeps every map's next search exact
+        _, schedules = _neighbourhood(config, config.n_iter_unsupervised, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            for f, (grid, X, search) in enumerate(zip(grids, Xs, searches)):
-                _, schedules = _neighbourhood(config, config.n_iter_unsupervised, 1)
-                for _, (sigma,) in schedules:
+            for _, (sigma,) in schedules:
+                for grid, X, search in zip(grids, Xs, searches):
                     _batch_step(grid, X, _nearest(grid.flat, X, search), sigma, config.kernel)
-                    check([f])
+                check()
     else:
         _fit_online(grids, Xs, config, rngs, _row_search(searches))
-        check(range(len(grids)))
+        check()
     return list(zip(grids, cov_invs))
 
 

@@ -205,19 +205,22 @@ def _vote(unsup: WeightGrid, nodes: np.ndarray, class_set: np.ndarray, y_codes: 
 
 
 def class_weights(y, enabled: bool) -> dict:
-    """Per-class weight N / (n_classes * N_class) when enabled, else 1."""
+    """Per-class weight N / (n_classes * N_class) when enabled, else 1: the
+    :func:`_code_weights` of ``y``'s codes, keyed by class."""
     y = np.asarray(y)
     if y.size == 0:
         raise ValueError("class weights need a nonempty label vector")
     class_set, codes = encode_classes(y)
+    return dict(zip(class_set.tolist(), _code_weights(codes, class_set.size, enabled).tolist()))
+
+
+def _code_weights(codes: np.ndarray, n_classes: int, enabled: bool) -> np.ndarray:
+    """Weight of each class code, (n_classes,), for the codes of N samples:
+    N / (n_classes * N_class) when enabled, else 1. Both ints are exact in
+    float64, so each quotient is the correctly rounded one of Python ints."""
     if not enabled:
-        return {cls: 1.0 for cls in class_set.tolist()}
-    counts = np.bincount(codes, minlength=class_set.size)
-    n = y.size
-    return {
-        cls: n / (class_set.size * cnt)
-        for cls, cnt in zip(class_set.tolist(), counts.tolist())
-    }
+        return np.ones(n_classes)
+    return codes.size / (n_classes * np.bincount(codes, minlength=n_classes))
 
 
 # Bytes of each (iterations, k, n_row, n_column) float64 buffer of a head's
@@ -294,9 +297,8 @@ def _fit_classifiers(grids, Xs, ys, config: SomConfig, rngs, cov_invs) -> list[C
         nodes = _bmu_nodes(grid, X, config.metric, cov_inv)
         class_set, y_codes = encode_classes(y)
         heads.append(_vote(grid, nodes, class_set, y_codes, rng))
-        weight_by_label = class_weights(y, config.class_weighting)
-        code_weights = np.array([weight_by_label[cls] for cls in class_set.tolist()])
-        per_run.append((nodes, y_codes, code_weights[y_codes]))
+        weights = _code_weights(y_codes, class_set.size, config.class_weighting)
+        per_run.append((nodes, y_codes, weights[y_codes]))
     codes = np.stack([head.codes for head in heads])
     for targets, P, U in _head_chunks(config, rngs, per_run, uniforms=True):
         # A node flips where a uniform draw u lands below P = class weight x

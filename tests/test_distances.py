@@ -396,12 +396,15 @@ class TestVectorizedPaths:
             cases += 1
 
     @pytest.mark.parametrize("metric", METRICS)
-    def test_exact_block_search_over_many_blocks(self, metric, monkeypatch):
+    # 2 x 4 x 204: n + 1 > nodes, so the rows' side of the product sizes the blocks
+    @pytest.mark.parametrize("shape, N", [((40, 20, 16), 700), ((2, 4, 204), 1400)],
+                             ids=["40x20x16", "2x4x204"])
+    def test_exact_block_search_over_many_blocks(self, shape, N, metric, monkeypatch):
         rng = np.random.default_rng(15)
-        W = rng.integers(0, 2, size=(40, 20, 16)).astype(float)
+        W = rng.integers(0, 2, size=shape).astype(float)
         W[:, 1::2] = W[:, ::2]  # duplicated nodes: ties go to the lower index
-        grid, X = WeightGrid(W), rng.integers(0, 2, size=(700, 16)).astype(float)
-        assert len(X) > 2 * distances._block_rows(800, 16, metric)
+        grid, X = WeightGrid(W), rng.integers(0, 2, size=(N, shape[2])).astype(float)
+        assert len(X) > 2 * distances._block_rows(shape[0] * shape[1], shape[2], metric)
         # integer distances: most rows tie between several nodes
         assert_searches_agree(grid, X, metric, metric_context(metric, W, X), monkeypatch)
 

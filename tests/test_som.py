@@ -885,8 +885,9 @@ class TestFitUnsupervised:
 
     def test_batch_maps_search_with_the_fits_one_search(self, monkeypatch):
         # a mahalanobis batch fit of 2 maps for 5 iterations builds one search
-        # per map, before training, and its loop calls neither public
-        # function; each map keeps the bits of the loop through them
+        # per map and one neighbourhood for both, before training, and its
+        # loop calls neither public function; each map keeps the bits of the
+        # loop through them
         rng = np.random.default_rng(28)
         Xs = [rng.normal(size=(60, 3)) @ rng.normal(size=(3, 3)) for _ in range(2)]
         cfg = small_config(metric="mahalanobis", update_mode="batch", n_iter_unsupervised=5)
@@ -900,11 +901,11 @@ class TestFitUnsupervised:
                 return fn(*args, **kwargs)
             return call
         monkeypatch.setattr(distances, "_search", counted("_search", distances._search))
-        for name in ("_search", "transform", "batch_update"):
+        for name in ("_search", "_neighbourhood", "transform", "batch_update"):
             monkeypatch.setattr(som, name, counted(name, getattr(som, name)))
         fitted = som._fit_maps(Xs, cfg, [np.random.default_rng(f) for f in range(2)],
                                [None, None])
-        assert calls == ["_search", "_search"]
+        assert calls == ["_search", "_search", "_neighbourhood"]
         for (grid, _), weights in zip(fitted, expected):
             assert grid.weights.tobytes() == weights.tobytes()
 
@@ -991,3 +992,20 @@ class TestTransformAndHistogram:
                 tracemalloc.stop()
         index_bytes = np.dtype(np.intp).itemsize
         assert peaks[20000] - peaks[2000] <= (2 + 1) * (20000 - 2000) * index_bytes
+
+    @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+    def test_transform_blocks_of_many_features_stay_within_block_bytes(self, metric):
+        # on 12 nodes of 204 features a block's rows, (rows, n + 1), are
+        # wider than its scores; the blocks are sized by them
+        rng = np.random.default_rng(29)
+        grid = WeightGrid(rng.normal(size=(3, 4, 204)))
+        X = rng.normal(size=(20000, 204))
+        cov_inv = estimate_inverse_covariance(X[:1000]) if metric == "mahalanobis" else None
+        transform(grid, X, metric, cov_inv)  # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            transform(grid, X, metric, cov_inv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * distances.BLOCK_BYTES
