@@ -219,7 +219,8 @@ def _write_report(args: argparse.Namespace, report: EvaluationReport, config: So
 
 def _load_for_model(path: str, label_column: str | None, head_kind: str) -> LabeledDataset:
     """The data file's features and the labels a ``head_kind`` head reads;
-    without a head, a label column is left out of the features unread."""
+    without a head, a label column is left out of the features, whatever text
+    it holds."""
     label_kind = _LABEL_KINDS[head_kind]
     if label_kind != "none" and not label_column:
         raise UsageError(f"a {head_kind} head needs --label-column")

@@ -6,11 +6,11 @@ rejected with the offending row and column named, never silently skipped.
 
 :func:`load_csv` reads a file column-wise with numpy's C text reader
 (``np.loadtxt``) where it can: this fast path stands only where its checks
-show that the row-by-row ``csv`` loop would return the same arrays. One
-check is per line: every line that is not empty must hold as many commas as
-the header, so a short row and a long row never pass as two full ones. The
-loop is authoritative. It reads every other file, malformed ones included,
-and words every error.
+show that the row-by-row ``csv`` loop would return the same arrays. numpy
+reads every column, so it rejects a row of another width than the first,
+and the table must have the header's width and one row per line. The loop
+is authoritative. It reads every other file, malformed ones included, and
+words every error.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import numpy as np
 LABEL_KINDS = ("none", "continuous", "categorical")
 # the dtype of each kind of labels that is read
 _LABEL_DTYPES = {"continuous": float, "categorical": str}
+# numpy's reader options for a headed CSV file, as csv reads it
+_CSV_OPTIONS = dict(delimiter=",", skiprows=1, comments=None, quotechar='"', encoding="utf-8")
 
 
 class DatasetError(ValueError):
@@ -80,7 +82,8 @@ def load_csv(path, label_column: str | None = None, label_kind: str = "none") ->
 
     All columns except ``label_column`` are parsed as float features.
     Continuous labels are parsed as float; categorical labels stay strings;
-    under label kind "none" the label column is dropped unread and y is None.
+    under label kind "none" the label column is dropped, whatever text it
+    holds, and y is None.
     Row numbers in error messages are 1-based data rows (header excluded).
     """
     if label_kind not in LABEL_KINDS:
@@ -112,23 +115,15 @@ def load_csv(path, label_column: str | None = None, label_kind: str = "none") ->
     return LabeledDataset(X, y, feature_names, label_kind)
 
 
-def _line_stats(path: Path, n_fields: int) -> tuple[int, int, bool]:
-    """Lines and the bytes of the longest line in the file at ``path``, and
-    whether every line that is not empty holds ``n_fields - 1`` commas.
+def _line_stats(path: Path) -> tuple[int, int]:
+    """Lines and the bytes of the longest line in the file at ``path``.
 
     A line ends at "\\n", "\\r" or "\\r\\n", where csv and numpy's reader
     both end one; a last line without an end counts too. Each block read
-    runs on to the next "\\n", so no line and no "\\r\\n" spans two blocks;
-    a file whose lines end by "\\r" alone is read as one block.
+    runs on to the next "\\n", so no "\\r\\n" spans two blocks; a file
+    whose lines end by "\\r" alone is read as one block.
     """
-    q = n_fields - 1
-    # Each line's commas are summed in the narrowest type that holds q, where
-    # a sum wraps: one equal to q means q commas plus a multiple of 2**bits,
-    # at least q. Such lines have q each exactly when they have q per line
-    # in all, which the file's exact total shows.
-    dtype = np.min_scalar_type(q)
-    lines = longest = commas = filled = 0
-    all_q = True
+    lines = longest = 0
     with path.open("rb") as fh:
         for block in iter(lambda: fh.read(1 << 20) + fh.readline(), b""):
             data = np.frombuffer(block, np.uint8)
@@ -141,52 +136,49 @@ def _line_stats(path: Path, n_fields: int) -> tuple[int, int, bool]:
             ends = np.flatnonzero(line_end)
             if not ends.size or ends[-1] < len(data) - 1:  # a last line without an end
                 ends = np.append(ends, len(data))
-            starts = np.r_[0, ends[:-1] + 1]
             lines += ends.size
-            sizes = ends - starts
-            longest = max(longest, int(sizes.max()))
-            is_comma = data == 44
-            commas += np.count_nonzero(is_comma)
-            counts = np.add.reduceat(is_comma.view(np.uint8), starts, dtype=dtype)[sizes > 0]
-            filled += counts.size
-            all_q = all_q and bool((counts == q).all())
-    return int(lines), longest, all_q and commas == filled * q
+            longest = max(longest, int(np.diff(ends, prepend=-1).max()) - 1)
+    return int(lines), longest
+
+
+def _zero(cell: str) -> float:
+    """A label cell that the fast path reads only for the width of its row."""
+    return 0.0
 
 
 def _read_columns(path: Path, n_fields: int, label_idx: int | None, label_kind: str):
     """(X, y) read column-wise by numpy's C reader, or None for the row loop.
 
-    The reader skips blank lines, ignores fields beyond ``usecols`` (so a
-    row that lacks only such fields passes too), accepts non-finite numbers
-    and has no field size limit. So its result stands only when it has one
-    row per line after the header, every line that is not empty holds
-    ``n_fields - 1`` commas (so every row has the header's width, unless a
-    quoted cell holds a comma, which the reader cannot parse as a number or
-    finds short of a column), no line is longer than
-    ``csv.field_size_limit()`` (so no cell is), and every number is finite.
-    Any other file, and any failure of the reader, is left to
-    :func:`_read_rows`, which words every error.
+    One pass reads every column, a label column that is not continuous
+    through :func:`_zero`, so the reader raises on a row whose width is not
+    the first row's. The reader skips blank lines, accepts non-finite
+    numbers and has no field size limit. So its table stands only when it
+    has the header's ``n_fields`` columns and one row per line after the
+    header, no line is longer than ``csv.field_size_limit()`` (so no cell
+    is), and every number is finite. A quoted cell may hold a comma: the
+    reader then parses it as one field, as csv does. Categorical labels take
+    a second pass as text. Any other file, and any failure of the reader, is
+    left to :func:`_read_rows`, which words every error.
     """
-    lines, longest, even = _line_stats(path, n_fields)
-    if lines < 2 or not even or longest > csv.field_size_limit():
+    lines, longest = _line_stats(path)
+    if lines < 2 or longest > csv.field_size_limit():
         return None
     features = [i for i in range(n_fields) if i != label_idx]
-    options = dict(delimiter=",", skiprows=1, comments=None, quotechar='"', encoding="utf-8")
+    unread = None if label_kind == "continuous" or label_idx is None else {label_idx: _zero}
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # blank lines or no data; the counts decide
-            X = np.loadtxt(path, usecols=features, ndmin=2, **options)
-            if X.shape[0] != lines - 1 or not np.isfinite(X).all():
+            warnings.simplefilter("ignore")  # blank lines or no data; the shape decides
+            table = np.loadtxt(path, ndmin=2, converters=unread, **_CSV_OPTIONS)
+            if table.shape != (lines - 1, n_fields) or not np.isfinite(table).all():
                 return None
-            if label_kind == "none":
-                return X, None
-            y = np.loadtxt(path, usecols=label_idx, ndmin=1, **options,
-                           dtype=_LABEL_DTYPES[label_kind])
+            y = None if label_kind == "none" else table[:, label_idx]
+            if label_kind == "categorical":
+                y = np.loadtxt(path, usecols=label_idx, ndmin=1, dtype=str, **_CSV_OPTIONS)
     except Exception:  # whatever the reader cannot parse, the row loop decides and words
         return None
-    if y.shape != X.shape[:1] or y.dtype == float and not np.isfinite(y).all():
-        return None
-    return X, y
+    # the label last or absent leaves the features a view of the table
+    n = len(features)
+    return (table[:, :n] if features[-1] == n - 1 else table[:, features]), y
 
 
 def _numbered_rows(path: Path, reader):

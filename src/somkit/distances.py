@@ -353,21 +353,28 @@ def _bmu_block(W: np.ndarray, X: np.ndarray, search: tuple, prepared):
     if not (scores.min(axis=1) <= threshold).any():
         return best
     # Some row has more than one node near its minimum: re-score those nodes
-    # with the oracle's own arithmetic.
+    # with the oracle's own arithmetic, in chunks of pairs whose differences
+    # stay near BLOCK_BYTES: on a map of equal weights every node is near.
     scores[at] = lowest
     near = scores <= threshold[:, None]
-    return _rerank(best, near, lambda r, c: _exact(W[c] - X[r], metric, cov_inv))
+    pairs = max(1, BLOCK_BYTES // (8 * n))
+    return _rerank(best, near, lambda r, c: _exact(W[c] - X[r], metric, cov_inv), pairs)
 
 
-def _rerank(best: np.ndarray, near: np.ndarray, exact) -> np.ndarray:
+def _rerank(best: np.ndarray, near: np.ndarray, exact, pairs: int) -> np.ndarray:
     """``best`` (rows,), updated in place: each row for which ``near``
     (rows, nodes) marks more than one node takes the marked node of least
     ``exact(r, c)``, the exact distance of row r to node c for index arrays
-    r and c, lowest index on ties."""
-    ties = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
-    r, c = np.nonzero(near[ties])
-    order = np.lexsort((c, exact(ties[r], c), r))
-    best[ties] = c[order][np.diff(r[order], prepend=-1) != 0]
+    r and c, lowest index on ties. Each call of ``exact`` takes whole rows
+    and fewer than ``pairs`` + nodes pairs; a pair's distance does not
+    depend on its chunk."""
+    marked = np.count_nonzero(near, axis=1)
+    ties = np.flatnonzero(marked > 1)
+    # a chunk is the rows whose last pair falls in one run of ``pairs``
+    for t in np.split(ties, np.flatnonzero(np.diff((np.cumsum(marked[ties]) - 1) // pairs)) + 1):
+        r, c = np.nonzero(near[t])
+        order = np.lexsort((c, exact(t[r], c), r))
+        best[t] = c[order][np.diff(r[order], prepend=-1) != 0]
     return best
 
 
@@ -490,7 +497,7 @@ def _bmu_row(D: np.ndarray, search: tuple, scores: np.ndarray) -> np.ndarray:
         return out
 
     # Some map has several nodes near its minimum: re-score them.
-    return _rerank(best, near, exact)
+    return _rerank(best, near, exact, near.size)
 
 
 def estimate_inverse_covariance(X, ridge: float = DEFAULT_COV_RIDGE) -> np.ndarray:

@@ -180,10 +180,16 @@ class TestTrain:
                    "--model", str(tmp_path / "m.json"), *FAST])
         assert rc == 1
 
-    def test_missing_data_file_is_data_error(self, tmp_path):
-        rc = main(["train", "--data", str(tmp_path / "nope.csv"),
-                   "--model", str(tmp_path / "m.json"), *FAST])
+    @pytest.mark.parametrize("text, error", [(None, "no such data file: {}"),
+                                             ("", "{}: file is empty, expected a header row")],
+                             ids=["missing", "empty"])
+    def test_missing_or_empty_data_file_is_data_error(self, tmp_path, capsys, text, error):
+        data = tmp_path / "d.csv"
+        if text is not None:
+            data.write_text(text)
+        rc = main(["train", "--data", str(data), "--model", str(tmp_path / "m.json"), *FAST])
         assert rc == 2
+        assert capsys.readouterr().err == f"somkit: data error: {error.format(data)}\n"
 
     @pytest.mark.parametrize("line, where", [(0, "header row"), (2, "row 2")])
     def test_cell_over_the_csv_field_limit_is_data_error(self, tmp_path, capsys, line, where):
@@ -394,6 +400,7 @@ class TestTrain:
                                  "'euclidean', 'manhattan', 'tanimoto', 'mahalanobis')"),
         (["--seed", "-1e+308"], "argument --seed: expected one argument"),
         (["--warp-speed", "9"], "unrecognized arguments: --warp-speed 9"),
+        (["--config", "no-such-run.json"], "no such config file: no-such-run.json"),
     ])
     def test_flag_parse_error_is_one_somkit_line(self, tmp_path, reg_csv, capsys, argv, error):
         rc = main(["train", "--data", str(reg_csv), "--model", str(tmp_path / "m.json"), *argv])
@@ -690,6 +697,14 @@ class TestMalformedModel:
         assert rc == 2
         assert message in err
 
+    def test_predict_with_a_json_array_for_a_model_exits_2(self, tmp_path, reg_csv, capsys):
+        model_path = tmp_path / "m.json"
+        model_path.write_text("[]")
+        rc = main(["predict", "--model", str(model_path), "--data", str(reg_csv),
+                   "--label-column", "target", "--output", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert "model file must hold a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_CLASSIFICATION_MODELS))
     def test_predict_with_classification_model_exits_2(self, tmp_path, capsys, case):
         mutate, message = MALFORMED_CLASSIFICATION_MODELS[case]
@@ -827,24 +842,27 @@ class TestPredict:
     @pytest.mark.parametrize("command", ["train", "predict", "export-maps"])
     def test_a_run_without_a_head_reads_no_label_column(self, tmp_path, reg_csv, monkeypatch,
                                                         command):
-        """The label column is left out of the features unread: numpy's reader
-        makes one pass over the file, for the features."""
+        """The label column is left out of the features: numpy's reader makes
+        one pass over the file, and reads the label column through a converter
+        that takes any text, not as a number."""
         model = tmp_path / "m.json"
         assert main(["train", "--data", str(reg_csv), "--label-column", "target",
                      "--head", "regression", "--model", str(model), *FAST]) == 0
         outputs = {"train": ["--model", str(tmp_path / "headless.json"), *FAST],
                    "predict": ["--model", str(model), "--output", str(tmp_path / "p.csv")],
                    "export-maps": ["--model", str(model), "--out-dir", str(tmp_path / "maps")]}
-        columns, loadtxt = [], np.loadtxt
+        calls, loadtxt = [], np.loadtxt
 
         def spy(*args, **kwargs):
-            columns.append(kwargs["usecols"])
+            calls.append(kwargs)
             return loadtxt(*args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", spy)
         assert main([command, "--data", str(reg_csv), "--label-column", "target",
                      *outputs[command]]) == 0
-        assert columns == [[0, 1]]
+        [kwargs] = calls
+        assert kwargs.get("usecols") is None and list(kwargs["converters"]) == [2]
+        assert kwargs["converters"][2]("not a number") == 0.0
 
     @pytest.mark.parametrize("text, label, row", [
         ("f0\n\n", [], 1),  # numpy's reader warns that it found no data
@@ -872,11 +890,12 @@ class TestPredict:
         assert proc.stderr == (
             f"somkit: data error: {data}: row {row} has 0 fields, expected {fields}\n")
 
-    def test_predict_without_head_fails(self, tmp_path, reg_csv):
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_predict_without_head_fails(self, tmp_path, reg_csv, command):
         model_path = tmp_path / "m.json"
         main(["train", "--data", str(reg_csv), "--label-column", "target",
               "--model", str(model_path), *FAST])
-        rc = main(["predict", "--model", str(model_path), "--data", str(reg_csv),
+        rc = main([command, "--model", str(model_path), "--data", str(reg_csv),
                    "--label-column", "target", "--output", str(tmp_path / "p.csv")])
         assert rc == 2
 

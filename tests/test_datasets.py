@@ -101,12 +101,16 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="row 2"):
             load_csv(p)
 
-    def test_roundtrip_exact(self, tmp_path):
+    @pytest.mark.parametrize("label_kind", ["continuous", "none"])
+    def test_roundtrip_exact(self, tmp_path, label_kind):
         rng = np.random.default_rng(0)
-        data = LabeledDataset(rng.normal(size=(20, 3)), rng.normal(size=20), ["a", "b", "c"], "continuous")
+        X = rng.normal(size=(20, 3))
+        y = rng.normal(size=20) if label_kind == "continuous" else None
+        data = LabeledDataset(X, y, ["a", "b", "c"], label_kind)
         p = tmp_path / "out.csv"
         save_csv(data, p, label_column="y")
-        back = load_csv(p, "y", "continuous")
+        back = load_csv(p, None if y is None else "y", label_kind)
+        assert back.feature_names == ["a", "b", "c"]
         np.testing.assert_array_equal(back.X, data.X)
         np.testing.assert_array_equal(back.y, data.y)
 
@@ -156,9 +160,9 @@ INGEST_CASES = {
     "quoted cells": ('a,b,y\n"1.5",2,"x"\n3,"4",y\n', "y", "categorical", True),
     "doubled quotes": ('a,y\n1,"say ""hi"""\n2,a"b\n', "y", "categorical", True),
     "text after a closing quote": ('a,y\n1,"ab"cd\n', "y", "categorical", True),
-    "quoted comma in a label": ('a,y\n1,"x,z"\n2,w\n', "y", "categorical", False),
+    "quoted comma in a label": ('a,y\n1,"x,z"\n2,w\n', "y", "categorical", True),
     "quoted comma in a number": ('a,b\n"1,5",2\n', None, "none", False),
-    "quoted comma in the header": ('"a,b",c\n1,2\n', None, "none", False),
+    "quoted comma in the header": ('"a,b",c\n1,2\n', None, "none", True),
     "header spanning lines": ('"a\nb",c\n1,2\n', None, "none", False),
     "header with an open quote": ('"a\n1\n2\n', None, "none", False),
     "quoted line end in a label": ('a,y\n1,"x\ny"\n2,w\n', "y", "categorical", False),
@@ -250,8 +254,8 @@ class TestColumnarIngest:
     @pytest.mark.parametrize("text", [
         "a,b\n1,2\n", "a,b\r\n1,2\r\n", "a,b\r1,22\r", "a\n\n\n", "ab", "", "a,b\n1,234",
         "a\r\n" + "1" * (2**20 - 2) + "\r\n2\n", "a\n" + "1" * 2**20 + "\n", "a\n" + "é" * 2**20,
-        # a short and a long row; each line's count wraps past q commas by 256
-        # or 2**16, which only the file's total tells apart
+        # a short and a long row, and rows whose commas add up to those of
+        # full rows
         "a,b\n1\n1,2,3\n", "a\n" + "," * 256, "a,b\n" + "," * 257 + "\n", "," * 256 + "\r\n1",
         "," * 256 + "\n" + "," * (256 + 2**16) + "\n", "a,b\r\n\r\n1,2\r\r\n,\n",
     ])
@@ -262,8 +266,23 @@ class TestColumnarIngest:
         if lines[-1] == "":
             lines.pop()
         longest = max((len(line.encode("utf-8")) for line in lines), default=0)
-        even = all(line.count(",") == n_fields - 1 for line in lines if line)
-        assert datasets._line_stats(path, n_fields) == (len(lines), longest, even)
+        assert datasets._line_stats(path) == (len(lines), longest)
+        # given a header of ``n_fields`` fields, the fast path stands for no
+        # file with a data line of another width, and then holds one row per line
+        even = all(line.count(",") == n_fields - 1 for line in lines[1:] if line)
+        columns = datasets._read_columns(path, n_fields, None, "none")
+        assert columns is None or (even and columns[0].shape == (len(lines) - 1, n_fields))
+
+    @pytest.mark.parametrize("converters", [None, {1: datasets._zero}],
+                             ids=["numbers", "converter"])
+    @pytest.mark.parametrize("third_row", ["7,8", "7,8,9,10"], ids=["short", "long"])
+    def test_numpy_rejects_a_row_of_another_width(self, tmp_path, third_row, converters):
+        # the fast path rests on this: reading every column, numpy's reader
+        # raises on a row whose width is not the first row's
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,c\n1,2,3\n4,5,6\n{third_row}\n")
+        with pytest.raises(ValueError, match="number of columns changed"):
+            np.loadtxt(path, converters=converters, **datasets._CSV_OPTIONS)
 
     def test_blank_line_error_is_the_row_loops(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -364,10 +383,11 @@ class TestDroppedLabelColumn:
         path.write_bytes(text.encode("utf-8"))
         _assert_dropped_reads_as_categorical(path, label_column, fast)
 
-    @pytest.mark.parametrize("label_kind, passes", [("none", 1), ("categorical", 2)])
+    @pytest.mark.parametrize("label_kind, passes",
+                             [("none", 1), ("continuous", 1), ("categorical", 2)])
     def test_fast_path_reads_the_file_once_without_labels(self, tmp_path, label_kind, passes):
         path = tmp_path / "d.csv"
-        path.write_text("a,y,b\n1,p,2\n3,q,4\n")
+        path.write_text("a,y,b\n1,5,2\n3,6,4\n")
         with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             load_csv(path, "y", label_kind)
         assert loadtxt.call_count == passes

@@ -993,6 +993,22 @@ class TestTransformAndHistogram:
         index_bytes = np.dtype(np.intp).itemsize
         assert peaks[20000] - peaks[2000] <= (2 + 1) * (20000 - 2000) * index_bytes
 
+    def test_rescoring_ties_on_equal_weights_stays_within_block_bytes(self):
+        # every node of an all-zero map is near every row's minimum, so every
+        # (row, node) pair is re-scored exactly, a chunk of pairs at a time
+        rng = np.random.default_rng(30)
+        grid = WeightGrid(np.zeros((20, 20, 32)))
+        X = rng.normal(size=(2000, 32))
+        transform(grid, X)  # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            bmus = transform(grid, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * distances.BLOCK_BYTES
+        assert not bmus.any()  # node 0, the lowest index of the ties
+
     @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
     def test_transform_blocks_of_many_features_stay_within_block_bytes(self, metric):
         # on 12 nodes of 204 features a block's rows, (rows, n + 1), are
